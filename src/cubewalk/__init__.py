@@ -10,9 +10,8 @@ against.
 """
 
 from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       MAX_DIMENSION, SetFormatError, dot_parity, format_set,
-                       gf2_rank, hypercube, odd_parity_functional, parse_set,
-                       xor_sum)
+                       MAX_DIMENSION, SetFormatError, dot_parity, gf2_rank,
+                       hypercube, odd_parity_functional, spans)
 from .dynamics import (FLOAT_TOL, HALF_PI, PI, GaussianInteger,
                        RationalAngle, UnsupportedAngleError, all_amplitudes,
                        all_amplitudes_exact, all_fidelities, amplitude,
@@ -20,7 +19,7 @@ from .dynamics import (FLOAT_TOL, HALF_PI, PI, GaussianInteger,
                        measurement_distribution)
 from .graphwalk import (DisconnectedGraphError, DistanceProfile,
                         antipodal_pairs, bfs_profile, bipartite_functional,
-                        is_complete_bipartite, is_connected, neighbors)
+                        is_complete_bipartite, neighbors)
 from .oracle import (DENSE_CAP, DenseCapError, OracleMismatchError,
                      adjacency_dense, commutation_check, evolve_dense,
                      evolve_expm, regular_rep, verify_equivalence)
@@ -37,16 +36,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConnectionSet", "DimensionMismatchError", "GroupElement",
-    "MAX_DIMENSION", "SetFormatError", "dot_parity", "format_set",
-    "gf2_rank", "hypercube", "odd_parity_functional", "parse_set",
-    "xor_sum",
+    "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
+    "hypercube", "odd_parity_functional", "spans",
     "FLOAT_TOL", "HALF_PI", "PI", "GaussianInteger", "RationalAngle",
     "UnsupportedAngleError", "all_amplitudes", "all_amplitudes_exact",
     "all_fidelities", "amplitude", "amplitude_exact", "gaussian_unit",
     "measurement_distribution",
     "DisconnectedGraphError", "DistanceProfile", "antipodal_pairs",
     "bfs_profile", "bipartite_functional", "is_complete_bipartite",
-    "is_connected", "neighbors",
+    "neighbors",
     "DENSE_CAP", "DenseCapError", "OracleMismatchError", "adjacency_dense",
     "commutation_check", "evolve_dense", "evolve_expm", "regular_rep",
     "verify_equivalence",

@@ -199,17 +199,15 @@ class ConnectionSet:
         return cls(n, tuple(labels))
 
 
-def parse_set(text: str, n: int) -> ConnectionSet:
-    return ConnectionSet.parse(text, n)
-
-
-def format_set(omega: ConnectionSet) -> str:
-    return omega.format()
-
-
-def xor_sum(omega: ConnectionSet) -> GroupElement:
-    """⊕_{w∈Ω} w, the invariant that controls transfer at quarter period."""
-    return omega.u
+def _mask_labels(mask: int) -> list[int]:
+    """Labels of a set stored as a mask: bit j of the mask is label j+1."""
+    labels = []
+    m = mask
+    while m:
+        low = m & -m
+        labels.append(low.bit_length())
+        m ^= low
+    return labels
 
 
 def hypercube(n: int) -> ConnectionSet:

@@ -28,7 +28,7 @@ import csv
 import hashlib
 import io
 import json
-import os
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       SetFormatError, parse_set)
+                       SetFormatError)
 from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
                        all_fidelities, amplitude_exact, exact_components,
                        measurement_distribution)
@@ -76,24 +76,34 @@ def _manifest(args: argparse.Namespace, payload: dict,
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
           seed=None, rows: list | None = None,
           header: list[str] | None = None,
+          manifest_extra: dict | None = None,
           summary_lines: list[str] | None = None) -> None:
-    """Serialize one command result according to the output flags."""
+    """Serialize one command result according to the output flags.
+
+    Documents are dumped with allow_nan=False, so a non-finite float
+    raises ValueError (exit 2) instead of printing invalid JSON.
+    """
     manifest = _manifest(args, payload, inputs, seed)
+    manifest.update(manifest_extra or {})
     if getattr(args, "csv", False) and rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
-        print(json.dumps({"manifest": manifest}), file=sys.stderr)
+        print(json.dumps({"manifest": manifest}, allow_nan=False),
+              file=sys.stderr)
     else:
         doc = dict(payload)
         doc["manifest"] = manifest
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     if summary_lines:
@@ -108,7 +118,9 @@ def _angle_of(args: argparse.Namespace):
             return RationalAngle.parse(args.t_pi)
         except ValueError as exc:
             raise SetFormatError(str(exc)) from None
-    return float(args.t_real)
+    if not math.isfinite(args.t_real):
+        raise ValueError(f"--t-real must be finite, got {args.t_real}")
+    return args.t_real
 
 
 def _gauss_json(z: GaussianInteger) -> dict:
@@ -121,20 +133,10 @@ def _phase_json(phase) -> dict:
     return {"re": float(phase.real), "im": float(phase.imag)}
 
 
-def _jobs_of(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        value = args.jobs
-    else:
-        value = int(os.environ.get("CUBEWALK_JOBS", "1"))
-    if value < 1:
-        raise ValueError(f"--jobs must be at least 1, got {value}")
-    return value
-
-
 # ── subcommands ───────────────────────────────────────────────────────────
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     report = classify_set(omega)
     entries = [{
         "v": format(e.v, f"0{args.n}b"),
@@ -161,7 +163,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     t = _angle_of(args)
     size = 1 << args.n
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
@@ -204,7 +206,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     delta = GroupElement.parse(args.delta, args.n)
     t = _angle_of(args)
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
@@ -227,7 +229,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     start = GroupElement.parse(args.a, args.n) if args.a \
         else GroupElement.zero(args.n)
     t = _angle_of(args)
@@ -262,7 +264,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     source = GroupElement.parse(args.source, args.n) if args.source \
         else GroupElement.zero(args.n)
     profile = bfs_profile(omega, source)
@@ -296,7 +298,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_pst_check(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     cert = pst_at_half_pi(omega)
     payload = {
         "command": "pst-check",
@@ -318,7 +320,7 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 
 
 def cmd_pst_search(args: argparse.Namespace) -> int:
-    omega = parse_set(args.omega, args.n)
+    omega = ConnectionSet.parse(args.omega, args.n)
     delta = GroupElement.parse(args.delta, args.n)
     found = decide_pst_exact(omega, delta)
     payload = {
@@ -368,41 +370,27 @@ def _survey_summary(report: ScanReport) -> list[str]:
     return lines
 
 
-def _emit_survey(args: argparse.Namespace, report: ScanReport,
-                 inputs: dict, seed=None) -> int:
-    payload = {"command": args.command, "report": report.payload()}
-    manifest_extra = {"wall_time_s": report.wall_time_s}
-    manifest = _manifest(args, payload, inputs, seed)
-    manifest.update(manifest_extra)
-    doc = dict(payload)
-    doc["manifest"] = manifest
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    for line in _survey_summary(report):
-        print(line, file=sys.stderr)
-    return 3 if report.violations else 0
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    jobs = _jobs_of(args)
     common = dict(d_min=args.d_min, d_max=args.d_max, sample=args.sample,
-                  seed=args.seed, jobs=jobs)
+                  seed=args.seed)
     if args.u_zero:
         report = conjecture_scan(args.n, **common)
     else:
         report = scan_sets(args.n, **common)
-    return _emit_survey(args, report,
-                        {"n": args.n, "filters": report.filters},
-                        seed=args.seed if args.sample else None)
+    _emit(args, {"command": args.command, "report": report.payload()},
+          {"n": args.n, "filters": report.filters},
+          seed=args.seed if args.sample else None,
+          manifest_extra={"wall_time_s": report.wall_time_s},
+          summary_lines=_survey_summary(report))
+    return 3 if report.violations else 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    report = antipodality_audit(args.n, jobs=_jobs_of(args))
-    return _emit_survey(args, report, {"n": args.n})
+    report = antipodality_audit(args.n)
+    _emit(args, {"command": args.command, "report": report.payload()},
+          {"n": args.n}, manifest_extra={"wall_time_s": report.wall_time_s},
+          summary_lines=_survey_summary(report))
+    return 3 if report.violations else 0
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
@@ -485,14 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int,
                    help="sample this many sets instead of exhausting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default $CUBEWALK_JOBS or 1)")
 
     p = add("audit-antipodal", "antipodality audit of every transfer "
             "offset", set_args=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default $CUBEWALK_JOBS or 1)")
 
     p = add("oracle-verify", "drive the dense reference paths against the "
             "transform path", set_args=False)

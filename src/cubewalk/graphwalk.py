@@ -7,7 +7,7 @@ implicit graph with a vectorized frontier; nothing below ever builds an
 adjacency matrix.
 
 Connectivity is a rank condition: the graph is connected iff Ω spans Z₂ⁿ
-over GF(2).  Bipartiteness is a linear condition: the graph is bipartite
+over GF(2), which ``bitspace.spans`` tests.  Bipartiteness is a linear condition: the graph is bipartite
 iff some functional c has cᵀw = 1 for every generator, and it is complete
 bipartite exactly when such a c exists and d = 2^(n−1).
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       gf2_rank, odd_parity_functional)
+                       odd_parity_functional)
 
 
 class DisconnectedGraphError(ValueError):
@@ -76,11 +76,6 @@ def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
     return DistanceProfile(n=omega.n, source=source, dist=dist,
                            diameter=int(reached.max()),
                            connected=int(reached.size) == size)
-
-
-def is_connected(omega: ConnectionSet) -> bool:
-    """Rank test: connected iff the generators span Z₂ⁿ."""
-    return gf2_rank(omega.elements) == omega.n
 
 
 def antipodal_pairs(omega: ConnectionSet) -> list[GroupElement]:

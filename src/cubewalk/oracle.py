@@ -22,9 +22,9 @@ import functools
 import random
 
 import numpy as np
-from scipy.linalg import expm
 
-from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
+from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
+                       _mask_labels)
 
 DENSE_CAP = 10
 EVOLVE_TOL = 1e-8
@@ -131,6 +131,9 @@ def evolve_dense(omega: ConnectionSet, t: float,
 
 def evolve_expm(omega: ConnectionSet, t: float) -> np.ndarray:
     """Walk operator through scipy.linalg.expm, the second dense route."""
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg import expm
+
     adj = adjacency_dense(omega)
     return expm(-1j * float(t) * adj.astype(np.float64))
 
@@ -148,13 +151,7 @@ def commutation_check(first: ConnectionSet, second: ConnectionSet) -> int:
 
 def _random_set(rng: random.Random, n: int) -> ConnectionSet:
     mask = rng.randrange(1, 1 << ((1 << n) - 1))
-    labels = []
-    m = mask
-    while m:
-        low = m & -m
-        labels.append(low.bit_length())  # bit j of the mask is label j+1
-        m ^= low
-    return ConnectionSet(n, tuple(labels))
+    return ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
 def verify_equivalence(*, trials: int = 100, pair_trials: int = 50,

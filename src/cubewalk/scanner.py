@@ -9,10 +9,12 @@ beyond that only sampling is offered.
 
 Two surveys are built in.  The conjecture scan walks sets with xor-sum 0
 and asks the exact decision procedure for any transfer offset at all; a
-hit would be a counterexample to the observed rule that such sets never
-admit PST.  The antipodality audit examines every transfer offset found
-at a dimension, in both senses the word "antipodal" gets used for these
-graphs:
+hit is a counterexample to the rule that such sets never admit PST.  The
+rule holds at n ≤ 4 and fails from n = 5 on: the xor-sum-zero set
+00001,00110,00111,01000,01001,01100,01101,10000,10001,10010,10011 transfers
+0 → 00001 at π/4 (a regression fixture in tests/test_pst.py).  The
+antipodality audit examines every transfer offset found at a dimension,
+in both senses the word "antipodal" gets used for these graphs:
 
   * the metric sense, distance(0, δ) equal to the diameter.  This reading
     is refuted outright by the data: {001,010,011,100} transfers to its
@@ -21,9 +23,9 @@ graphs:
     audit records distance, diameter and the metric flag for every
     offset so the counts stay visible.
   * the structural sense, δ reachable by a walk through all generators,
-    i.e. δ = u.  Every transfer offset observed at n ≤ 4 satisfies it.
-    An offset with δ ≠ u would be news; those are the audit's violations
-    and drive the nonzero exit code.
+    i.e. δ = u.  Every transfer offset at n ≤ 4 satisfies it; from n = 5
+    on it fails, as the xor-sum-zero fixture above shows.  Offsets with
+    δ ≠ u are the audit's violations and drive the nonzero exit code.
 
 Both reports carry empirical weight only: an exhaustive pass at small n
 proves nothing about larger n.
@@ -40,11 +42,11 @@ import heapq
 import json
 import random
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitspace import ConnectionSet, GroupElement, _check_dimension
+from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
+                       _mask_labels)
 from .graphwalk import bfs_profile
 from .pst import pst_offsets
 
@@ -57,16 +59,6 @@ class EnumerationCapError(ValueError):
 
 
 # ── enumeration ───────────────────────────────────────────────────────────
-
-def _mask_labels(mask: int) -> list[int]:
-    labels = []
-    m = mask
-    while m:
-        low = m & -m
-        labels.append(low.bit_length())  # mask bit j ↔ label j+1
-        m ^= low
-    return labels
-
 
 def _xor_of_mask(mask: int) -> int:
     acc = 0
@@ -270,26 +262,13 @@ def _tally(kind: str, omega: ConnectionSet, findings: list[dict],
     findings.append(record)
 
 
-def _survey_chunk(args: tuple) -> tuple[list[dict], dict]:
-    """One contiguous mask range of a survey; runs in a worker process."""
-    n, lo, hi, kind, d_min, d_max, u_class = args
-    findings: list[dict] = []
-    counters = _fresh_counters()
-    for mask in range(lo, hi):
-        if mask == 0 or not _passes(mask, d_min, d_max, u_class):
-            continue
-        _tally(kind, ConnectionSet(n, tuple(_mask_labels(mask))),
-               findings, counters)
-    return findings, counters
-
-
 @dataclass(eq=False)
 class ScanReport:
     """Survey result: deterministic payload plus volatile wall time.
 
     ``payload`` (and therefore ``digest``) contains nothing that varies
     between identical runs; two equal surveys must produce byte-identical
-    payload JSON regardless of worker count or clock.
+    payload JSON regardless of the clock.
     """
 
     kind: str
@@ -321,28 +300,8 @@ class ScanReport:
 
 
 def _run_survey(n: int, kind: str, *, d_min=None, d_max=None, u_class=None,
-                sample=None, seed=0, jobs=1) -> tuple[list[dict], dict]:
-    if jobs > 1 and sample is None and d_min is None and d_max is None \
-            and n <= EXHAUSTIVE_CAP:
-        width = (1 << n) - 1
-        total = 1 << width
-        chunks = []
-        step = max(1, total // (jobs * 4))
-        lo = 1
-        while lo < total:
-            hi = min(total, lo + step)
-            chunks.append((n, lo, hi, kind, d_min, d_max, u_class))
-            lo = hi
-        findings: list[dict] = []
-        counters: dict = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_findings, part_counters in pool.map(_survey_chunk,
-                                                         chunks):
-                findings.extend(part_findings)
-                for key, val in part_counters.items():
-                    counters[key] = counters.get(key, 0) + val
-        return findings, counters
-    findings = []
+                sample=None, seed=0) -> tuple[list[dict], dict]:
+    findings: list[dict] = []
     counters = _fresh_counters()
     for omega in enumerate_sets(n, d_min=d_min, d_max=d_max, u_class=u_class,
                                 sample=sample, seed=seed):
@@ -366,12 +325,12 @@ EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
 
 def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,
               u_class: str | None = None, sample: int | None = None,
-              seed: int = 0, jobs: int = 1) -> ScanReport:
+              seed: int = 0) -> ScanReport:
     """General transfer survey; findings are the sets that admit PST."""
     started = _time.perf_counter()
     findings, counters = _run_survey(n, "pst", d_min=d_min, d_max=d_max,
                                      u_class=u_class, sample=sample,
-                                     seed=seed, jobs=jobs)
+                                     seed=seed)
     summary = {
         "sets_scanned": counters["sets_scanned"],
         "sets_with_pst": counters["sets_with_pst"],
@@ -389,17 +348,17 @@ def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,
 
 def conjecture_scan(n: int, *, d_min: int | None = None,
                     d_max: int | None = None, sample: int | None = None,
-                    seed: int = 0, jobs: int = 1) -> ScanReport:
+                    seed: int = 0) -> ScanReport:
     """Hunt for PST on xor-sum-zero sets; any finding is a counterexample.
 
-    Every scan to date has come back empty, which is exactly what makes
-    the absence worth re-checking: the emptiness is evidence, not a
-    theorem, and the report says so.
+    There are none at n ≤ 4; transfer exists from n = 5 on (the π/4
+    fixture in the module docstring), so an exhaustive pass at one n says
+    nothing about larger n, and the report says so.
     """
     started = _time.perf_counter()
     findings, counters = _run_survey(n, "pst", d_min=d_min, d_max=d_max,
                                      u_class="zero", sample=sample,
-                                     seed=seed, jobs=jobs)
+                                     seed=seed)
     summary = {
         "sets_scanned": counters["sets_scanned"],
         "counterexamples": counters["sets_with_pst"],
@@ -415,12 +374,12 @@ def conjecture_scan(n: int, *, d_min: int | None = None,
                       wall_time_s=_time.perf_counter() - started)
 
 
-def antipodality_audit(n: int, *, jobs: int = 1) -> ScanReport:
+def antipodality_audit(n: int) -> ScanReport:
     """Check every transfer offset at dimension n for antipodality.
 
     A violation is an offset that differs from the set's xor-sum, the
-    structural reading described in the module docstring; none has ever
-    been observed.  The metric reading (distance equal to diameter) is
+    structural reading described in the module docstring; there are none
+    at n ≤ 4, the largest n this exhaustive audit reaches.  The metric reading (distance equal to diameter) is
     tallied alongside as ``metric_non_antipodal`` and is nonzero from
     n = 3 on, which is a result, not a malfunction: transfer to a
     generator offset happens whenever the xor-sum lies inside the set.
@@ -428,7 +387,7 @@ def antipodality_audit(n: int, *, jobs: int = 1) -> ScanReport:
     single set to confirm a report line independently.
     """
     started = _time.perf_counter()
-    findings, counters = _run_survey(n, "audit", jobs=jobs)
+    findings, counters = _run_survey(n, "audit")
     summary = {
         "sets_scanned": counters["sets_scanned"],
         "sets_with_pst": counters["sets_with_pst"],

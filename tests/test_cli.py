@@ -1,16 +1,20 @@
 """End-to-end command line checks; every handler stays a thin adapter."""
 
-import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cubewalk
+from cubewalk import cli
 from cubewalk.bitspace import ConnectionSet
-from cubewalk.cli import _emit_survey, main
+from cubewalk.cli import main
 from cubewalk.dynamics import HALF_PI, all_fidelities
 from cubewalk.scanner import ScanReport
 
@@ -203,16 +207,19 @@ def test_scan_and_audit_exit_codes(capsys):
     assert "digest" in err
 
 
-def test_survey_violation_exit_code(capsys):
+def test_survey_violation_exit_code(capsys, monkeypatch):
     # wiring check only: a nonzero violation count must map to exit 3
     report = ScanReport(kind="conjecture-scan", n=2, filters={}, universe=1,
                         findings=[{"omega": ["11"]}],
                         summary={"counterexamples": 1}, violations=1,
                         wall_time_s=0.01)
-    args = argparse.Namespace(command="scan", raw_argv=["scan"],
-                              started_at="now", out=None)
-    assert _emit_survey(args, report, {"n": 2}) == 3
-    capsys.readouterr()
+    monkeypatch.setattr(cli, "conjecture_scan", lambda n, **kw: report)
+    code, out, err = _run(capsys, ["scan", "--n", "2", "--u-zero"])
+    assert code == 3
+    doc, payload = _json_of(out)
+    assert payload == {"command": "scan", "report": report.payload()}
+    assert doc["manifest"]["wall_time_s"] == 0.01
+    assert "counterexamples  1" in err
 
 
 def test_scan_manifest_records_wall_time_not_payload(capsys):
@@ -251,7 +258,7 @@ def test_oracle_verify_subcommand(capsys):
     assert doc["commutator_max"] == 0
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert _run(capsys, ["spectrum", "--n", "3", "--omega", "000"])[0] == 2
     assert _run(capsys, ["spectrum", "--n", "3", "--omega", "01"])[0] == 2
     assert _run(capsys, ["pst-search", "--n", "3", "--omega", "001",
@@ -259,6 +266,15 @@ def test_invalid_inputs_exit_2(capsys):
     assert _run(capsys, ["evolve", "--n", "2", "--omega", "01",
                          "--t-pi", "nonsense"])[0] == 2
     assert _run(capsys, ["route", "--n", "3", "--target", "000"])[0] == 2
+    for value in ("nan", "inf"):
+        code, out, err = _run(capsys, ["fidelity", "--n", "2", "--omega",
+                                       "01", "--delta", "01",
+                                       "--t-real", value])
+        assert code == 2 and out == "" and "finite" in err
+    missing = tmp_path / "missing" / "x.json"
+    code, _, err = _run(capsys, ["spectrum", "--n", "2", "--omega", "01",
+                                 "--out", str(missing)])
+    assert code == 2 and "cannot write" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -268,12 +284,15 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_jobs_environment_default(capsys, monkeypatch):
-    monkeypatch.setenv("CUBEWALK_JOBS", "2")
-    code, out, _ = _run(capsys, ["audit-antipodal", "--n", "2"])
-    assert code == 0
-    monkeypatch.setenv("CUBEWALK_JOBS", "0")
-    assert _run(capsys, ["audit-antipodal", "--n", "2"])[0] == 2
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy backs only the dense oracle, so CLI start-up must not pay for it
+    src = os.path.dirname(os.path.dirname(cubewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, cubewalk.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

@@ -9,8 +9,7 @@ import pytest
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube, spans
 from cubewalk.graphwalk import (DisconnectedGraphError, antipodal_pairs,
                                 bfs_profile, bipartite_functional,
-                                is_complete_bipartite, is_connected,
-                                neighbors)
+                                is_complete_bipartite, neighbors)
 from cubewalk.pst import folded_cube
 
 
@@ -95,8 +94,9 @@ def test_connectivity_equals_span():
     for _ in range(100):
         omega = _random_set(rng, rng.randint(1, 7))
         reached = len(_bfs_oracle(omega, 0))
-        assert is_connected(omega) == (reached == 1 << omega.n)
-        assert is_connected(omega) == spans(omega)
+        assert spans(omega) == (reached == 1 << omega.n)
+        assert spans(omega) == (bfs_profile(omega, GroupElement.zero(
+            omega.n)).connected)
 
 
 def test_antipodal_pairs():

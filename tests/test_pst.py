@@ -11,6 +11,7 @@ from cubewalk.bitspace import (ConnectionSet, DimensionMismatchError,
                                GroupElement, hypercube)
 from cubewalk.dynamics import (HALF_PI, GaussianInteger, RationalAngle,
                                all_fidelities)
+from cubewalk.oracle import evolve_expm
 from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
                           folded_cube, plan_route, pst_at_half_pi,
                           pst_offsets)
@@ -93,6 +94,7 @@ def test_decide_matches_brute_force_exhaustively():
         for mask in range(1, 1 << width):
             labels = tuple(j + 1 for j in range(width) if mask >> j & 1)
             omega = ConnectionSet(n, labels)
+            assert len(pst_offsets(omega)) <= 1, labels
             for db in range(1, 1 << n):
                 got = decide_pst_exact(omega, GroupElement(db, n))
                 want = _pst_oracle(omega, db)
@@ -113,6 +115,25 @@ def test_decide_matches_brute_force_random_n4():
         assert (got is None) == (want is None)
         if want is not None:
             assert Fraction(got.p, got.q) == want
+
+
+@pytest.mark.parametrize("omega, delta", [
+    # n = 5, d = 11, xor-sum 0: the smallest-degree u = 0 transfer
+    (ConnectionSet.parse("00001,00110,00111,01000,01001,01100,01101,"
+                         "10000,10001,10010,10011", 5), 0b00001),
+    # n = 6, {e_i} and {1 xor e_i}, d = 12: transfer at distance 2
+    (ConnectionSet(6, tuple(1 << i for i in range(6))
+                   + tuple(63 ^ (1 << i) for i in range(6))), 0b111111),
+])
+def test_xor_sum_zero_transfer_fixtures(omega, delta):
+    assert omega.u.bits == 0
+    quarter = RationalAngle(1, 4)
+    assert pst_offsets(omega) == {delta: quarter}
+    for db in range(1, 1 << omega.n):
+        want = _pst_oracle(omega, db)
+        assert want == (Fraction(1, 4) if db == delta else None), db
+    unitary = evolve_expm(omega, quarter.radians)
+    assert abs(abs(unitary[delta, 0]) - 1.0) <= 1e-8
 
 
 def test_decide_rejects_zero_offset():

@@ -233,15 +233,6 @@ def test_reports_are_deterministic_and_digestible():
     assert "wall_time" not in first.canonical_json()
 
 
-def test_parallel_run_matches_serial():
-    serial = scan_sets(3, jobs=1)
-    parallel = scan_sets(3, jobs=2)
-    assert serial.canonical_json() == parallel.canonical_json()
-    audit1 = antipodality_audit(2, jobs=1)
-    audit2 = antipodality_audit(2, jobs=3)
-    assert audit1.digest() == audit2.digest()
-
-
 def test_payload_shape():
     report = conjecture_scan(2)
     payload = report.payload()
