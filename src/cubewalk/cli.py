@@ -46,17 +46,13 @@ from .graphwalk import (bfs_profile, bipartite_functional,
 from .oracle import OracleMismatchError, verify_equivalence
 from .pst import (CertificationError, certify, decide_pst_exact, folded_cube,
                   plan_route, pst_at_half_pi)
-from .scanner import ScanReport, antipodality_audit, conjecture_scan, scan_sets
+from .scanner import (ScanReport, antipodality_audit, canonical_dumps,
+                      conjecture_scan, scan_sets)
 from .spectral import classify_set
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
-
-
-def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _manifest(args: argparse.Namespace, payload: dict,
@@ -69,7 +65,8 @@ def _manifest(args: argparse.Namespace, payload: dict,
         "seed": seed,
         "started": args.started_at,
         "finished": _utc_now(),
-        "payload_sha256": _payload_digest(payload),
+        "payload_sha256": hashlib.sha256(
+            canonical_dumps(payload).encode()).hexdigest(),
     }
 
 

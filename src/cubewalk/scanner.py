@@ -2,15 +2,19 @@
 
 Sets are enumerated as bitmasks over the 2ⁿ−1 nonzero labels: bit j of a
 mask means label j+1 is a member, and masks run in ascending numeric
-order, so every survey visits sets in one canonical order.  Unfiltered
-exhaustive enumeration is allowed up to n = 4 (32767 sets); n = 5 is
-reachable only with a degree filter (the raw space holds 2³¹ − 1 masks);
-beyond that only sampling is offered.
+order, so every survey visits sets in one canonical order.  An exhaustive
+walk is allowed up to n = 5 when its degree window holds at most
+``MASK_CAP`` = 2²⁴ masks: every window at n ≤ 4 (32767 sets unfiltered),
+and windows such as d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 masks.
+The window is counted before anything is walked.  Beyond that only
+sampling is offered.
 
-Two surveys are built in.  The conjecture scan walks sets with xor-sum 0
-and asks the exact decision procedure for any transfer offset at all; a
-hit is a counterexample to the rule that such sets never admit PST.  The
-rule holds at n ≤ 4 and fails from n = 5 on: the xor-sum-zero set
+One survey loop serves three report kinds; each set gets one record and
+the report keeps the sets that admit PST.  The pst scan is the general
+survey.  The conjecture scan walks sets with xor-sum 0 and asks the exact
+decision procedure for any transfer offset at all; a hit is a
+counterexample to the rule that such sets never admit PST.  The rule
+holds at n ≤ 4 and fails from n = 5 on: the xor-sum-zero set
 00001,00110,00111,01000,01001,01100,01101,10000,10001,10010,10011 transfers
 0 → 00001 at π/4 (a regression fixture in tests/test_pst.py).  The
 antipodality audit examines every transfer offset found at a dimension,
@@ -27,12 +31,13 @@ in both senses the word "antipodal" gets used for these graphs:
     on it fails, as the xor-sum-zero fixture above shows.  Offsets with
     δ ≠ u are the audit's violations and drive the nonzero exit code.
 
-Both reports carry empirical weight only: an exhaustive pass at small n
+Every report carries empirical weight only: an exhaustive pass at small n
 proves nothing about larger n.
 
-Reports are split into a deterministic payload (findings, counters, and a
-sha256 digest over the canonical JSON) and volatile run metadata (wall
-time), so byte-identical re-runs can be asserted digest-to-digest.
+Reports are split into a deterministic payload (findings, counters read
+off them, and a sha256 digest over the canonical JSON) and volatile run
+metadata (wall time), so byte-identical re-runs can be asserted
+digest-to-digest.
 """
 
 from __future__ import annotations
@@ -40,18 +45,20 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .graphwalk import bfs_profile
 from .pst import pst_offsets
 
-EXHAUSTIVE_CAP = 4
+EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP
 FILTERED_CAP = 5
+MASK_CAP = 1 << 24
 
 
 class EnumerationCapError(ValueError):
@@ -80,44 +87,31 @@ def _weight_masks(width: int, weight: int) -> Iterator[int]:
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
-def _passes(mask: int, d_min, d_max, u_class) -> bool:
-    d = mask.bit_count()
-    if d_min is not None and d < d_min:
-        return False
-    if d_max is not None and d > d_max:
-        return False
-    if u_class == "zero":
-        return _xor_of_mask(mask) == 0
-    if u_class == "nonzero":
-        return _xor_of_mask(mask) != 0
-    return True
-
-
-def _exhaustive_masks(n: int, d_min, d_max, u_class) -> Iterator[int]:
+def _exhaustive_masks(n: int, lo: int, hi: int,
+                      u_zero: bool) -> Iterable[int]:
+    """Every mask of popcount in [lo, hi], ascending, after the caps."""
     width = (1 << n) - 1
     if n > FILTERED_CAP:
         raise EnumerationCapError(
             f"exhaustive enumeration stops at n = {FILTERED_CAP}; "
             f"use sampling for n = {n}")
-    if n > EXHAUSTIVE_CAP and d_min is None and d_max is None:
+    count = sum(math.comb(width, d) for d in range(lo, hi + 1))
+    if count > MASK_CAP:
         raise EnumerationCapError(
-            f"n = {n} spans 2^{width} masks; a degree filter "
-            "(or sampling) is required")
-    if d_min is not None or d_max is not None:
-        lo = max(1, d_min if d_min is not None else 1)
-        hi = min(width, d_max if d_max is not None else width)
-        streams = [_weight_masks(width, d) for d in range(lo, hi + 1)]
-        for mask in heapq.merge(*streams):
-            if u_class is None or _passes(mask, None, None, u_class):
-                yield mask
+            f"degree window [{lo}, {hi}] at n = {n} spans {count} masks, "
+            f"over the 2^24 cap; narrow the window or sample")
+    if lo == 1 and hi == width:
+        masks: Iterable[int] = range(1, 1 << width)
     else:
-        for mask in range(1, 1 << width):
-            if u_class is None or _passes(mask, None, None, u_class):
-                yield mask
+        masks = heapq.merge(*(_weight_masks(width, d)
+                              for d in range(lo, hi + 1)))
+    if u_zero:
+        return (mask for mask in masks if not _xor_of_mask(mask))
+    return masks
 
 
-def _sampled_masks(n: int, d_min, d_max, u_class, sample: int,
-                   seed: int) -> list[int]:
+def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
+                   sample: int, seed: int) -> list[int]:
     """Distinct masks matching the filters, ascending, seed-deterministic.
 
     With no degree filter the draw is uniform over the filtered space (the
@@ -129,30 +123,24 @@ def _sampled_masks(n: int, d_min, d_max, u_class, sample: int,
         raise ValueError(f"sample size must be positive, got {sample}")
     width = (1 << n) - 1
     rng = random.Random(seed)
-    lo = max(1, d_min if d_min is not None else 1)
-    hi = min(width, d_max if d_max is not None else width)
-    if lo > hi:
-        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
     chosen: set[int] = set()
     attempts = 0
     cap = 10_000 * max(1, sample)
     while len(chosen) < sample and attempts < cap:
         attempts += 1
-        if d_min is None and d_max is None:
+        if not windowed:
             mask = rng.randrange(1, 1 << width)
         else:
             d = rng.randint(lo, hi)
             mask = 0
             for label in rng.sample(range(1, width + 1), d):
                 mask |= 1 << (label - 1)
-        if u_class == "zero":
+        if u_zero:
             u = _xor_of_mask(mask)
             if u:
                 mask ^= 1 << (u - 1)  # toggling label u zeroes the xor-sum
-            if mask == 0 or not _passes(mask, d_min, d_max, None):
+            if not lo <= mask.bit_count() <= hi:
                 continue
-        elif u_class == "nonzero" and _xor_of_mask(mask) == 0:
-            continue
         chosen.add(mask)
     if len(chosen) < sample:
         raise ValueError(
@@ -162,34 +150,32 @@ def _sampled_masks(n: int, d_min, d_max, u_class, sample: int,
 
 
 def enumerate_sets(n: int, *, d_min: int | None = None,
-                   d_max: int | None = None, u_class: str | None = None,
+                   d_max: int | None = None, u_zero: bool = False,
                    sample: int | None = None,
                    seed: int = 0) -> Iterator[ConnectionSet]:
     """Connection sets at dimension n in canonical ascending-mask order.
 
-    ``u_class`` is None, "zero", or "nonzero".  Without ``sample`` the walk
-    is exhaustive and subject to the caps described in the module
+    ``u_zero`` keeps only sets with xor-sum 0.  Without ``sample`` the
+    walk is exhaustive and subject to the caps described in the module
     docstring; with it, a deterministic pseudo-random selection of that
-    many distinct sets is produced.
+    many distinct sets is produced.  Every argument is checked on the
+    first ``next()``, before any set is produced.
     """
     _check_dimension(n)
-    if u_class not in (None, "zero", "nonzero"):
-        raise ValueError(f"u_class must be None, 'zero' or 'nonzero', "
-                         f"got {u_class!r}")
     for bound in (d_min, d_max):
         if bound is not None and bound < 1:
             raise ValueError("degree bounds must be at least 1")
+    width = (1 << n) - 1
+    lo = d_min if d_min is not None else 1
+    hi = min(width, d_max if d_max is not None else width)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
     if sample is None:
-        masks: Iterator[int] | list[int] = _exhaustive_masks(
-            n, d_min, d_max, u_class)
+        masks = _exhaustive_masks(n, lo, hi, u_zero)
     else:
-        masks = _sampled_masks(n, d_min, d_max, u_class, sample, seed)
+        windowed = d_min is not None or d_max is not None
+        masks = _sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
     for mask in masks:
-        d = mask.bit_count()
-        if d_min is not None and d < d_min:
-            continue
-        if d_max is not None and d > d_max:
-            continue
         yield ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
@@ -236,30 +222,11 @@ def audit_record(omega: ConnectionSet) -> dict:
     return record
 
 
-# ── survey machinery ──────────────────────────────────────────────────────
+# ── surveys ───────────────────────────────────────────────────────────────
 
-def _fresh_counters() -> dict:
-    return {"sets_scanned": 0, "sets_with_pst": 0, "offsets_checked": 0,
-            "violations": 0, "metric_non_antipodal": 0,
-            "disconnected_with_pst": 0}
-
-
-def _tally(kind: str, omega: ConnectionSet, findings: list[dict],
-           counters: dict) -> None:
-    counters["sets_scanned"] += 1
-    record = audit_record(omega) if kind == "audit" \
-        else transfer_record(omega)
-    if not record["pst"]:
-        return
-    counters["sets_with_pst"] += 1
-    counters["offsets_checked"] += len(record["pst"])
-    if kind == "audit":
-        counters["violations"] += len(record["violations"])
-        counters["metric_non_antipodal"] += sum(
-            1 for e in record["pst"] if not e["antipodal"])
-        if not record["connected"]:
-            counters["disconnected_with_pst"] += 1
-    findings.append(record)
+def canonical_dumps(obj) -> str:
+    """Sorted keys, no whitespace: the bytes every payload digest covers."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(eq=False)
@@ -292,58 +259,76 @@ class ScanReport:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_dumps(self.payload())
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-
-def _run_survey(n: int, kind: str, *, d_min=None, d_max=None, u_class=None,
-                sample=None, seed=0) -> tuple[list[dict], dict]:
-    findings: list[dict] = []
-    counters = _fresh_counters()
-    for omega in enumerate_sets(n, d_min=d_min, d_max=d_max, u_class=u_class,
-                                sample=sample, seed=seed):
-        _tally(kind, omega, findings, counters)
-    return findings, counters
-
-
-def _filters_dict(d_min, d_max, u_class, sample, seed) -> dict:
-    return {
-        "d_min": d_min,
-        "d_max": d_max,
-        "u": u_class if u_class is not None else "any",
-        "sample": sample,
-        "seed": seed if sample is not None else None,
-    }
 
 
 EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
                  "about every larger n")
 
 
-def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,
-              u_class: str | None = None, sample: int | None = None,
-              seed: int = 0) -> ScanReport:
-    """General transfer survey; findings are the sets that admit PST."""
+def _survey(kind: str, n: int, *, d_min: int | None = None,
+            d_max: int | None = None, u_zero: bool = False,
+            sample: int | None = None, seed: int = 0) -> ScanReport:
+    """The one survey loop: a record per set, counters read off findings.
+
+    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit"; the
+    audit builds ``audit_record``s, the scans ``transfer_record``s.
+    """
     started = _time.perf_counter()
-    findings, counters = _run_survey(n, "pst", d_min=d_min, d_max=d_max,
-                                     u_class=u_class, sample=sample,
-                                     seed=seed)
-    summary = {
-        "sets_scanned": counters["sets_scanned"],
-        "sets_with_pst": counters["sets_with_pst"],
-        "offsets_checked": counters["offsets_checked"],
-        "note": EVIDENCE_NOTE if sample is None else
-                "sampled evidence only",
-    }
-    return ScanReport(kind="pst-scan", n=n,
-                      filters=_filters_dict(d_min, d_max, u_class, sample,
-                                            seed),
-                      universe=counters["sets_scanned"], findings=findings,
-                      summary=summary, violations=0,
+    record_of = audit_record if kind == "antipodal-audit" \
+        else transfer_record
+    scanned = 0
+    findings = []
+    for omega in enumerate_sets(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                                sample=sample, seed=seed):
+        scanned += 1
+        record = record_of(omega)
+        if record["pst"]:
+            findings.append(record)
+    offsets = sum(len(record["pst"]) for record in findings)
+    note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
+    if kind == "pst-scan":
+        violations = 0
+        summary = {"sets_scanned": scanned, "sets_with_pst": len(findings),
+                   "offsets_checked": offsets, "note": note}
+    elif kind == "conjecture-scan":
+        violations = len(findings)
+        summary = {"sets_scanned": scanned, "counterexamples": violations,
+                   "note": note}
+    else:
+        violations = sum(len(record["violations"]) for record in findings)
+        summary = {
+            "sets_scanned": scanned,
+            "sets_with_pst": len(findings),
+            "offsets_checked": offsets,
+            "violations": violations,
+            "metric_non_antipodal": sum(
+                not entry["antipodal"]
+                for record in findings for entry in record["pst"]),
+            "disconnected_with_pst": sum(
+                not record["connected"] for record in findings),
+            "reading": ("violation = transfer offset differing from the "
+                        "xor-sum; the distance-vs-diameter counts are "
+                        "reported, not asserted"),
+            "note": note,
+        }
+    filters = {"d_min": d_min, "d_max": d_max,
+               "u": "zero" if u_zero else "any", "sample": sample,
+               "seed": seed if sample is not None else None}
+    return ScanReport(kind=kind, n=n, filters=filters, universe=scanned,
+                      findings=findings, summary=summary,
+                      violations=violations,
                       wall_time_s=_time.perf_counter() - started)
+
+
+def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,
+              sample: int | None = None, seed: int = 0) -> ScanReport:
+    """General transfer survey; findings are the sets that admit PST."""
+    return _survey("pst-scan", n, d_min=d_min, d_max=d_max, sample=sample,
+                   seed=seed)
 
 
 def conjecture_scan(n: int, *, d_min: int | None = None,
@@ -355,23 +340,8 @@ def conjecture_scan(n: int, *, d_min: int | None = None,
     fixture in the module docstring), so an exhaustive pass at one n says
     nothing about larger n, and the report says so.
     """
-    started = _time.perf_counter()
-    findings, counters = _run_survey(n, "pst", d_min=d_min, d_max=d_max,
-                                     u_class="zero", sample=sample,
-                                     seed=seed)
-    summary = {
-        "sets_scanned": counters["sets_scanned"],
-        "counterexamples": counters["sets_with_pst"],
-        "note": EVIDENCE_NOTE if sample is None else
-                "sampled evidence only",
-    }
-    return ScanReport(kind="conjecture-scan", n=n,
-                      filters=_filters_dict(d_min, d_max, "zero", sample,
-                                            seed),
-                      universe=counters["sets_scanned"], findings=findings,
-                      summary=summary,
-                      violations=counters["sets_with_pst"],
-                      wall_time_s=_time.perf_counter() - started)
+    return _survey("conjecture-scan", n, d_min=d_min, d_max=d_max,
+                   u_zero=True, sample=sample, seed=seed)
 
 
 def antipodality_audit(n: int) -> ScanReport:
@@ -379,29 +349,12 @@ def antipodality_audit(n: int) -> ScanReport:
 
     A violation is an offset that differs from the set's xor-sum, the
     structural reading described in the module docstring; there are none
-    at n ≤ 4, the largest n this exhaustive audit reaches.  The metric reading (distance equal to diameter) is
-    tallied alongside as ``metric_non_antipodal`` and is nonzero from
-    n = 3 on, which is a result, not a malfunction: transfer to a
-    generator offset happens whenever the xor-sum lies inside the set.
-    Findings are built by ``audit_record``, which anyone can re-run on a
-    single set to confirm a report line independently.
+    at n ≤ 4, the largest n this exhaustive audit reaches.  The metric
+    reading (distance equal to diameter) is tallied alongside as
+    ``metric_non_antipodal`` and is nonzero from n = 3 on, which is a
+    result, not a malfunction: transfer to a generator offset happens
+    whenever the xor-sum lies inside the set.  Findings are built by
+    ``audit_record``, which anyone can re-run on a single set to confirm a
+    report line independently.
     """
-    started = _time.perf_counter()
-    findings, counters = _run_survey(n, "audit")
-    summary = {
-        "sets_scanned": counters["sets_scanned"],
-        "sets_with_pst": counters["sets_with_pst"],
-        "offsets_checked": counters["offsets_checked"],
-        "violations": counters["violations"],
-        "metric_non_antipodal": counters["metric_non_antipodal"],
-        "disconnected_with_pst": counters["disconnected_with_pst"],
-        "reading": ("violation = transfer offset differing from the "
-                    "xor-sum; the distance-vs-diameter counts are "
-                    "reported, not asserted"),
-        "note": EVIDENCE_NOTE,
-    }
-    return ScanReport(kind="antipodal-audit", n=n,
-                      filters=_filters_dict(None, None, None, None, None),
-                      universe=counters["sets_scanned"], findings=findings,
-                      summary=summary, violations=counters["violations"],
-                      wall_time_s=_time.perf_counter() - started)
+    return _survey("antipodal-audit", n)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cubewalk
-from cubewalk import cli
+from cubewalk import cli, scanner
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.cli import main
 from cubewalk.dynamics import HALF_PI, all_fidelities
@@ -220,6 +220,18 @@ def test_survey_violation_exit_code(capsys, monkeypatch):
     assert payload == {"command": "scan", "report": report.payload()}
     assert doc["manifest"]["wall_time_s"] == 0.01
     assert "counterexamples  1" in err
+
+
+def test_scan_window_errors_exit_2(capsys, monkeypatch):
+    # the window is checked before the walk, so no set is ever examined
+    def walked(omega):
+        raise AssertionError(f"walked {omega.format()}")
+
+    monkeypatch.setattr(scanner, "transfer_record", walked)
+    for argv in (["--n", "5", "--d-min", "1"],
+                 ["--n", "3", "--d-min", "5", "--d-max", "2"]):
+        code, out, err = _run(capsys, ["scan", *argv])
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_scan_manifest_records_wall_time_not_payload(capsys):

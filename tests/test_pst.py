@@ -15,6 +15,7 @@ from cubewalk.oracle import evolve_expm
 from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
                           folded_cube, plan_route, pst_at_half_pi,
                           pst_offsets)
+from cubewalk.scanner import enumerate_sets
 
 
 def _random_set(rng, n):
@@ -134,6 +135,36 @@ def test_xor_sum_zero_transfer_fixtures(omega, delta):
         assert want == (Fraction(1, 4) if db == delta else None), db
     unitary = evolve_expm(omega, quarter.radians)
     assert abs(abs(unitary[delta, 0]) - 1.0) <= 1e-8
+
+
+def _generator_rows(omega):
+    """Row i of the n x d generator matrix as a d-bit word."""
+    return [sum(1 << j for j, w in enumerate(omega.elements) if w >> i & 1)
+            for i in range(omega.n)]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_cheung_godsil_xor_sum_zero_rule(seed):
+    # Cheung & Godsil (LAA 2011): with xor-sum 0, transfer exists iff the
+    # row code of the generator matrix is self-orthogonal but not doubly
+    # even; it happens at pi/4, to the offset of the rows of weight 2 mod 4
+    quarter = RationalAngle(1, 4)
+    findings = 0
+    for omega in enumerate_sets(5, u_zero=True, sample=2000, seed=seed):
+        rows = _generator_rows(omega)
+        orthogonal = all((a & b).bit_count() % 2 == 0
+                         for i, a in enumerate(rows) for b in rows[i + 1:])
+        delta = sum(1 << i for i, r in enumerate(rows)
+                    if r.bit_count() % 4 == 2)
+        offsets = pst_offsets(omega)
+        assert bool(offsets) == (orthogonal and delta != 0), omega.format()
+        if not offsets:
+            continue
+        findings += 1
+        assert offsets == {delta: quarter}
+        unitary = evolve_expm(omega, quarter.radians)
+        assert abs(abs(unitary[delta, 0]) - 1.0) <= 1e-8
+    assert findings > 0
 
 
 def test_decide_rejects_zero_offset():

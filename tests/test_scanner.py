@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 
 from cubewalk.bitspace import ConnectionSet
-from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP,
+from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
                               audit_record, conjecture_scan, enumerate_sets,
                               scan_sets, transfer_record)
@@ -42,12 +42,9 @@ def test_enumeration_counts_and_order():
 def test_enumeration_u_filter():
     # the xor-sum-zero population is 2^(2^n - 1 - n) - 1
     for n, want in ((2, 1), (3, 15), (4, 2047)):
-        got = list(enumerate_sets(n, u_class="zero"))
+        got = list(enumerate_sets(n, u_zero=True))
         assert len(got) == want
         assert all(s.u.bits == 0 for s in got)
-    nonzero = list(enumerate_sets(3, u_class="nonzero"))
-    assert len(nonzero) == 127 - 15
-    assert all(s.u.bits != 0 for s in nonzero)
 
 
 def test_enumeration_degree_filter_matches_brute_force():
@@ -60,7 +57,7 @@ def test_enumeration_degree_filter_matches_brute_force():
 
 
 def test_enumeration_combined_filters():
-    got = list(enumerate_sets(3, d_min=2, d_max=4, u_class="zero"))
+    got = list(enumerate_sets(3, d_min=2, d_max=4, u_zero=True))
     want = [s for s in _all_subsets(3) if 2 <= len(s) <= 4 and _xor(s) == 0]
     assert [g.elements for g in got] == sorted(want, key=lambda s: sum(
         1 << (e - 1) for e in s))
@@ -71,7 +68,7 @@ def test_enumeration_caps():
         list(enumerate_sets(EXHAUSTIVE_CAP + 1))
     with pytest.raises(EnumerationCapError):
         # a u filter alone cannot prune the mask walk
-        list(enumerate_sets(EXHAUSTIVE_CAP + 1, u_class="zero"))
+        list(enumerate_sets(EXHAUSTIVE_CAP + 1, u_zero=True))
     with pytest.raises(EnumerationCapError):
         list(enumerate_sets(FILTERED_CAP + 1, d_max=2))
     # a degree window lifts the n=5 cap
@@ -81,11 +78,21 @@ def test_enumeration_caps():
 
 def test_enumeration_bad_arguments():
     with pytest.raises(ValueError):
-        list(enumerate_sets(3, u_class="weird"))
-    with pytest.raises(ValueError):
         list(enumerate_sets(3, d_min=0))
     with pytest.raises(ValueError):
         list(enumerate_sets(3, sample=0))
+
+
+def test_enumeration_window_checked_before_walking():
+    # an empty window is an error on the exhaustive path too
+    with pytest.raises(ValueError, match="empty degree window"):
+        next(enumerate_sets(3, d_min=5, d_max=2))
+    # 2^31 - 1 masks at n = 5: refused on the first next(), before any set
+    with pytest.raises(EnumerationCapError):
+        next(enumerate_sets(5, d_min=1))
+    assert sum(math.comb(31, d) for d in range(1, 9)) <= MASK_CAP
+    assert next(enumerate_sets(5, d_max=8)).elements == (1,)
+    assert next(enumerate_sets(5, d_min=3, d_max=3)).elements == (1, 2, 3)
 
 
 def test_sampling_is_deterministic_and_filtered():
@@ -98,12 +105,12 @@ def test_sampling_is_deterministic_and_filtered():
 
 
 def test_sampling_honors_u_and_degree_filters():
-    zero = list(enumerate_sets(6, u_class="zero", sample=30, seed=1))
+    zero = list(enumerate_sets(6, u_zero=True, sample=30, seed=1))
     assert len(zero) == 30
     assert all(s.u.bits == 0 for s in zero)
     windowed = list(enumerate_sets(8, d_min=3, d_max=5, sample=25, seed=2))
     assert all(3 <= s.d <= 5 for s in windowed)
-    both = list(enumerate_sets(6, d_min=2, d_max=6, u_class="zero",
+    both = list(enumerate_sets(6, d_min=2, d_max=6, u_zero=True,
                                sample=15, seed=3))
     assert all(s.u.bits == 0 and 2 <= s.d <= 6 for s in both)
 
@@ -250,3 +257,19 @@ def test_sampled_scan_records_seed():
     assert report.summary["note"] == "sampled evidence only"
     again = scan_sets(6, sample=12, seed=9)
     assert report.canonical_json() == again.canonical_json()
+
+
+@pytest.mark.parametrize("survey, n, kwargs, want", [
+    (antipodality_audit, 3, {},
+     "124cd808ff1b7bbae63993c840465d27c4ce96384426b729ef35f8039004d409"),
+    (conjecture_scan, 3, {},
+     "d67bcb9e3fb7278baae9fd4272fbb2e9eca1b4b725cafa4a050d7f352a84e6b8"),
+    (scan_sets, 4, {"d_min": 2, "d_max": 2},
+     "310f7dfc85558a3b55d4761acf7b08a406de67ee633a344d58fad5688347e9ec"),
+    (conjecture_scan, 5, {"sample": 2000, "seed": 3},
+     "f50798dbcf4f203d87ac91bcb9569506ceb86b53b3d3aaf8637eb9962e879bef"),
+])
+def test_pinned_survey_digests(survey, n, kwargs, want):
+    # payload bytes pinned from an earlier release; any drift is a change
+    # in survey output, not in wall time
+    assert survey(n, **kwargs).digest() == want
