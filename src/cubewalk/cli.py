@@ -360,11 +360,24 @@ def cmd_route(args: argparse.Namespace) -> int:
 def _survey_summary(report: ScanReport) -> list[str]:
     label_width = max(len(k) for k in report.summary) + 2
     lines = [f"{report.kind}  n={report.n}  "
-             f"wall={report.wall_time_s:.2f}s"]
+             f"wall={report.wall_time_s:.2f}s  "
+             f"{report.sets_per_s:.0f} sets/s"]
     for key, val in report.summary.items():
         lines.append(f"  {key:<{label_width}}{val}")
     lines.append(f"  {'digest':<{label_width}}{report.digest()[:16]}")
     return lines
+
+
+def _emit_survey(args: argparse.Namespace, report: ScanReport,
+                 inputs: dict, seed=None) -> int:
+    """Emit a survey report; its timings go in the manifest only."""
+    _emit(args, {"command": args.command, "report": report.payload()},
+          inputs, seed=seed,
+          manifest_extra={"wall_time_s": report.wall_time_s,
+                          "sets_per_s": report.sets_per_s,
+                          "path": "batched"},
+          summary_lines=_survey_summary(report))
+    return 3 if report.violations else 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -374,20 +387,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         report = conjecture_scan(args.n, **common)
     else:
         report = scan_sets(args.n, **common)
-    _emit(args, {"command": args.command, "report": report.payload()},
-          {"n": args.n, "filters": report.filters},
-          seed=args.seed if args.sample else None,
-          manifest_extra={"wall_time_s": report.wall_time_s},
-          summary_lines=_survey_summary(report))
-    return 3 if report.violations else 0
+    return _emit_survey(args, report, {"n": args.n, "filters": report.filters},
+                        seed=args.seed if args.sample else None)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    report = antipodality_audit(args.n)
-    _emit(args, {"command": args.command, "report": report.payload()},
-          {"n": args.n}, manifest_extra={"wall_time_s": report.wall_time_s},
-          summary_lines=_survey_summary(report))
-    return 3 if report.violations else 0
+    return _emit_survey(args, antipodality_audit(args.n), {"n": args.n})
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:

@@ -54,28 +54,49 @@ def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
     """Distances from ``source`` to every vertex of X(Z₂ⁿ, Ω).
 
     The diameter reported for a disconnected graph is the eccentricity of
-    the source within its component.
+    the source within its component.  Translation by the source is an
+    automorphism, so the profile is the one from 0 read at x ⊕ source.
     """
     if source.n != omega.n:
         raise DimensionMismatchError(
             f"source of Z2^{source.n} against a set on Z2^{omega.n}")
     size = 1 << omega.n
-    dist = np.full(size, -1, dtype=np.int32)
-    dist[source.bits] = 0
-    gens = np.array(omega.elements, dtype=np.int64)
-    frontier = np.array([source.bits], dtype=np.int64)
-    level = 0
-    while frontier.size and gens.size:
-        nxt = np.unique(frontier[:, None] ^ gens[None, :])
-        nxt = nxt[dist[nxt] < 0]
-        level += 1
-        dist[nxt] = level
-        frontier = nxt
+    gens = np.array([omega.elements], dtype=np.int64)
+    dist = _bfs_rows(gens, omega.n)[0]
+    if source.bits:
+        dist = dist[np.arange(size) ^ source.bits]
     reached = dist[dist >= 0]
     dist.setflags(write=False)
     return DistanceProfile(n=omega.n, source=source, dist=dist,
                            diameter=int(reached.max()),
                            connected=int(reached.size) == size)
+
+
+def _bfs_rows(gens: np.ndarray, n: int) -> np.ndarray:
+    """Distances from 0 for each row of generator labels, -1 if unreached.
+
+    ``gens`` is (rows × k); a row with fewer than k generators is padded
+    with label 0, which maps every vertex to itself and so adds nothing.
+    All rows walk together on one flat array, where vertex x of row r sits
+    at r·2ⁿ + x; xor with a label touches only the low n bits, so it stays
+    inside its row.  Each level marks the neighbours of its frontier in a
+    boolean array and reads the unvisited ones back with ``flatnonzero``,
+    which dedupes the next frontier without a sort.
+    """
+    rows = gens.shape[0]
+    dist = np.full((rows, 1 << n), -1, dtype=np.int32)
+    dist[:, 0] = 0
+    flat = dist.reshape(-1)
+    frontier = np.arange(rows, dtype=np.int64) << n
+    level = 0
+    while frontier.size:
+        level += 1
+        marked = np.zeros(flat.size, dtype=bool)
+        for column in gens[frontier >> n].T:
+            marked[frontier ^ column] = True
+        frontier = np.flatnonzero(marked & (flat < 0))
+        flat[frontier] = level
+    return dist
 
 
 def antipodal_pairs(omega: ConnectionSet) -> list[GroupElement]:

@@ -113,19 +113,28 @@ def pst_offsets(omega: ConnectionSet) -> dict[int, RationalAngle]:
     The result holds at most one offset: {δ: π/g} when Δ/g mod 2 is the
     character of δ, and {} otherwise (see the module docstring).
     """
-    values = spectrum(omega).values
-    gaps = values[0] - values  # Δ_v = d − λ_v, all even, Δ_0 = 0
-    g = int(np.gcd.reduce(gaps))
-    if g == 0:
-        return {}  # the edgeless graph
-    odd = (gaps // g) & 1
-    delta = 0
-    for i in range(omega.n):
-        delta |= int(odd[1 << i]) << i
-    idx = np.arange(values.size)
-    if not np.array_equal(odd, np.bitwise_count(idx & delta) & 1):
+    delta, g = _decide_rows(spectrum(omega).values[None, :])
+    if not delta[0]:
         return {}
-    return {delta: RationalAngle(1, g)}
+    return {int(delta[0]): RationalAngle(1, int(g[0]))}
+
+
+def _decide_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer decision for each row of a (rows × 2ⁿ) spectrum block.
+
+    Returns δ and g per row: the set of that row transfers 0 → δ at π/g
+    when δ ≠ 0, and not at all when δ = 0.  A transfer offset is never 0,
+    because g is the gcd of the gaps and so some Δ_v/g is odd.
+    """
+    size = values.shape[1]
+    gaps = values[:, :1] - values  # Δ_v = d − λ_v, all even, Δ_0 = 0
+    g = np.gcd.reduce(gaps, axis=1)
+    odd = (gaps // np.maximum(g, 1)[:, None]) & 1  # g = 0: edgeless graph
+    basis = 1 << np.arange(size.bit_length() - 1)
+    delta = (odd[:, basis] * basis).sum(axis=1)
+    chars = np.bitwise_count(np.arange(size) & delta[:, None]) & 1
+    transfers = (g > 0) & (odd == chars).all(axis=1)
+    return np.where(transfers, delta, 0), g
 
 
 def decide_pst_exact(omega: ConnectionSet,

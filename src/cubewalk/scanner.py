@@ -7,14 +7,26 @@ walk is allowed up to n = 5 when its degree window holds at most
 ``MASK_CAP`` = 2²⁴ masks: every window at n ≤ 4 (32767 sets unfiltered),
 and windows such as d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 masks.
 The window is counted before anything is walked.  Beyond that only
-sampling is offered.
+sampling is offered; a sample larger than its window, or a xor-sum-zero
+sample from a window below degree 3, is refused before the first draw.
 
-One survey loop serves three report kinds; each set gets one record and
-the report keeps the sets that admit PST.  The pst scan is the general
-survey.  The conjecture scan walks sets with xor-sum 0 and asks the exact
-decision procedure for any transfer offset at all; a hit is a
-counterexample to the rule that such sets never admit PST.  The rule
-holds at n ≤ 4 and fails from n = 5 on: the xor-sum-zero set
+The masks stream through the survey in blocks of at most
+``BLOCK_CELLS`` = 2¹³ indicator entries, 2¹³⁻ⁿ sets (one set from n = 13
+on), so a walk of 2²⁴ masks never holds more than one block: about 64 KB
+per int64 array of the block below n = 14, and one 2ⁿ-entry row above.
+Each layer runs once per block: the xor-sum-zero filter, the
+Walsh-Hadamard butterfly along the rows of the indicator matrix, the
+gcd/character transfer decision per row, and, for the audit, one BFS
+from 0 over the rows that transfer.  Records are built for findings only,
+by the same builder that ``transfer_record`` and ``audit_record`` use for
+one set, so a report line re-runs on its own set to the same dict.
+
+One survey loop serves three report kinds, and the report keeps the sets
+that admit PST.  The pst scan is the general survey.  The conjecture scan
+walks sets with xor-sum 0 and asks the exact decision procedure for any
+transfer offset at all; a hit is a counterexample to the rule that such
+sets never admit PST.  The rule holds at n ≤ 4 and fails from n = 5 on:
+the xor-sum-zero set
 00001,00110,00111,01000,01001,01100,01101,10000,10001,10010,10011 transfers
 0 → 00001 at π/4 (a regression fixture in tests/test_pst.py).  The
 antipodality audit examines every transfer offset found at a dimension,
@@ -49,16 +61,25 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
-from .graphwalk import bfs_profile
-from .pst import pst_offsets
+from .dynamics import RationalAngle
+from .graphwalk import _bfs_rows, bfs_profile
+from .pst import _decide_rows, pst_offsets
+from .spectral import _wht_rows
 
 EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP
 FILTERED_CAP = 5
 MASK_CAP = 1 << 24
+# Indicator entries per block: 512 sets at n = 4, 256 at n = 5, one set
+# from n = 13 on.  Each int64 array of a block then takes 64 KB below
+# n = 14; blocks 16 times larger ran no faster and raised peak memory.
+BLOCK_CELLS = 1 << 13
 
 
 class EnumerationCapError(ValueError):
@@ -87,8 +108,7 @@ def _weight_masks(width: int, weight: int) -> Iterator[int]:
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
-def _exhaustive_masks(n: int, lo: int, hi: int,
-                      u_zero: bool) -> Iterable[int]:
+def _exhaustive_masks(n: int, lo: int, hi: int) -> Iterable[int]:
     """Every mask of popcount in [lo, hi], ascending, after the caps."""
     width = (1 << n) - 1
     if n > FILTERED_CAP:
@@ -101,13 +121,8 @@ def _exhaustive_masks(n: int, lo: int, hi: int,
             f"degree window [{lo}, {hi}] at n = {n} spans {count} masks, "
             f"over the 2^24 cap; narrow the window or sample")
     if lo == 1 and hi == width:
-        masks: Iterable[int] = range(1, 1 << width)
-    else:
-        masks = heapq.merge(*(_weight_masks(width, d)
-                              for d in range(lo, hi + 1)))
-    if u_zero:
-        return (mask for mask in masks if not _xor_of_mask(mask))
-    return masks
+        return range(1, 1 << width)
+    return heapq.merge(*(_weight_masks(width, d) for d in range(lo, hi + 1)))
 
 
 def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
@@ -117,11 +132,25 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     With no degree filter the draw is uniform over the filtered space (the
     xor-sum-zero case uses an exact toggle bijection rather than straight
     rejection).  With a degree filter the draw is stratified: a degree
-    first, then a uniform set of that size.
+    first, then a uniform set of that size.  A request the window cannot
+    hold is refused before the first draw.
     """
     if sample < 1:
         raise ValueError(f"sample size must be positive, got {sample}")
+    if u_zero and hi <= 2:
+        raise ValueError(
+            f"degree window [{lo}, {hi}] holds no xor-sum-zero set; such "
+            "a set has at least 3 labels")
     width = (1 << n) - 1
+    room = 0
+    for d in range(lo, hi + 1):
+        room += math.comb(width, d)
+        if room >= sample:
+            break
+    else:
+        raise ValueError(
+            f"cannot draw {sample} distinct sets from the {room} in the "
+            f"degree window [{lo}, {hi}] at n = {n}")
     rng = random.Random(seed)
     chosen: set[int] = set()
     attempts = 0
@@ -149,6 +178,57 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     return sorted(chosen)
 
 
+def _indicators(masks: list[int], n: int) -> np.ndarray:
+    """The (rows × 2ⁿ) 0/1 indicator matrix of a list of masks."""
+    width = (1 << n) - 1
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
+                                 for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
+                         count=width, bitorder="little")
+    ind = np.zeros((len(masks), width + 1), dtype=np.int64)
+    ind[:, 1:] = bits
+    return ind
+
+
+def _blocks(n: int, *, d_min: int | None, d_max: int | None, u_zero: bool,
+            sample: int | None,
+            seed: int) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The filtered mask stream, block by block, with indicator rows.
+
+    Each block holds the masks of at most ``BLOCK_CELLS >> n`` consecutive
+    candidates (one at least), in canonical order, and their indicator
+    matrix; the xor-sum-zero filter runs on the whole block at once.
+    Every argument is checked on the first ``next()``.
+    """
+    _check_dimension(n)
+    for bound in (d_min, d_max):
+        if bound is not None and bound < 1:
+            raise ValueError("degree bounds must be at least 1")
+    width = (1 << n) - 1
+    lo = d_min if d_min is not None else 1
+    hi = min(width, d_max if d_max is not None else width)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
+    if sample is None:
+        masks = iter(_exhaustive_masks(n, lo, hi))
+    else:
+        windowed = d_min is not None or d_max is not None
+        masks = iter(_sampled_masks(n, lo, hi, windowed, u_zero, sample,
+                                    seed))
+    rows = max(1, BLOCK_CELLS >> n)
+    labels = np.arange(width + 1)
+    while block := list(islice(masks, rows)):
+        ind = _indicators(block, n)
+        if u_zero:
+            keep = np.flatnonzero(
+                np.bitwise_xor.reduce(ind * labels, axis=1) == 0)
+            block = [block[i] for i in keep.tolist()]
+            ind = ind[keep]
+        if block:
+            yield block, ind
+
+
 def enumerate_sets(n: int, *, d_min: int | None = None,
                    d_max: int | None = None, u_zero: bool = False,
                    sample: int | None = None,
@@ -161,36 +241,46 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
     many distinct sets is produced.  Every argument is checked on the
     first ``next()``, before any set is produced.
     """
-    _check_dimension(n)
-    for bound in (d_min, d_max):
-        if bound is not None and bound < 1:
-            raise ValueError("degree bounds must be at least 1")
-    width = (1 << n) - 1
-    lo = d_min if d_min is not None else 1
-    hi = min(width, d_max if d_max is not None else width)
-    if lo > hi:
-        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
-    if sample is None:
-        masks = _exhaustive_masks(n, lo, hi, u_zero)
-    else:
-        windowed = d_min is not None or d_max is not None
-        masks = _sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
-    for mask in masks:
-        yield ConnectionSet(n, tuple(_mask_labels(mask)))
+    for block, _ in _blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                            sample=sample, seed=seed):
+        for mask in block:
+            yield ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
 # ── per-set records ───────────────────────────────────────────────────────
 
+def _record(n: int, labels: Iterable[int], u: int,
+            offsets: dict[int, RationalAngle],
+            geometry: tuple[bool, int, Sequence[int]] | None = None) -> dict:
+    """The report line of one set; with ``geometry`` also its audit fields.
+
+    ``geometry`` is (connected, diameter, dist) of the BFS from 0, with
+    dist indexed by vertex.
+    """
+    code = f"0{n}b"
+    omega = [format(e, code) for e in labels]
+    record = {"omega": omega, "d": len(omega), "u": format(u, code),
+              "pst": []}
+    violations = []
+    for db, t in sorted(offsets.items()):
+        entry = {"delta": format(db, code), "time": str(t)}
+        record["pst"].append(entry)
+        if geometry is not None:
+            distance = int(geometry[2][db])
+            entry["distance"] = distance
+            entry["antipodal"] = distance == geometry[1]
+            entry["is_xor_sum"] = db == u
+            if db != u:
+                violations.append(entry["delta"])
+    if geometry is not None and offsets:
+        record["connected"], record["diameter"] = geometry[:2]
+        record["violations"] = violations
+    return record
+
+
 def transfer_record(omega: ConnectionSet) -> dict:
     """Exact PST offsets of one set, in a JSON-ready shape."""
-    offsets = pst_offsets(omega)
-    return {
-        "omega": [format(e, f"0{omega.n}b") for e in omega.elements],
-        "d": omega.d,
-        "u": str(omega.u),
-        "pst": [{"delta": format(db, f"0{omega.n}b"), "time": str(t)}
-                for db, t in sorted(offsets.items())],
-    }
+    return _record(omega.n, omega.elements, omega.u.bits, pst_offsets(omega))
 
 
 def audit_record(omega: ConnectionSet) -> dict:
@@ -204,22 +294,12 @@ def audit_record(omega: ConnectionSet) -> dict:
     that component, so its distance is always defined.  ``violations``
     lists the offsets differing from the xor-sum.
     """
-    record = transfer_record(omega)
-    if record["pst"]:
+    offsets = pst_offsets(omega)
+    geometry = None
+    if offsets:
         profile = bfs_profile(omega, GroupElement.zero(omega.n))
-        record["connected"] = profile.connected
-        record["diameter"] = profile.diameter
-        violations = []
-        for entry in record["pst"]:
-            db = int(entry["delta"], 2)
-            distance = int(profile.dist[db])
-            entry["distance"] = distance
-            entry["antipodal"] = distance == profile.diameter
-            entry["is_xor_sum"] = entry["delta"] == record["u"]
-            if not entry["is_xor_sum"]:
-                violations.append(entry["delta"])
-        record["violations"] = violations
-    return record
+        geometry = (profile.connected, profile.diameter, profile.dist)
+    return _record(omega.n, omega.elements, omega.u.bits, offsets, geometry)
 
 
 # ── surveys ───────────────────────────────────────────────────────────────
@@ -258,6 +338,11 @@ class ScanReport:
             "findings": self.findings,
         }
 
+    @property
+    def sets_per_s(self) -> float:
+        """Survey throughput; 0 when the clock saw no time pass."""
+        return self.universe / self.wall_time_s if self.wall_time_s else 0.0
+
     def canonical_json(self) -> str:
         return canonical_dumps(self.payload())
 
@@ -272,22 +357,41 @@ EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
 def _survey(kind: str, n: int, *, d_min: int | None = None,
             d_max: int | None = None, u_zero: bool = False,
             sample: int | None = None, seed: int = 0) -> ScanReport:
-    """The one survey loop: a record per set, counters read off findings.
+    """The one survey loop: block by block, records only for findings.
 
-    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit"; the
-    audit builds ``audit_record``s, the scans ``transfer_record``s.
+    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  Each
+    block of masks gets one spectrum pass and one transfer decision; the
+    audit adds one BFS over the block's findings.  A record is built only
+    for a set that transfers, with the fields ``audit_record`` or
+    ``transfer_record`` give that set.
     """
     started = _time.perf_counter()
-    record_of = audit_record if kind == "antipodal-audit" \
-        else transfer_record
+    audit = kind == "antipodal-audit"
+    labels = np.arange(1 << n)
     scanned = 0
     findings = []
-    for omega in enumerate_sets(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
-                                sample=sample, seed=seed):
-        scanned += 1
-        record = record_of(omega)
-        if record["pst"]:
-            findings.append(record)
+    for masks, ind in _blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                              sample=sample, seed=seed):
+        scanned += len(masks)
+        delta, g = _decide_rows(_wht_rows(ind))
+        hits = np.flatnonzero(delta)
+        if not hits.size:
+            continue
+        members = ind[hits] * labels  # each label in its own column, else 0
+        us = np.bitwise_xor.reduce(members, axis=1).tolist()
+        deltas = delta[hits].tolist()
+        times = [RationalAngle(1, q) for q in g[hits].tolist()]
+        geometry = [None] * hits.size
+        if audit:
+            degree = int(np.count_nonzero(members, axis=1).max())
+            gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
+            dists = _bfs_rows(gens, n)
+            geometry = zip((dists >= 0).all(axis=1).tolist(),
+                           dists.max(axis=1).tolist(), dists.tolist())
+        for row, u, db, t, geo in zip(hits.tolist(), us, deltas, times,
+                                      geometry):
+            findings.append(_record(n, _mask_labels(masks[row]), u,
+                                    {db: t}, geo))
     offsets = sum(len(record["pst"]) for record in findings)
     note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
     if kind == "pst-scan":

@@ -37,21 +37,30 @@ def wht(data) -> np.ndarray:
     size = arr.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
+    return _wht_rows(arr)
+
+
+def _wht_rows(arr: np.ndarray) -> np.ndarray:
+    """The butterfly along the last axis, one transform per row.
+
+    The last axis must have power-of-two length; the result is a fresh
+    array, in the dtypes ``wht`` documents.
+    """
     if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
         out = arr.astype(np.int64)
     elif np.issubdtype(arr.dtype, np.complexfloating):
         out = arr.astype(np.complex128)
     else:
         out = arr.astype(np.float64)
+    shape = out.shape
     h = 1
-    while h < size:
+    while h < shape[-1]:
         out = out.reshape(-1, 2, h)
         top = out[:, 0, :].copy()
         out[:, 0, :] = top + out[:, 1, :]
         out[:, 1, :] = top - out[:, 1, :]
-        out = out.reshape(size)
         h <<= 1
-    return out
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -243,6 +244,36 @@ def test_scan_manifest_records_wall_time_not_payload(capsys):
     digest = hashlib.sha256(json.dumps(
         payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     assert doc["manifest"]["payload_sha256"] == digest
+
+
+def test_survey_manifest_reports_throughput_and_path(capsys):
+    for argv in (["scan", "--n", "3"], ["audit-antipodal", "--n", "3"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        doc, payload = _json_of(out)
+        manifest = doc["manifest"]
+        assert manifest["path"] == "batched"
+        rate = doc["report"]["universe"] / manifest["wall_time_s"]
+        assert manifest["sets_per_s"] == pytest.approx(rate)
+        assert "sets_per_s" not in json.dumps(payload)
+        assert "batched" not in json.dumps(payload)
+        assert " sets/s" in err.splitlines()[0]
+
+
+def test_unfillable_sample_exits_2_before_drawing(capsys, monkeypatch):
+    class Undrawable:
+        def __init__(self, seed):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the RNG ({name})")
+
+    monkeypatch.setattr(scanner, "random",
+                        types.SimpleNamespace(Random=Undrawable))
+    for argv in (["--n", "5", "--u-zero", "--sample", "200", "--d-max", "2"],
+                 ["--n", "3", "--sample", "29", "--d-max", "2"]):
+        code, out, err = _run(capsys, ["scan", *argv])
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -4,12 +4,14 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube, spans
-from cubewalk.graphwalk import (DisconnectedGraphError, antipodal_pairs,
-                                bfs_profile, bipartite_functional,
-                                is_complete_bipartite, neighbors)
+from cubewalk.graphwalk import (DisconnectedGraphError, _bfs_rows,
+                                antipodal_pairs, bfs_profile,
+                                bipartite_functional, is_complete_bipartite,
+                                neighbors)
 from cubewalk.pst import folded_cube
 
 
@@ -68,6 +70,29 @@ def test_bfs_matches_oracle():
             assert profile.dist[v] == want, (omega.format(), v)
         assert profile.connected == (len(oracle) == 1 << n)
         assert profile.diameter == max(oracle.values())
+
+
+def test_block_bfs_matches_oracle_row_by_row():
+    # one block mixing the empty set, a disconnected set, the complete set
+    # and uneven degrees, so short rows are padded with label 0
+    n = 4
+    sets = [(), (1, 2, 3), tuple(range(1, 16)), (8,), (1, 6, 10, 12, 15),
+            (3, 5), (7, 9, 14)]
+    width = max(len(labels) for labels in sets)
+    gens = np.array([labels + (0,) * (width - len(labels))
+                     for labels in sets], dtype=np.int64)
+    dists = _bfs_rows(gens, n)
+    assert dists.shape == (len(sets), 1 << n)
+    for labels, row in zip(sets, dists):
+        omega = ConnectionSet(n, labels)
+        oracle = _bfs_oracle(omega, 0)
+        assert row.tolist() == [oracle.get(v, -1) for v in range(1 << n)]
+        for source in range(1 << n):
+            oracle = _bfs_oracle(omega, source)
+            profile = bfs_profile(omega, GroupElement(source, n))
+            assert profile.dist.tolist() == [oracle.get(v, -1)
+                                             for v in range(1 << n)]
+            assert profile.diameter == max(oracle.values())
 
 
 def test_hypercube_profile():

@@ -1,5 +1,6 @@
 """Transfer decisions, certificates, and routing."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from cubewalk.oracle import evolve_expm
 from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
                           folded_cube, plan_route, pst_at_half_pi,
                           pst_offsets)
-from cubewalk.scanner import enumerate_sets
+from cubewalk.scanner import enumerate_sets, scan_sets
 
 
 def _random_set(rng, n):
@@ -104,6 +105,25 @@ def test_decide_matches_brute_force_exhaustively():
                 else:
                     assert got is not None, (labels, db)
                     assert Fraction(got.p, got.q) == want, (labels, db)
+
+
+def test_scan_findings_match_brute_force():
+    # the survey's block decision against the oracle on all 127 sets
+    found = {tuple(int(x, 2) for x in record["omega"]):
+             [(int(e["delta"], 2), e["time"]) for e in record["pst"]]
+             for record in scan_sets(3).findings}
+    want = {}
+    subsets = [labels for k in range(1, 8)
+               for labels in itertools.combinations(range(1, 8), k)]
+    assert len(subsets) == 127
+    for labels in subsets:
+        omega = ConnectionSet(3, labels)
+        for db in range(1, 8):
+            when = _pst_oracle(omega, db)
+            if when is not None:
+                time = str(RationalAngle(when.numerator, when.denominator))
+                want.setdefault(labels, []).append((db, time))
+    assert found == want
 
 
 def test_decide_matches_brute_force_random_n4():

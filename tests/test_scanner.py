@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import types
 from collections import deque
 
 import pytest
 
+from cubewalk import scanner
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
@@ -120,6 +122,32 @@ def test_sampling_impossible_window():
         list(enumerate_sets(4, d_min=9, d_max=2, sample=5))
 
 
+class _UndrawableRandom:
+    def __init__(self, seed):
+        pass
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the RNG ({name})")
+
+
+def test_unfillable_sample_refused_before_the_first_draw(monkeypatch):
+    monkeypatch.setattr(scanner, "random",
+                        types.SimpleNamespace(Random=_UndrawableRandom))
+    # no xor-sum-zero set has fewer than 3 labels
+    with pytest.raises(ValueError, match="xor-sum-zero"):
+        next(enumerate_sets(5, u_zero=True, sample=200, d_max=2))
+    # more sets asked for than the window holds: C(7,1) + C(7,2) = 28
+    with pytest.raises(ValueError, match="28"):
+        next(enumerate_sets(3, sample=29, d_max=2))
+    with pytest.raises(ValueError, match="cannot draw"):
+        next(enumerate_sets(2, sample=8))
+    # a window that holds the sample exactly goes on to draw
+    with pytest.raises(AssertionError, match="drew"):
+        next(enumerate_sets(3, sample=28, d_max=2))
+    monkeypatch.undo()
+    assert len(list(enumerate_sets(3, sample=28, d_max=2))) == 28
+
+
 # ── per-set records ───────────────────────────────────────────────────────
 
 def test_transfer_record_known_set():
@@ -230,6 +258,17 @@ def test_audit_summary_matches_independent_recount():
     assert report.summary["violations"] == 0
 
 
+def test_survey_records_equal_single_set_records():
+    # the block engine and the one-set builders give the same report line
+    for report, record_of in ((antipodality_audit(4), audit_record),
+                              (scan_sets(5, d_min=3, d_max=3),
+                               transfer_record)):
+        assert report.findings
+        for record in report.findings[::97]:
+            omega = ConnectionSet.parse(",".join(record["omega"]), report.n)
+            assert record_of(omega) == record
+
+
 def test_reports_are_deterministic_and_digestible():
     first = antipodality_audit(3)
     second = antipodality_audit(3)
@@ -268,6 +307,13 @@ def test_sampled_scan_records_seed():
      "310f7dfc85558a3b55d4761acf7b08a406de67ee633a344d58fad5688347e9ec"),
     (conjecture_scan, 5, {"sample": 2000, "seed": 3},
      "f50798dbcf4f203d87ac91bcb9569506ceb86b53b3d3aaf8637eb9962e879bef"),
+    # these three span several blocks of the survey engine
+    (antipodality_audit, 4, {},
+     "6e798e7ab683202e1c906c8e5c5b468ffa73b3d0a0ed6f33ab715c01b2ecac6c"),
+    (conjecture_scan, 4, {},
+     "e5ed10aa482cfa44a6143d8d536b491a67a6ecedb8e78841aa93a19cd17ee410"),
+    (scan_sets, 5, {"d_min": 3, "d_max": 3},
+     "c7cf9e849bc5ce5e05d9419b99551c9ace385960154813ab0114a27dbe57d7ad"),
 ])
 def test_pinned_survey_digests(survey, n, kwargs, want):
     # payload bytes pinned from an earlier release; any drift is a change

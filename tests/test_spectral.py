@@ -8,7 +8,7 @@ import pytest
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
 from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
                                CASE_SUM_ZERO, Spectrum, classify_congruences,
-                               classify_set, spectrum, wht)
+                               _wht_rows, classify_set, spectrum, wht)
 from cubewalk.bitspace import DimensionMismatchError
 
 
@@ -71,6 +71,18 @@ def test_spectrum_matches_character_sums():
         spec = spectrum(omega)
         for v in range(1 << n):
             assert spec.values[v] == _direct_eigenvalue(omega, v)
+
+
+def test_block_transform_matches_character_sums_row_by_row():
+    rng = random.Random(11)
+    for n in (1, 3, 5):
+        sets = [_random_set(rng, n) for _ in range(9)]
+        block = np.array([omega.indicator() for omega in sets])
+        spectra = _wht_rows(block)
+        assert spectra.shape == block.shape and spectra.dtype == np.int64
+        for omega, row in zip(sets, spectra):
+            assert row.tolist() == [_direct_eigenvalue(omega, v)
+                                    for v in range(1 << n)]
 
 
 def test_spectrum_invariants():
