@@ -164,28 +164,23 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     t = _angle_of(args)
     size = 1 << args.n
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
-    fid = all_fidelities(omega, t)
-    entries = []
     if exact:
         re, im = exact_components(omega, t)
-        for db in range(size):
-            entries.append({
-                "delta": format(db, f"0{args.n}b"),
-                "fidelity": float(fid[db]),
-                "amplitude_exact": {"re": int(re[db]), "im": int(im[db])},
-                "amplitude": {"re": int(re[db]) / size,
-                              "im": int(im[db]) / size},
-            })
+        amp = re + 1j * im
     else:
-        radians = t.radians if isinstance(t, RationalAngle) else t
-        amp = all_amplitudes(omega, radians) / size
-        for db in range(size):
-            entries.append({
-                "delta": format(db, f"0{args.n}b"),
-                "fidelity": float(fid[db]),
-                "amplitude": {"re": float(amp[db].real),
-                              "im": float(amp[db].imag)},
-            })
+        amp = all_amplitudes(
+            omega, t.radians if isinstance(t, RationalAngle) else t)
+    fid = np.abs(amp) / size  # as all_fidelities: exact 0.0/1.0 on the grid
+    amp = amp / size
+    entries = []
+    for db in range(size):
+        entry = {"delta": format(db, f"0{args.n}b"),
+                 "fidelity": float(fid[db])}
+        if exact:
+            entry["amplitude_exact"] = {"re": int(re[db]), "im": int(im[db])}
+        entry["amplitude"] = {"re": float(amp[db].real),
+                              "im": float(amp[db].imag)}
+        entries.append(entry)
     payload = {
         "command": "evolve",
         "n": args.n,

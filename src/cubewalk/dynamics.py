@@ -218,31 +218,20 @@ def amplitude_exact(omega: ConnectionSet, delta: GroupElement,
 
 # ── measurement ───────────────────────────────────────────────────────────
 
-def _probabilities_by_delta(omega: ConnectionSet, t) -> np.ndarray:
-    """P(δ) = F_δ(t)², computed without a lossy sqrt on the exact path."""
-    size = 1 << omega.n
-    if isinstance(t, RationalAngle):
-        if t.is_quarter_exact:
-            re, im = exact_components(omega, t)
-            # abs² ≤ 4ⁿ ≤ 2⁴⁸ fits float64 exactly; /4ⁿ is a power of two.
-            return (re * re + im * im).astype(np.float64) / (size * size)
-        t = t.radians
-    fid = np.abs(all_amplitudes(omega, float(t))) / size
-    return fid * fid
-
-
 def measurement_distribution(omega: ConnectionSet, a: GroupElement,
                              t) -> np.ndarray:
     """Outcome distribution of a position measurement at time t.
 
-    Entry b is the probability that the walker started at ``a`` is found
-    at vertex b.  On the exact grid the distribution is computed from
-    integer squared moduli, so it sums to 1.0 exactly; at t = π/2 it is a
-    point mass at a⊕u.
+    Entry b is the probability F_δ(t)² with δ = a⊕b that the walker
+    started at ``a`` is found at vertex b, read off ``all_fidelities``.  On
+    the exact grid every fidelity is exactly 0.0 or 1.0 (period π, a
+    teleport by u at π/2), so squaring loses nothing: the distribution is
+    a point mass, at a at multiples of π and at a⊕u at odd multiples of
+    π/2, and sums to 1.0 exactly.
     """
     if a.n != omega.n:
         raise DimensionMismatchError(
             f"vertex of Z2^{a.n} against a set on Z2^{omega.n}")
-    p_delta = _probabilities_by_delta(omega, t)
+    fid = all_fidelities(omega, t)
     idx = np.arange(1 << omega.n) ^ a.bits
-    return p_delta[idx]
+    return (fid * fid)[idx]

@@ -25,6 +25,16 @@ and Godsil, "Perfect state transfer in cubelike graphs", LAA 2011).  The
 decision is one O(2ⁿ) integer pass, sound and complete over rational
 multiples of π; the edgeless graph (g = 0) never transfers.
 
+Certificates.  At t = (p/q)π the 2ⁿ unit terms (−1)^(δᵀv)·e^(−iλ_v t) of
+T_δ(t) are powers ζ^(e_v) of ζ = e^(iπ/q), e_v = q·δᵀv − p·λ_v mod 2q, and
+the fidelity is 1 iff they all coincide: p·Δ_v ≡ q·δᵀv (mod 2q) for every
+v.  With p, q coprime these are the congruences above at τ = p/q, q | Δ_v
+and Δ_v/q ≡ δᵀv (mod 2); p drops out, as it is odd when q is even and
+Δ_v/q is even when q is odd.  ``certify`` checks them in integers, with
+no amplitude and no tolerance, and reads off the global phase
+e^(−idt) = ζ^(e_0), e_0 = −p·d mod 2q: a Gaussian unit on the π/2 grid, a
+complex number otherwise, exact whenever it is a power of i.
+
 Routing.  Removing one basis generator eᵢ from the folded-cube set leaves
 a set with xor-sum eᵢ, so any target is reached by chaining quarter-period
 hops along its set bits.
@@ -32,13 +42,14 @@ hops along its set bits.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
-from .dynamics import (FLOAT_TOL, HALF_PI, GaussianInteger, RationalAngle,
-                       amplitude, amplitude_exact, gaussian_unit)
+from .dynamics import HALF_PI, GaussianInteger, RationalAngle, gaussian_unit
 from .spectral import spectrum
 
 
@@ -48,10 +59,10 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PstCertificate:
-    """A verified statement: fidelity 1 at offset δ at the given time.
+    """An exactly checked statement: fidelity 1 at offset δ at the time.
 
-    ``phase`` is the global phase of the transfer, a Gaussian unit for
-    times on the exact grid and a complex number otherwise.  ``method``
+    ``phase`` is the global phase e^(−idt) of the transfer, a Gaussian unit
+    for times on the π/2 grid and a complex number otherwise.  ``method``
     records how the time was found: "closed-form" for the xor-sum rule at
     π/2, "exact-decision" for times from the congruence decision.
     """
@@ -88,21 +99,13 @@ class RoutingPlan:
 def pst_at_half_pi(omega: ConnectionSet) -> PstCertificate | None:
     """Closed-form quarter-period transfer, or None when the xor-sum is 0.
 
-    When u ≠ 0 the certificate is verified against the exact transform
-    before being returned, so a non-None result is unconditionally true.
-    A None means the walk revives at its start at π/2 instead.
+    When u ≠ 0 the transfer 0 → u at π/2 is certified exactly before it is
+    returned, so a non-None result is unconditionally true.  A None means
+    the walk revives at its start at π/2 instead.
     """
-    u = omega.u
-    if u.bits == 0:
+    if omega.u.bits == 0:
         return None
-    phase = gaussian_unit(-omega.d % 4)  # e^(−idπ/2)
-    got = amplitude_exact(omega, u, HALF_PI)
-    if got != phase * (1 << omega.n):
-        raise RuntimeError(
-            "internal: quarter-period closed form disagrees with the "
-            f"transform on {omega}")
-    return PstCertificate(n=omega.n, delta=u, time=HALF_PI, phase=phase,
-                          method="closed-form")
+    return certify(omega, omega.u, HALF_PI, "closed-form")
 
 
 # ── exact decision ────────────────────────────────────────────────────────
@@ -157,26 +160,27 @@ def certify(omega: ConnectionSet, delta: GroupElement, time: RationalAngle,
             method: str = "exact-decision") -> PstCertificate:
     """Re-verify a claimed transfer and package it as a certificate.
 
-    Times on the exact grid are checked in integer arithmetic; other
-    rational times fall back to the float path within FLOAT_TOL.  Raises
-    CertificationError when the fidelity is not 1.
+    One exact integer check at every rational time, with no float
+    fallback: the unit terms of T_δ(t) must all coincide (see
+    "Certificates" in the module docstring).  Raises CertificationError
+    when the fidelity is not 1.
     """
-    size = 1 << omega.n
-    if time.is_quarter_exact:
-        amp = amplitude_exact(omega, delta, time)
-        if amp.abs2() != size * size:
-            raise CertificationError(
-                f"fidelity at {time} for delta={delta} is not 1")
-        phase: GaussianInteger | complex = GaussianInteger(amp.re // size,
-                                                           amp.im // size)
-    else:
-        z = amplitude(omega, GroupElement.zero(omega.n), delta, time.radians)
-        if abs(abs(z) - size) > FLOAT_TOL * size:
-            raise CertificationError(
-                f"fidelity at {time} for delta={delta} is not 1")
-        phase = z / size
-    return PstCertificate(n=omega.n, delta=delta, time=time, phase=phase,
-                          method=method)
+    if delta.n != omega.n:
+        raise DimensionMismatchError(
+            f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
+    q = time.q
+    gaps = omega.d - spectrum(omega).values  # Δ_v, in [0, 2d]
+    parity = np.bitwise_count(np.arange(gaps.size) & delta.bits) & 1
+    m = min(q, 2 * omega.d + 1)  # the same test for any q, in int64
+    if (gaps % m).any() or ((gaps // m - parity) & 1).any():
+        raise CertificationError(
+            f"fidelity at {time} for delta={delta} is not 1")
+    e0 = -time.p * omega.d % (2 * q)
+    k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
+    phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
+    return PstCertificate(
+        n=omega.n, delta=delta, time=time, method=method,
+        phase=phase if time.is_quarter_exact else complex(phase))
 
 
 # ── routing ───────────────────────────────────────────────────────────────

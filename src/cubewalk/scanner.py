@@ -7,8 +7,9 @@ walk is allowed up to n = 5 when its degree window holds at most
 ``MASK_CAP`` = 2²⁴ masks: every window at n ≤ 4 (32767 sets unfiltered),
 and windows such as d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 masks.
 The window is counted before anything is walked.  Beyond that only
-sampling is offered; a sample larger than its window, or a xor-sum-zero
-sample from a window below degree 3, is refused before the first draw.
+sampling is offered; a sample larger than the number of sets its filters
+admit (xor-sum-zero sets are counted exactly, by a character sum) is
+refused before the first draw.
 
 The masks stream through the survey in blocks of at most
 ``BLOCK_CELLS`` = 2¹³ indicator entries, 2¹³⁻ⁿ sets (one set from n = 13
@@ -125,6 +126,17 @@ def _exhaustive_masks(n: int, lo: int, hi: int) -> Iterable[int]:
     return heapq.merge(*(_weight_masks(width, d) for d in range(lo, hi + 1)))
 
 
+def _xor_sum_zero_count(n: int, d: int) -> int:
+    """Number of d-label sets with xor-sum 0 among the N = 2ⁿ − 1 labels.
+
+    A character sum gives (C(N, d) + N·[xᵈ](1+x)^(M−1)(1−x)^M) / 2ⁿ with
+    M = 2ⁿ⁻¹, and (1+x)^(M−1)(1−x)^M = (1−x)(1−x²)^(M−1).  It is 0 below d = 3.
+    """
+    width, k = (1 << n) - 1, d // 2
+    twisted = (-1) ** (k + d % 2) * math.comb((1 << (n - 1)) - 1, k)
+    return (math.comb(width, d) + width * twisted) >> n
+
+
 def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
                    sample: int, seed: int) -> list[int]:
     """Distinct masks matching the filters, ascending, seed-deterministic.
@@ -137,20 +149,17 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     """
     if sample < 1:
         raise ValueError(f"sample size must be positive, got {sample}")
-    if u_zero and hi <= 2:
-        raise ValueError(
-            f"degree window [{lo}, {hi}] holds no xor-sum-zero set; such "
-            "a set has at least 3 labels")
     width = (1 << n) - 1
     room = 0
     for d in range(lo, hi + 1):
-        room += math.comb(width, d)
+        room += _xor_sum_zero_count(n, d) if u_zero else math.comb(width, d)
         if room >= sample:
             break
     else:
+        kind = "xor-sum-zero sets" if u_zero else "sets"
         raise ValueError(
-            f"cannot draw {sample} distinct sets from the {room} in the "
-            f"degree window [{lo}, {hi}] at n = {n}")
+            f"cannot draw {sample} distinct sets from the {room} {kind} in "
+            f"the degree window [{lo}, {hi}] at n = {n}")
     rng = random.Random(seed)
     chosen: set[int] = set()
     attempts = 0

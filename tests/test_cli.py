@@ -96,6 +96,21 @@ def test_evolve_exact_mode(capsys):
         assert entry["fidelity"] == fid[int(entry["delta"], 2)]
 
 
+def test_evolve_evaluates_the_exact_transform_once(capsys, monkeypatch):
+    calls = []
+    exact = cli.exact_components
+
+    def counted(omega, t):
+        calls.append(t)
+        return exact(omega, t)
+
+    monkeypatch.setattr(cli, "exact_components", counted)
+    monkeypatch.setattr("cubewalk.dynamics.exact_components", counted)
+    code, _, _ = _run(capsys, ["evolve", "--n", "3", "--omega", "001,110",
+                               "--t-pi", "1"])
+    assert code == 0 and len(calls) == 1
+
+
 def test_evolve_float_mode_csv(capsys):
     code, out, err = _run(capsys, ["evolve", "--n", "2", "--omega", "01,10",
                                    "--t-real", "0.7", "--csv"])
@@ -272,6 +287,25 @@ def test_unfillable_sample_exits_2_before_drawing(capsys, monkeypatch):
                         types.SimpleNamespace(Random=Undrawable))
     for argv in (["--n", "5", "--u-zero", "--sample", "200", "--d-max", "2"],
                  ["--n", "3", "--sample", "29", "--d-max", "2"]):
+        code, out, err = _run(capsys, ["scan", *argv])
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_xor_sum_zero_sample_over_its_population_exits_2(capsys,
+                                                          monkeypatch):
+    class Undrawable:
+        def __init__(self, seed):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the RNG ({name})")
+
+    monkeypatch.setattr(scanner, "random",
+                        types.SimpleNamespace(Random=Undrawable))
+    for argv in (["--n", "4", "--u-zero", "--sample", "2048"],
+                 ["--n", "3", "--u-zero", "--sample", "16"],
+                 ["--n", "4", "--u-zero", "--d-min", "3", "--d-max", "3",
+                  "--sample", "36"]):
         code, out, err = _run(capsys, ["scan", *argv])
         assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -1,5 +1,6 @@
 """Transfer decisions, certificates, and routing."""
 
+import cmath
 import itertools
 import math
 import random
@@ -155,6 +156,13 @@ def test_xor_sum_zero_transfer_fixtures(omega, delta):
         assert want == (Fraction(1, 4) if db == delta else None), db
     unitary = evolve_expm(omega, quarter.radians)
     assert abs(abs(unitary[delta, 0]) - 1.0) <= 1e-8
+    # certified exactly, with phase e^(-i d pi/4)
+    cert = certify(omega, GroupElement(delta, omega.n), quarter)
+    assert isinstance(cert.phase, complex)
+    assert abs(cert.phase - cmath.exp(-1j * omega.d * math.pi / 4)) <= 1e-9
+    assert abs(cert.phase - unitary[delta, 0]) <= 1e-9
+    with pytest.raises(CertificationError):
+        certify(omega, GroupElement(delta ^ 0b11, omega.n), quarter)
 
 
 def _generator_rows(omega):
@@ -238,6 +246,54 @@ def test_certify_rejects_wrong_claims():
         certify(omega, GroupElement(4, 3), RationalAngle(1, 1))  # wrong time
     with pytest.raises(CertificationError):
         certify(omega, GroupElement(4, 3), RationalAngle(1, 3))  # float path
+    with pytest.raises(DimensionMismatchError):
+        certify(omega, GroupElement(1, 2), HALF_PI)
+
+
+def test_certify_is_exact_at_every_rational_time():
+    # every set (the edgeless one too), every offset (0 too) and every
+    # t = k*pi/q with 0 < k <= 2q at n <= 3, against the float fidelity
+    for n in (1, 2, 3):
+        width = (1 << n) - 1
+        for mask in range(1 << width):
+            omega = ConnectionSet(n, tuple(j + 1 for j in range(width)
+                                           if mask >> j & 1))
+            for q in (1, 2, 3, 4, 6):
+                for k in range(1, 2 * q + 1):
+                    t = RationalAngle(k, q)
+                    fid = all_fidelities(omega, t.radians)
+                    for db in range(1 << n):
+                        want = abs(fid[db] - 1.0) <= 1e-9
+                        try:
+                            cert = certify(omega, GroupElement(db, n), t)
+                        except CertificationError:
+                            assert not want, (omega.format(), db, str(t))
+                            continue
+                        assert want, (omega.format(), db, str(t))
+                        assert cert.time == t and cert.delta.bits == db
+                        if t.is_quarter_exact:
+                            assert isinstance(cert.phase, GaussianInteger)
+                        else:
+                            assert isinstance(cert.phase, complex)
+                        expected = cmath.exp(-1j * omega.d * t.radians)
+                        assert abs(complex(cert.phase) - expected) <= 1e-9
+
+
+def test_certify_huge_numerators_and_denominators():
+    omega, delta = hypercube(3), GroupElement(0b111, 3)
+    # (2^62 + 1)*pi/2 is pi/2 plus a whole number of periods
+    huge = certify(omega, delta, RationalAngle(2 ** 62 + 1, 2))
+    half = certify(omega, delta, HALF_PI)
+    assert (huge.delta, huge.phase, huge.method) == \
+        (half.delta, half.phase, half.method)
+    with pytest.raises(CertificationError):
+        certify(omega, delta, RationalAngle(2 ** 62 + 1, 3))
+    # a denominator beyond int64: nothing moves on the edgeless graph
+    tiny = RationalAngle(1, 2 ** 70)
+    still = certify(ConnectionSet(3, ()), GroupElement.zero(3), tiny)
+    assert still.phase == 1
+    with pytest.raises(CertificationError):
+        certify(omega, GroupElement.zero(3), tiny)
 
 
 def test_folded_cube_shape():

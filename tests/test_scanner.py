@@ -148,6 +148,35 @@ def test_unfillable_sample_refused_before_the_first_draw(monkeypatch):
     assert len(list(enumerate_sets(3, sample=28, d_max=2))) == 28
 
 
+def test_xor_sum_zero_count_matches_brute_force():
+    for n in (1, 2, 3, 4):
+        by_degree = [0] * (1 << n)
+        for labels in _all_subsets(n):
+            if _xor(labels) == 0:
+                by_degree[len(labels)] += 1
+        assert [scanner._xor_sum_zero_count(n, d)
+                for d in range(1, 1 << n)] == by_degree[1:], n
+    assert sum(scanner._xor_sum_zero_count(5, d)
+               for d in range(1, 32)) == 2 ** 26 - 1
+
+
+def test_xor_sum_zero_sample_refused_by_its_population(monkeypatch):
+    monkeypatch.setattr(scanner, "random",
+                        types.SimpleNamespace(Random=_UndrawableRandom))
+    for n, sample, window in ((4, 2048, {}), (3, 16, {}),
+                              (4, 36, {"d_min": 3, "d_max": 3})):
+        with pytest.raises(ValueError, match="xor-sum-zero"):
+            next(enumerate_sets(n, u_zero=True, sample=sample, **window))
+    # the population itself (2047, 15, 35 sets) goes on to draw
+    for n, sample, window in ((4, 2047, {}), (3, 15, {}),
+                              (4, 35, {"d_min": 3, "d_max": 3})):
+        with pytest.raises(AssertionError, match="drew"):
+            next(enumerate_sets(n, u_zero=True, sample=sample, **window))
+    monkeypatch.undo()
+    assert len(list(enumerate_sets(4, u_zero=True, sample=35, d_min=3,
+                                   d_max=3))) == 35
+
+
 # ── per-set records ───────────────────────────────────────────────────────
 
 def test_transfer_record_known_set():
