@@ -36,8 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       SetFormatError)
+from .bitspace import ConnectionSet, GroupElement, SetFormatError
 from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
                        all_fidelities, amplitude_exact, exact_components,
                        measurement_distribution)
@@ -511,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CertificationError, OracleMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (SetFormatError, DimensionMismatchError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

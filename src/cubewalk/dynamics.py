@@ -9,10 +9,11 @@ amplitude between vertices a and b depends only on δ = a⊕b:
 and one WHT of the phase vector e^(−iλt) yields T for every δ at once.
 The fidelity is F_δ(t) = |T_δ(t)| / 2ⁿ.
 
-At quarter periods t = pπ/q with q | 2 every phase is a power of −i, so
-T_δ is a Gaussian integer and fidelities quantize exactly: F ∈ {0, 1} at
-t = π/2, with the unit at δ = u (the xor-sum of the set).  The exact path
-below does all of that in int64, no rounding anywhere.
+On the grid t = mπ/2 (m = 2p/q, q | 2) no transform is needed.  With
+c_v = (wᵀv mod 2) over w ∈ Ω, λ_v = d − 2·wt(c_v) and wt(c_v) ≡ uᵀv (mod 2)
+for u the xor-sum, so every phase is (−i)^(md)·(−1)^(m·uᵀv) and T is the
+point mass T_δ(mπ/2) = 2ⁿ·(−i)^(md)·[δ = mu], mu = u for odd m, else 0.
+Every fidelity on the grid is thus exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ def gaussian_unit(k: int) -> GaussianInteger:
 _UNITS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
           GaussianInteger(-1, 0), GaussianInteger(0, -1))
 
-# (−i)^k component tables for the vectorized exact path.
-_RE_UNIT = np.array([1, 0, -1, 0], dtype=np.int64)
-_IM_UNIT = np.array([0, -1, 0, 1], dtype=np.int64)
-
 
 # ── float path ────────────────────────────────────────────────────────────
 
@@ -169,9 +166,8 @@ def amplitude(omega: ConnectionSet, a: GroupElement, b: GroupElement,
 def all_fidelities(omega: ConnectionSet, t) -> np.ndarray:
     """F_δ(t) = |T_δ(t)|/2ⁿ for every δ; index δ = a⊕b.
 
-    ``t`` may be a float (radians) or a RationalAngle.  Angles on the
-    quarter-period grid are evaluated through the exact integer path, so
-    the returned 0.0 and 1.0 entries are exact, not approximations.
+    ``t`` may be a float (radians) or a RationalAngle.  On the π/2 grid the
+    entries are the exact 0.0 and 1.0 of the point mass, not approximations.
     """
     size = 1 << omega.n
     if isinstance(t, RationalAngle):
@@ -184,20 +180,27 @@ def all_fidelities(omega: ConnectionSet, t) -> np.ndarray:
 
 # ── exact path (q | 2) ────────────────────────────────────────────────────
 
+def _point_mass(omega: ConnectionSet,
+                t: RationalAngle) -> tuple[int, GaussianInteger]:
+    """(mu, 2ⁿ·(−i)^(md)) at t = mπ/2: where T_δ is nonzero, and its value."""
+    if not t.is_quarter_exact:
+        raise UnsupportedAngleError(
+            f"exact amplitudes need a multiple of pi/2, got {t}")
+    m = t.p * (2 // t.q)
+    return (omega.u.bits if m % 2 else 0,
+            gaussian_unit(-m * omega.d) * (1 << omega.n))
+
+
 def exact_components(omega: ConnectionSet,
                      t: RationalAngle) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of T_δ(t) as int64 arrays, one per δ.
 
-    Each eigenvalue phase is e^(−iλ·pπ/q) = (−i)^(λp·(2/q) mod 4), so both
-    component vectors are WHTs of small integer tables.  Only q ∈ {1, 2}
-    keeps the phases in Z[i]; anything else raises UnsupportedAngleError.
+    The point mass of the module docstring; t must be a multiple of π/2.
     """
-    if not t.is_quarter_exact:
-        raise UnsupportedAngleError(
-            f"exact amplitudes need a multiple of pi/2, got {t}")
-    lam = spectrum(omega).values
-    k = (lam * (t.p * (2 // t.q))) % 4
-    return wht(_RE_UNIT[k]), wht(_IM_UNIT[k])
+    mu, amp = _point_mass(omega, t)
+    re, im = np.zeros((2, 1 << omega.n), dtype=np.int64)
+    re[mu], im[mu] = amp.re, amp.im
+    return re, im
 
 
 def all_amplitudes_exact(omega: ConnectionSet,
@@ -208,12 +211,12 @@ def all_amplitudes_exact(omega: ConnectionSet,
 
 def amplitude_exact(omega: ConnectionSet, delta: GroupElement,
                     t: RationalAngle) -> GaussianInteger:
-    """T_δ(t) as a Gaussian integer; requires t to be a multiple of π/2."""
+    """T_δ(t) in O(1), read off the point mass; t must be a multiple of π/2."""
     if delta.n != omega.n:
         raise DimensionMismatchError(
             f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
-    re, im = exact_components(omega, t)
-    return GaussianInteger(int(re[delta.bits]), int(im[delta.bits]))
+    mu, amp = _point_mass(omega, t)
+    return amp if delta.bits == mu else GaussianInteger(0, 0)
 
 
 # ── measurement ───────────────────────────────────────────────────────────
@@ -222,12 +225,8 @@ def measurement_distribution(omega: ConnectionSet, a: GroupElement,
                              t) -> np.ndarray:
     """Outcome distribution of a position measurement at time t.
 
-    Entry b is the probability F_δ(t)² with δ = a⊕b that the walker
-    started at ``a`` is found at vertex b, read off ``all_fidelities``.  On
-    the exact grid every fidelity is exactly 0.0 or 1.0 (period π, a
-    teleport by u at π/2), so squaring loses nothing: the distribution is
-    a point mass, at a at multiples of π and at a⊕u at odd multiples of
-    π/2, and sums to 1.0 exactly.
+    Entry b is F_δ(t)² with δ = a⊕b, read off ``all_fidelities``; on the
+    exact grid, the point mass of the module docstring moved to a.
     """
     if a.n != omega.n:
         raise DimensionMismatchError(

@@ -111,6 +111,23 @@ def test_evolve_evaluates_the_exact_transform_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_fidelity_evaluates_the_exact_components_at_most_once(
+        capsys, monkeypatch):
+    calls = []
+    exact = cli.exact_components
+
+    def counted(omega, t):
+        calls.append(t)
+        return exact(omega, t)
+
+    monkeypatch.setattr(cli, "exact_components", counted)
+    monkeypatch.setattr("cubewalk.dynamics.exact_components", counted)
+    code, _, _ = _run(capsys, ["fidelity", "--n", "3", "--omega",
+                               "001,010,111", "--delta", "100",
+                               "--t-pi", "1/2"])
+    assert code == 0 and len(calls) <= 1
+
+
 def test_evolve_float_mode_csv(capsys):
     code, out, err = _run(capsys, ["evolve", "--n", "2", "--omega", "01,10",
                                    "--t-real", "0.7", "--csv"])
@@ -352,6 +369,23 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["spectrum", "--n", "2", "--omega", "01",
                                  "--out", str(missing)])
     assert code == 2 and "cannot write" in err
+
+
+def test_huge_time_numerators(capsys):
+    # 10^20 + 1 = 1 mod 4, so on the grid this is pi/2 exactly
+    huge = str(10 ** 20 + 1)
+    for tail in (["fidelity", "--delta", "100"], ["evolve"], ["measure"]):
+        argv = [tail[0], "--n", "3", "--omega", "001,010,111", *tail[1:]]
+        code, out, _ = _run(capsys, argv + ["--t-pi", f"{huge}/2"])
+        assert code == 0
+        _, payload = _json_of(out)
+        _, small = _json_of(_run(capsys, argv + ["--t-pi", "1/2"])[1])
+        assert payload.pop("time") == f"{huge}*pi/2"
+        small.pop("time")
+        assert payload == small
+        # off the grid the time has no float value: an input error
+        code, out, err = _run(capsys, argv + ["--t-pi", f"{10 ** 400}/3"])
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_unknown_subcommand_exits_2(capsys):

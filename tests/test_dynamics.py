@@ -1,6 +1,7 @@
 """Walk amplitudes and fidelities, float and exact paths."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -14,12 +15,29 @@ from cubewalk.dynamics import (FLOAT_TOL, HALF_PI, PI, GaussianInteger,
                                all_fidelities, amplitude, amplitude_exact,
                                exact_components, gaussian_unit,
                                measurement_distribution)
+from cubewalk.spectral import spectrum, wht
 
 
 def _random_set(rng, n):
     pool = range(1, 1 << n)
     return ConnectionSet(n, tuple(rng.sample(pool,
                                              rng.randint(1, len(pool)))))
+
+
+def _every_set(n):
+    pool = range(1, 1 << n)
+    for k in range(len(pool) + 1):
+        for labels in itertools.combinations(pool, k):
+            yield ConnectionSet(n, labels)
+
+
+def _transform_components(omega, t):
+    # the evaluation by transforms: each phase e^(-i lam m pi/2) is
+    # (-i)^(lam m mod 4), and both parts are WHTs of these unit tables
+    re_unit = np.array([1, 0, -1, 0], dtype=np.int64)
+    im_unit = np.array([0, -1, 0, 1], dtype=np.int64)
+    k = (spectrum(omega).values * (t.p * (2 // t.q))) % 4
+    return wht(re_unit[k]), wht(im_unit[k])
 
 
 def _direct_amplitudes(omega, t):
@@ -157,6 +175,62 @@ def test_exact_components_match_float_path():
         re, im = exact_components(omega, t)
         direct = _direct_amplitudes(omega, t.radians)
         assert np.max(np.abs(re + 1j * im - direct)) <= 1e-9 * (1 << n)
+
+
+def _assert_matches_transforms(omega, t):
+    re, im = exact_components(omega, t)
+    want_re, want_im = _transform_components(omega, t)
+    assert re.dtype == np.int64 and im.dtype == np.int64
+    assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
+    return want_re, want_im
+
+
+def test_exact_components_match_the_transforms():
+    for n in (1, 2, 3):
+        for omega in _every_set(n):
+            for m in range(9):
+                t = RationalAngle(m, 2)
+                want_re, want_im = _assert_matches_transforms(omega, t)
+                for bits in range(1 << n):
+                    got = amplitude_exact(omega, GroupElement(bits, n), t)
+                    assert got == GaussianInteger(int(want_re[bits]),
+                                                  int(want_im[bits]))
+    rng = random.Random(47)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        pool = range(1, 1 << n)
+        omega = ConnectionSet(n, tuple(rng.sample(
+            pool, rng.randint(0, min(len(pool), 48)))))
+        _assert_matches_transforms(
+            omega, RationalAngle(rng.randint(0, 40), rng.choice((1, 2))))
+
+
+def test_grid_path_computes_no_spectrum_and_no_transform(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("transform on the exact grid")
+
+    monkeypatch.setattr("cubewalk.dynamics.spectrum", refuse)
+    monkeypatch.setattr("cubewalk.dynamics.wht", refuse)
+    rng = random.Random(53)
+    big = ConnectionSet(20, tuple(rng.sample(range(1, 1 << 20), 40)))
+    small = ConnectionSet(8, tuple(rng.sample(range(1, 1 << 8), 40)))
+    a = GroupElement(0b1011, 20)
+    for omega in (big, small):
+        assert omega.u.bits != 0
+    for t, odd in ((HALF_PI, 1), (PI, 0)):
+        mu = big.u.bits * odd
+        re, im = exact_components(big, t)
+        assert set(np.flatnonzero(re | im)) == {mu}
+        assert amplitude_exact(big, GroupElement(mu, 20), t).abs2() == 1 << 40
+        assert amplitude_exact(big, GroupElement(mu ^ 1, 20), t) == \
+            GaussianInteger(0, 0)
+        table = all_amplitudes_exact(small, t)
+        assert [b for b, z in enumerate(table) if z.abs2()] == \
+            [small.u.bits * odd]
+        assert list(np.flatnonzero(all_fidelities(big, t))) == [mu]
+        dist = measurement_distribution(big, a, t)
+        assert list(np.flatnonzero(dist)) == [a.bits ^ mu]
+        assert dist[a.bits ^ mu] == 1.0
 
 
 def test_exact_amplitude_objects():
