@@ -10,6 +10,13 @@ Conventions shared by all subcommands:
     stderr so long runs stay legible,
   * --csv switches tabular subcommands (spectrum, evolve, measure) to CSV
     on stdout with the run manifest as one JSON line on stderr,
+  * there is one emit path, ``_emit``.  A list with one row per vertex
+    (2ⁿ rows) never becomes Python dicts: the command hands it over as
+    numpy-rendered columns of JSON texts (``_Rows``), and ``_emit`` writes
+    the indented document, the canonical text behind the digest and the
+    CSV rows from those columns, splicing the rows into what json.dumps
+    makes of the rest of the payload.  The bytes are the ones json.dumps
+    would write for the full payload,
   * every JSON document embeds a run manifest: argv, tool version, the
     inputs, seed where one applies, start/finish timestamps, and a sha256
     digest of the canonical payload so re-runs can be compared byte for
@@ -24,14 +31,13 @@ Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,9 +60,174 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _manifest(args: argparse.Namespace, payload: dict,
-              inputs: dict, seed=None) -> dict:
-    return {
+# Rows rendered per piece of output: bounds the text held at once.
+_CHUNK = 1 << 16
+# Marks a column value in a row template; JSON text never holds a raw NUL.
+_SLOT = "\0"
+
+
+class _Rows(dict):
+    """A payload list with one JSON row per vertex, held as columns.
+
+    Maps a key to the JSON texts of that field in every row, in row order;
+    there is at least one row.  A dotted key ("amplitude.re") is a field of
+    a nested object, and the single key "" makes each row the bare value.
+    Every column is all JSON strings, or all numbers and nulls.
+    """
+
+
+def _pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
+    """texts[index[v]] for every v, one shared string per distinct text."""
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _numbers(values: np.ndarray, missing: np.ndarray | None = None
+             ) -> list[str]:
+    """JSON texts of an int or float column, "null" where ``missing``.
+
+    Each distinct value is rendered once; floats are told apart by bit
+    pattern, so -0.0 keeps its sign.  A non-finite float raises
+    ValueError, as json.dumps(allow_nan=False) does.
+    """
+    keys = values
+    if values.dtype.kind == "f":
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
+        keys = values.view(np.int64)
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(values.dtype).tolist()))
+    if missing is not None:
+        index[missing] = len(texts)
+        texts.append("null")
+    return _pick(index, texts)
+
+
+def _binary_texts(n: int) -> list[str]:
+    """JSON texts of every n-bit label in order: '"00"', '"01"', ..."""
+    half = n // 2
+    high = ['"' + format(x, f"0{n - half}b") for x in range(1 << (n - half))]
+    low = [format(x, f"0{half}b") + '"' for x in range(1 << half)] \
+        if half else ['"']
+    return [h + lo for h in high for lo in low]
+
+
+def _row_template(keys: Iterable[str], level: int | None
+                  ) -> tuple[str, list[str]]:
+    """One row as text with a _SLOT per field, and the keys in slot order.
+
+    ``level`` is the nesting depth of the row in a document indented by
+    two spaces; None gives the compact, key-sorted form of
+    ``canonical_dumps``.
+    """
+    keys = list(keys)
+    if keys == [""]:
+        return _template("", level)
+    tree: dict = {}
+    for key in keys:
+        *path, leaf = key.split(".")
+        node = tree
+        for name in path:
+            node = node.setdefault(name, {})
+        node[leaf] = key
+    return _template(tree, level)
+
+
+def _template(node: dict | str, level: int | None) -> tuple[str, list[str]]:
+    if isinstance(node, str):
+        return _SLOT, [node]
+    if level is None:
+        items, inner, close, colon = sorted(node.items()), "", "", ":"
+    else:
+        items, colon = node.items(), ": "
+        inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    texts, order = [], []
+    for name, sub in items:
+        text, keys = _template(sub, None if level is None else level + 1)
+        texts.append(encode_basestring_ascii(name) + colon + text)
+        order += keys
+    return "{" + inner + ("," + inner).join(texts) + close + "}", order
+
+
+def _joined_rows(segments: list[str], columns: list[list[str]],
+                 sep: str) -> Iterator[str]:
+    """Every row, the template segments around its column texts, rows
+    joined by ``sep``; yielded _CHUNK rows at a time."""
+    k, size = len(columns), len(columns[0])
+    for start in range(0, size, _CHUNK):
+        m = min(_CHUNK, size - start)
+        parts = [segments[-1] + sep + segments[0]] * (2 * k * m + 1)
+        parts[0] = sep + segments[0] if start else segments[0]
+        parts[-1] = segments[-1]
+        for i, column in enumerate(columns):
+            parts[2 * i + 1::2 * k] = column[start:start + m]
+            if i:
+                parts[2 * i::2 * k] = [segments[i]] * m
+        yield "".join(parts)
+
+
+def _rows_text(rows: _Rows, indented: bool) -> Iterator[str]:
+    """The JSON text of the list ``rows`` stands for, in pieces.
+
+    Indented as json.dumps(indent=2) indents the value of a top-level key,
+    or compact with sorted keys as ``canonical_dumps``.
+    """
+    template, keys = _row_template(rows, 2 if indented else None)
+    yield "[\n    " if indented else "["
+    yield from _joined_rows(template.split(_SLOT), [rows[k] for k in keys],
+                            ",\n    " if indented else ",")
+    yield "\n  ]" if indented else "]"
+
+
+def _marker(key: str) -> str:
+    return "\0" + key + "\0"
+
+
+def _spliced(text: str, tables: dict[str, _Rows],
+             indented: bool) -> Iterator[str]:
+    """``text`` in pieces, each table's marker replaced by its rows."""
+    marks = sorted((text.index(json.dumps(_marker(key))), key)
+                   for key in tables)
+    done = 0
+    for at, key in marks:
+        yield text[done:at]
+        yield from _rows_text(tables[key], indented)
+        done = at + len(json.dumps(_marker(key)))
+    yield text[done:]
+
+
+def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
+    """CSV with one column per header, as csv.writer writes the values."""
+    cells = []
+    for texts in columns.values():
+        if texts[0].startswith('"'):
+            cells.append([t[1:-1] for t in texts])
+        else:
+            cells.append(["" if t == "null" else t for t in texts])
+    yield ",".join(columns) + "\r\n"
+    yield from _joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
+                            cells, "")
+
+
+def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
+          seed=None, csv: dict[str, list[str]] | None = None,
+          manifest_extra: dict | None = None,
+          summary_lines: list[str] | None = None) -> None:
+    """Serialize one command result according to the output flags.
+
+    Payload values that are ``_Rows`` are spliced in as lists; ``csv``
+    maps each CSV header to one of their columns.  Documents are dumped
+    with allow_nan=False, so a non-finite float raises ValueError (exit 2)
+    before anything is written: ``_numbers`` checks its columns alike.
+    """
+    tables = {key: value for key, value in payload.items()
+              if isinstance(value, _Rows)}
+    marked = {key: _marker(key) if key in tables else value
+              for key, value in payload.items()}
+    digest = hashlib.sha256()
+    for piece in _spliced(canonical_dumps(marked), tables, indented=False):
+        digest.update(piece.encode())
+    manifest = {
         "tool": "cubewalk",
         "version": __version__,
         "argv": list(args.raw_argv),
@@ -64,44 +235,26 @@ def _manifest(args: argparse.Namespace, payload: dict,
         "seed": seed,
         "started": args.started_at,
         "finished": _utc_now(),
-        "payload_sha256": hashlib.sha256(
-            canonical_dumps(payload).encode()).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
-
-
-def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
-          seed=None, rows: list | None = None,
-          header: list[str] | None = None,
-          manifest_extra: dict | None = None,
-          summary_lines: list[str] | None = None) -> None:
-    """Serialize one command result according to the output flags.
-
-    Documents are dumped with allow_nan=False, so a non-finite float
-    raises ValueError (exit 2) instead of printing invalid JSON.
-    """
-    manifest = _manifest(args, payload, inputs, seed)
     manifest.update(manifest_extra or {})
-    if getattr(args, "csv", False) and rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+    if getattr(args, "csv", False) and csv is not None:
+        pieces = _csv_text(csv)
         print(json.dumps({"manifest": manifest}, allow_nan=False),
               file=sys.stderr)
     else:
-        doc = dict(payload)
-        doc["manifest"] = manifest
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        text = json.dumps({**marked, "manifest": manifest}, indent=2,
+                          allow_nan=False) + "\n"
+        pieces = _spliced(text, tables, indented=True)
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     if summary_lines:
         for line in summary_lines:
             print(line, file=sys.stderr)
@@ -134,13 +287,15 @@ def _phase_json(phase) -> dict:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     omega = ConnectionSet.parse(args.omega, args.n)
     report = classify_set(omega)
-    entries = [{
-        "v": format(e.v, f"0{args.n}b"),
-        "lambda": e.eigenvalue,
-        "k": e.k,
-        "congruence_class": e.congruence_class,
-        "ok": e.ok,
-    } for e in report.entries]
+    rows = _Rows({
+        "v": _binary_texts(args.n),
+        "lambda": _numbers(report.eigenvalues),
+        "k": _numbers(report.k, missing=~report.in_class),
+        "congruence_class": _pick(
+            report.odd.astype(np.intp),
+            [encode_basestring_ascii(c) for c in report.classes]),
+        "ok": _pick(report.ok.astype(np.intp), ["false", "true"]),
+    })
     payload = {
         "command": "spectrum",
         "n": args.n,
@@ -149,12 +304,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "u": str(omega.u),
         "case": report.case,
         "all_pass": report.all_pass,
-        "eigenvalues": entries,
+        "eigenvalues": rows,
     }
-    rows = [[e["v"], e["lambda"], e["k"], e["congruence_class"]]
-            for e in entries]
     _emit(args, payload, {"n": args.n, "omega": omega.format()},
-          rows=rows, header=["v_binary", "lambda", "k", "congruence_class"])
+          csv={"v_binary": rows["v"], "lambda": rows["lambda"],
+               "k": rows["k"], "congruence_class": rows["congruence_class"]})
     return 0
 
 
@@ -171,28 +325,24 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             omega, t.radians if isinstance(t, RationalAngle) else t)
     fid = np.abs(amp) / size  # as all_fidelities: exact 0.0/1.0 on the grid
     amp = amp / size
-    entries = []
-    for db in range(size):
-        entry = {"delta": format(db, f"0{args.n}b"),
-                 "fidelity": float(fid[db])}
-        if exact:
-            entry["amplitude_exact"] = {"re": int(re[db]), "im": int(im[db])}
-        entry["amplitude"] = {"re": float(amp[db].real),
-                              "im": float(amp[db].imag)}
-        entries.append(entry)
+    rows = _Rows({"delta": _binary_texts(args.n), "fidelity": _numbers(fid)})
+    if exact:
+        rows["amplitude_exact.re"] = _numbers(re)
+        rows["amplitude_exact.im"] = _numbers(im)
+    rows["amplitude.re"] = _numbers(amp.real)
+    rows["amplitude.im"] = _numbers(amp.imag)
     payload = {
         "command": "evolve",
         "n": args.n,
         "omega": omega.format(),
         "time": str(t) if isinstance(t, RationalAngle) else t,
         "mode": "exact" if exact else "float",
-        "fidelities": entries,
+        "fidelities": rows,
     }
-    rows = [[e["delta"], repr(e["fidelity"]), repr(e["amplitude"]["re"]),
-             repr(e["amplitude"]["im"])] for e in entries]
     _emit(args, payload,
           {"n": args.n, "omega": omega.format(), "time": payload["time"]},
-          rows=rows, header=["delta_binary", "fidelity", "re", "im"])
+          csv={"delta_binary": rows["delta"], "fidelity": rows["fidelity"],
+               "re": rows["amplitude.re"], "im": rows["amplitude.im"]})
     return 0
 
 
@@ -225,15 +375,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
         else GroupElement.zero(args.n)
     t = _angle_of(args)
     dist = measurement_distribution(omega, start, t)
-    entries = [{"vertex": format(v, f"0{args.n}b"), "p": float(dist[v])}
-               for v in range(1 << args.n)]
+    rows = _Rows({"vertex": _binary_texts(args.n), "p": _numbers(dist)})
     payload = {
         "command": "measure",
         "n": args.n,
         "omega": omega.format(),
         "a": str(start),
         "time": str(t) if isinstance(t, RationalAngle) else t,
-        "distribution": entries,
+        "distribution": rows,
     }
     if isinstance(t, RationalAngle) and t.q == 2:
         # Odd multiple of pi/2 (p is odd in lowest terms): the outcome is
@@ -246,11 +395,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
             payload["note"] = ("the walker is at a xor u with certainty at "
                                "this time; away from the exact grid the "
                                "distribution spreads over the cube")
-    rows = [[e["vertex"], repr(e["p"])] for e in entries]
     _emit(args, payload,
           {"n": args.n, "omega": omega.format(), "a": str(start),
            "time": payload["time"]},
-          rows=rows, header=["vertex_binary", "probability"])
+          csv={"vertex_binary": rows["vertex"], "probability": rows["p"]})
     return 0
 
 
@@ -261,6 +409,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     profile = bfs_profile(omega, source)
     functional = bipartite_functional(omega)
     parts = is_complete_bipartite(omega)
+    labels = _binary_texts(args.n)
     payload = {
         "command": "graph",
         "n": args.n,
@@ -270,17 +419,16 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "connected": profile.connected,
         "diameter": profile.diameter,
         "shells": profile.shell_sizes(),
-        "distances": [{"v": format(v, f"0{args.n}b"),
-                       "dist": int(profile.dist[v]) if profile.dist[v] >= 0
-                       else None}
-                      for v in range(1 << args.n)],
+        "distances": _Rows({
+            "v": labels,
+            "dist": _numbers(profile.dist, missing=profile.dist < 0)}),
         "bipartite": functional is not None,
         "bipartite_functional": str(functional) if functional else None,
         "complete_bipartite": list(parts) if parts else None,
     }
     if profile.connected:
-        far = np.nonzero(profile.dist == profile.diameter)[0]
-        payload["antipodal"] = [format(int(v), f"0{args.n}b") for v in far]
+        far = np.flatnonzero(profile.dist == profile.diameter)
+        payload["antipodal"] = _Rows({"": _pick(far, labels)})
     else:
         payload["antipodal"] = None
     _emit(args, payload, {"n": args.n, "omega": omega.format(),

@@ -55,7 +55,13 @@ class RationalAngle:
 
     @property
     def radians(self) -> float:
-        return math.pi * self.p / self.q
+        """The time as a float, taken mod 2π.
+
+        Every eigenvalue is an integer, so the walk has period 2π; reducing
+        p mod 2q first keeps a huge numerator exact, and leaves every time
+        below 2π bit for bit as π·p/q.
+        """
+        return math.pi * (self.p % (2 * self.q)) / self.q
 
     @property
     def is_quarter_exact(self) -> bool:

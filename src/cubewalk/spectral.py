@@ -19,6 +19,7 @@ for every eigenvalue and reports the multiplicity index k it determines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,16 +118,46 @@ class CongruenceEntry:
 
 @dataclass(frozen=True, eq=False)
 class CongruenceReport:
+    """The congruence check of every eigenvalue, held as columns over v.
+
+    ``odd[v]`` is the parity of uᵀv, which selects the residue class:
+    ``classes[odd[v]]``.  ``in_class[v]`` says whether λ_v lies in that
+    class mod 4; where it does, ``k[v]`` is the index it determines (where
+    it does not, ``k[v]`` is meaningless and the entry's k is None).
+    ``ok[v]`` adds the k-range.  ``entries`` spells the same columns out
+    as one ``CongruenceEntry`` per v, built on first use.
+    """
+
     n: int
     d: int
     u: GroupElement
     u_in_set: bool
     case: str
-    entries: tuple[CongruenceEntry, ...]
+    eigenvalues: np.ndarray
+    odd: np.ndarray
+    in_class: np.ndarray
+    k: np.ndarray
+    ok: np.ndarray
+
+    @property
+    def classes(self) -> tuple[str, str]:
+        """The class labels of the even and the odd rows of ``case``."""
+        return ("d mod 4", "d+2 mod 4" if self.case == CASE_SUM_OUTSIDE
+                else "d-2 mod 4")
 
     @property
     def all_pass(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return bool(self.ok.all())
+
+    @cached_property
+    def entries(self) -> tuple[CongruenceEntry, ...]:
+        classes = self.classes
+        return tuple(
+            CongruenceEntry(v=v, eigenvalue=lam, k=k if fits else None,
+                            congruence_class=classes[odd], ok=ok)
+            for v, (lam, odd, fits, k, ok) in enumerate(zip(
+                self.eigenvalues.tolist(), self.odd.tolist(),
+                self.in_class.tolist(), self.k.tolist(), self.ok.tolist())))
 
 
 def classify_congruences(spec: Spectrum, u: GroupElement,
@@ -134,11 +165,11 @@ def classify_congruences(spec: Spectrum, u: GroupElement,
     """Check the mod-4 congruence of every eigenvalue against its class.
 
     ``u`` must be the xor-sum of the connection set that produced ``spec``
-    and ``u_in_set`` says whether u itself is a member.  Each entry records
-    the residue class that applies at v, the recovered index k, and whether
-    the eigenvalue actually satisfies the congruence and the k-range.  A
-    correct spectrum always passes; the report exists so that consistency
-    can be audited wholesale.
+    and ``u_in_set`` says whether u itself is a member.  The report holds,
+    for every v, the residue class that applies at v, the recovered index
+    k, and whether the eigenvalue actually satisfies the congruence and
+    the k-range.  A correct spectrum always passes; the report exists so
+    that consistency can be audited wholesale.
     """
     if u.n != spec.n:
         raise DimensionMismatchError(
@@ -156,27 +187,17 @@ def classify_congruences(spec: Spectrum, u: GroupElement,
         case = CASE_SUM_INSIDE
         bound = (d - 1) // 2
 
-    entries = []
-    for v in range(spec.size):
-        lam = int(spec.values[v])
-        odd = (u.bits & v).bit_count() & 1
-        if not odd:
-            base, klass = d, "d mod 4"
-        elif case == CASE_SUM_OUTSIDE:
-            base, klass = d + 2, "d+2 mod 4"
-        else:
-            base, klass = d - 2, "d-2 mod 4"
-        diff = base - lam
-        if diff % 4 == 0:
-            k = diff // 4
-            ok = 0 <= k <= bound
-        else:
-            k = None
-            ok = False
-        entries.append(CongruenceEntry(v=v, eigenvalue=lam, k=k,
-                                       congruence_class=klass, ok=ok))
+    odd = (np.bitwise_count(np.arange(spec.size) & u.bits) & 1).astype(bool)
+    shift = 2 if case == CASE_SUM_OUTSIDE else -2
+    diff = np.where(odd, d + shift, d) - spec.values
+    in_class = diff % 4 == 0
+    k = diff // 4
+    ok = in_class & (k >= 0) & (k <= bound)
+    for column in (odd, in_class, k, ok):
+        column.setflags(write=False)
     return CongruenceReport(n=spec.n, d=d, u=u, u_in_set=u_in_set,
-                            case=case, entries=tuple(entries))
+                            case=case, eigenvalues=spec.values, odd=odd,
+                            in_class=in_class, k=k, ok=ok)
 
 
 def classify_set(omega: ConnectionSet) -> CongruenceReport:

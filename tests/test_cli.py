@@ -383,8 +383,16 @@ def test_huge_time_numerators(capsys):
         assert payload.pop("time") == f"{huge}*pi/2"
         small.pop("time")
         assert payload == small
-        # off the grid the time has no float value: an input error
-        code, out, err = _run(capsys, argv + ["--t-pi", f"{10 ** 400}/3"])
+        # the walk has period 2*pi and 10^400 = 4 mod 6: this is 4*pi/3
+        code, out, _ = _run(capsys, argv + ["--t-pi", f"{10 ** 400}/3"])
+        assert code == 0
+        _, payload = _json_of(out)
+        _, reduced = _json_of(_run(capsys, argv + ["--t-pi", "4/3"])[1])
+        assert payload.pop("time") == f"{10 ** 400}*pi/3"
+        reduced.pop("time")
+        assert payload == reduced
+        # a time that has no float value even when reduced: an input error
+        code, out, err = _run(capsys, argv + ["--t-pi", f"1/{10 ** 400}"])
         assert code == 2 and out == "" and err.startswith("error:")
 
 

@@ -1,0 +1,317 @@
+"""The columnar emitter against the dict-building renderer it replaced.
+
+The reference commands below build every per-vertex list as Python dicts
+and render them with json.dumps and csv.writer, as the CLI once did.  The
+CLI must print the same bytes: the indented document up to its manifest,
+the payload digest and the CSV rows.
+"""
+
+import csv
+import hashlib
+import io
+import json
+import random
+
+import numpy as np
+
+from cubewalk import cli
+from cubewalk.bitspace import ConnectionSet, GroupElement
+from cubewalk.dynamics import (RationalAngle, all_amplitudes,
+                               exact_components, measurement_distribution)
+from cubewalk.graphwalk import (bfs_profile, bipartite_functional,
+                                is_complete_bipartite)
+from cubewalk.scanner import canonical_dumps
+from cubewalk.spectral import Spectrum, classify_congruences, spectrum
+
+
+# ── reference: one dict per entry ─────────────────────────────────────────
+
+def _ref_spectrum(args):
+    omega = ConnectionSet.parse(args.omega, args.n)
+    report = cli.classify_set(omega)  # the CLI's binding: tests patch it
+    entries = [{
+        "v": format(e.v, f"0{args.n}b"),
+        "lambda": e.eigenvalue,
+        "k": e.k,
+        "congruence_class": e.congruence_class,
+        "ok": e.ok,
+    } for e in report.entries]
+    payload = {
+        "command": "spectrum",
+        "n": args.n,
+        "omega": omega.format(),
+        "d": omega.d,
+        "u": str(omega.u),
+        "case": report.case,
+        "all_pass": report.all_pass,
+        "eigenvalues": entries,
+    }
+    rows = [[e["v"], e["lambda"], e["k"], e["congruence_class"]]
+            for e in entries]
+    return payload, ["v_binary", "lambda", "k", "congruence_class"], rows
+
+
+def _ref_evolve(args):
+    omega = ConnectionSet.parse(args.omega, args.n)
+    t = cli._angle_of(args)
+    size = 1 << args.n
+    exact = isinstance(t, RationalAngle) and t.is_quarter_exact
+    if exact:
+        re, im = exact_components(omega, t)
+        amp = re + 1j * im
+    else:
+        amp = all_amplitudes(
+            omega, t.radians if isinstance(t, RationalAngle) else t)
+    fid = np.abs(amp) / size
+    amp = amp / size
+    entries = []
+    for db in range(size):
+        entry = {"delta": format(db, f"0{args.n}b"),
+                 "fidelity": float(fid[db])}
+        if exact:
+            entry["amplitude_exact"] = {"re": int(re[db]), "im": int(im[db])}
+        entry["amplitude"] = {"re": float(amp[db].real),
+                              "im": float(amp[db].imag)}
+        entries.append(entry)
+    payload = {
+        "command": "evolve",
+        "n": args.n,
+        "omega": omega.format(),
+        "time": str(t) if isinstance(t, RationalAngle) else t,
+        "mode": "exact" if exact else "float",
+        "fidelities": entries,
+    }
+    rows = [[e["delta"], repr(e["fidelity"]), repr(e["amplitude"]["re"]),
+             repr(e["amplitude"]["im"])] for e in entries]
+    return payload, ["delta_binary", "fidelity", "re", "im"], rows
+
+
+def _ref_measure(args):
+    omega = ConnectionSet.parse(args.omega, args.n)
+    start = GroupElement.parse(args.a, args.n) if args.a \
+        else GroupElement.zero(args.n)
+    t = cli._angle_of(args)
+    dist = measurement_distribution(omega, start, t)
+    entries = [{"vertex": format(v, f"0{args.n}b"), "p": float(dist[v])}
+               for v in range(1 << args.n)]
+    payload = {
+        "command": "measure",
+        "n": args.n,
+        "omega": omega.format(),
+        "a": str(start),
+        "time": str(t) if isinstance(t, RationalAngle) else t,
+        "distribution": entries,
+    }
+    if isinstance(t, RationalAngle) and t.q == 2:
+        if omega.u.bits == 0:
+            payload["note"] = ("xor-sum is zero: the walker is back at its "
+                               "start with certainty at this time")
+        else:
+            payload["note"] = ("the walker is at a xor u with certainty at "
+                               "this time; away from the exact grid the "
+                               "distribution spreads over the cube")
+    rows = [[e["vertex"], repr(e["p"])] for e in entries]
+    return payload, ["vertex_binary", "probability"], rows
+
+
+def _ref_graph(args):
+    omega = ConnectionSet.parse(args.omega, args.n)
+    source = GroupElement.parse(args.source, args.n) if args.source \
+        else GroupElement.zero(args.n)
+    profile = bfs_profile(omega, source)
+    functional = bipartite_functional(omega)
+    parts = is_complete_bipartite(omega)
+    payload = {
+        "command": "graph",
+        "n": args.n,
+        "omega": omega.format(),
+        "d": omega.d,
+        "source": str(source),
+        "connected": profile.connected,
+        "diameter": profile.diameter,
+        "shells": profile.shell_sizes(),
+        "distances": [{"v": format(v, f"0{args.n}b"),
+                       "dist": int(profile.dist[v]) if profile.dist[v] >= 0
+                       else None}
+                      for v in range(1 << args.n)],
+        "bipartite": functional is not None,
+        "bipartite_functional": str(functional) if functional else None,
+        "complete_bipartite": list(parts) if parts else None,
+    }
+    if profile.connected:
+        far = np.nonzero(profile.dist == profile.diameter)[0]
+        payload["antipodal"] = [format(int(v), f"0{args.n}b") for v in far]
+    else:
+        payload["antipodal"] = None
+    return payload, None, None
+
+
+REFERENCE = {"spectrum": _ref_spectrum, "evolve": _ref_evolve,
+             "measure": _ref_measure, "graph": _ref_graph}
+
+
+PARSER = cli.build_parser()
+
+
+def _handle(argv):
+    """``cli.main`` minus its per-call parser build, which dwarfs n <= 3."""
+    args = PARSER.parse_args(argv)
+    args.raw_argv, args.started_at = argv, cli._utc_now()
+    return args.handlers[args.command](args)
+
+
+def _assert_same_bytes(capsys, argv, tmp_path=None):
+    """Run ``argv`` through the CLI and check it against the reference."""
+    payload, header, rows = REFERENCE[argv[0]](PARSER.parse_args(argv))
+    assert _handle(argv) == 0
+    out = capsys.readouterr().out
+    body = json.dumps(payload, indent=2, allow_nan=False)
+    head, sep, _ = out.partition(',\n  "manifest": ')
+    assert sep and head == body[:-2], argv
+    digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+    assert json.loads(out)["manifest"]["payload_sha256"] == digest, argv
+    if header is not None:
+        assert _handle(argv + ["--csv"]) == 0
+        captured = capsys.readouterr()
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert captured.out == buf.getvalue(), argv
+        manifest = json.loads(captured.err)["manifest"]
+        assert manifest["payload_sha256"] == digest, argv
+    if tmp_path is not None:
+        target = tmp_path / "doc.json"
+        assert _handle(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        written = target.read_text()
+        assert written.partition(',\n  "manifest": ')[0] == head, argv
+
+
+def _argvs(n, labels, rng):
+    """Every columnar command on one set, at grid and off-grid times."""
+    omega = ",".join(format(w, f"0{n}b") for w in labels)
+    common = ["--n", str(n), "--omega", omega]
+    vertex = format(rng.randrange(1 << n), f"0{n}b")
+    return [["spectrum", *common],
+            ["evolve", *common, "--t-pi", rng.choice(["1/2", "1", "3/2"])],
+            ["evolve", *common, "--t-pi", "1/3"],
+            ["evolve", *common, "--t-real", "0.7"],
+            ["measure", *common, "--t-pi", "1/2", "--a", vertex],
+            ["measure", *common, "--t-real", "0.3"],
+            ["graph", *common, "--source", vertex]]
+
+
+def test_named_runs_are_byte_identical(capsys, tmp_path):
+    for argv in (["spectrum", "--n", "3", "--omega", "001,010,111"],
+                 ["evolve", "--n", "2", "--omega", "01,10", "--t-pi", "1/2"],
+                 ["evolve", "--n", "3", "--omega", "001,110", "--t-pi",
+                  "1/3"],
+                 ["evolve", "--n", "3", "--omega", "001,110", "--t-real",
+                  "0.7"],
+                 ["measure", "--n", "2", "--omega", "01", "--t-pi", "3/2",
+                  "--a", "10"],
+                 ["graph", "--n", "3", "--omega", "001,010,100,111"],
+                 ["graph", "--n", "2", "--omega", "11"]):
+        _assert_same_bytes(capsys, argv, tmp_path)
+
+
+def test_every_set_small_is_byte_identical(capsys):
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        for mask in range(1, 1 << ((1 << n) - 1)):
+            labels = [j + 1 for j in range((1 << n) - 1) if mask >> j & 1]
+            for argv in _argvs(n, labels, rng):
+                _assert_same_bytes(capsys, argv)
+
+
+def test_random_sets_are_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 7)  # rows cross piece boundaries
+    rng = random.Random(17)
+    for _ in range(50):
+        n = rng.randint(1, 10)
+        pool = range(1, 1 << n)
+        labels = sorted(rng.sample(pool, rng.randint(1, min(2 * n,
+                                                             len(pool)))))
+        for argv in _argvs(n, labels, rng):
+            _assert_same_bytes(capsys, argv, tmp_path)
+
+
+def test_broken_spectrum_rows_are_byte_identical(capsys, monkeypatch):
+    # k is null and ok false where an eigenvalue leaves its class
+    def tampered(omega):
+        values = spectrum(omega).values.copy()
+        values[1::3] += 2
+        values[2::5] -= 8
+        bad = Spectrum(n=omega.n, d=omega.d, values=values)
+        return classify_congruences(bad, omega.u, omega.u in omega)
+
+    monkeypatch.setattr(cli, "classify_set", tampered)
+    for argv in (["spectrum", "--n", "3", "--omega", "001,010,111"],
+                 ["spectrum", "--n", "5", "--omega", "00011,01100,10101"]):
+        _assert_same_bytes(capsys, argv)
+
+
+def test_number_texts_match_json():
+    values = np.array([0.0, -0.0, 1.0, -1.0, 1e-05, 0.1, 1e16, 1e22,
+                       5e-324, -2.5e-308, 1.7976931348623157e308, 0.0,
+                       -0.0, 2.0 ** -40, 1 / 3])
+    assert cli._numbers(values) == [json.dumps(x) for x in values.tolist()]
+    ints = np.array([3, -1, 0, -7, 3, 2 ** 40], dtype=np.int64)
+    missing = ints < 0
+    assert cli._numbers(ints, missing=missing) == [
+        "null" if m else json.dumps(x)
+        for x, m in zip(ints.tolist(), missing.tolist())]
+
+
+# ── no 2^n list reaches json.dumps ────────────────────────────────────────
+
+def test_no_vertex_list_reaches_the_python_encoder(capsys, monkeypatch):
+    dumps = json.dumps
+
+    def longest(obj):
+        if isinstance(obj, dict):
+            return max(map(longest, obj.values()), default=0)
+        if isinstance(obj, (list, tuple)):
+            return max([len(obj), *map(longest, obj)])
+        return 0
+
+    def guarded(obj, *args, **kwargs):
+        if longest(obj) > 1000:
+            raise AssertionError("a list of over 1000 items reached "
+                                 "json.dumps")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", guarded)
+    rng = random.Random(12)
+    dense = ",".join(format(w, "012b") for w in rng.sample(range(1, 4096),
+                                                           24))
+    cube = ",".join(format(1 << i, "012b") for i in range(12))
+    # every label: diameter 1, so 4095 antipodal offsets
+    complete = ",".join(format(w, "012b") for w in range(1, 4096))
+    for omega in (dense, cube, complete):
+        common = ["--n", "12", "--omega", omega]
+        for argv in (["spectrum", *common], ["spectrum", *common, "--csv"],
+                     ["evolve", *common, "--t-pi", "1/2"],
+                     ["evolve", *common, "--t-pi", "1/3"],
+                     ["measure", *common, "--t-pi", "1/2"],
+                     ["graph", *common]):
+            assert cli.main(argv) == 0, argv
+            assert len(capsys.readouterr().out) > 4096
+
+
+def test_non_finite_column_exits_2_with_nothing_on_stdout(capsys,
+                                                          monkeypatch):
+    def poisoned(omega, t):
+        amp = all_amplitudes(omega, t)
+        amp[1] = complex(float("nan"), 0.0)
+        return amp
+
+    monkeypatch.setattr(cli, "all_amplitudes", poisoned)
+    for tail in ([], ["--csv"]):
+        code = cli.main(["evolve", "--n", "3", "--omega", "001,010",
+                         "--t-real", "0.7", *tail])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+

@@ -7,8 +7,9 @@ import pytest
 
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
 from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
-                               CASE_SUM_ZERO, Spectrum, classify_congruences,
-                               _wht_rows, classify_set, spectrum, wht)
+                               CASE_SUM_ZERO, CongruenceEntry, Spectrum,
+                               classify_congruences, _wht_rows, classify_set,
+                               spectrum, wht)
 from cubewalk.bitspace import DimensionMismatchError
 
 
@@ -167,3 +168,89 @@ def test_classify_dimension_mismatch():
     spec = spectrum(hypercube(3))
     with pytest.raises(DimensionMismatchError):
         classify_congruences(spec, GroupElement(1, 2), False)
+
+
+def _classify_by_loop(spec, u, u_in_set):
+    """The per-character loop the vectorized classifier replaced: the oracle.
+
+    Returns (case, entries) with one CongruenceEntry per v.
+    """
+    d = spec.d
+    if u.bits == 0:
+        case, bound = CASE_SUM_ZERO, d // 2
+    elif not u_in_set:
+        case, bound = CASE_SUM_OUTSIDE, (d + 1) // 2
+    else:
+        case, bound = CASE_SUM_INSIDE, (d - 1) // 2
+    entries = []
+    for v in range(spec.size):
+        lam = int(spec.values[v])
+        odd = (u.bits & v).bit_count() & 1
+        if not odd:
+            base, klass = d, "d mod 4"
+        elif case == CASE_SUM_OUTSIDE:
+            base, klass = d + 2, "d+2 mod 4"
+        else:
+            base, klass = d - 2, "d-2 mod 4"
+        diff = base - lam
+        if diff % 4 == 0:
+            k = diff // 4
+            ok = 0 <= k <= bound
+        else:
+            k = None
+            ok = False
+        entries.append(CongruenceEntry(v=v, eigenvalue=lam, k=k,
+                                       congruence_class=klass, ok=ok))
+    return case, tuple(entries)
+
+
+def _assert_matches_loop(spec, u, u_in_set):
+    report = classify_congruences(spec, u, u_in_set)
+    case, entries = _classify_by_loop(spec, u, u_in_set)
+    assert report.case == case
+    assert report.entries == entries
+    assert all(type(e.eigenvalue) is int and type(e.ok) is bool
+               and (e.k is None or type(e.k) is int)
+               for e in report.entries)
+    assert report.all_pass is all(e.ok for e in entries)
+    return report
+
+
+def test_vectorized_classifier_matches_the_loop_exhaustively_small():
+    cases = set()
+    for n in (1, 2, 3):
+        for mask in range(1, 1 << ((1 << n) - 1)):
+            omega = ConnectionSet(n, tuple(j + 1 for j in range((1 << n) - 1)
+                                           if mask >> j & 1))
+            report = _assert_matches_loop(spectrum(omega), omega.u,
+                                          omega.u in omega)
+            cases.add(report.case)
+    assert cases == {CASE_SUM_ZERO, CASE_SUM_OUTSIDE, CASE_SUM_INSIDE}
+
+
+def test_vectorized_classifier_matches_the_loop_on_random_sets():
+    rng = random.Random(13)
+    cases = set()
+    for _ in range(500):
+        omega = _random_set(rng, rng.randint(1, 10))
+        report = _assert_matches_loop(spectrum(omega), omega.u,
+                                      omega.u in omega)
+        cases.add(report.case)
+    assert cases == {CASE_SUM_ZERO, CASE_SUM_OUTSIDE, CASE_SUM_INSIDE}
+
+
+def test_vectorized_classifier_matches_the_loop_on_broken_spectra():
+    # the tampered spectra of the rejection tests above, in every case
+    for omega in (hypercube(3), hypercube(2), ConnectionSet(2, (1, 2, 3)),
+                  ConnectionSet(3, (1, 2, 3, 7))):
+        good = spectrum(omega)
+        for v, shift in ((1, 2), (3, -8), (0, 1), (2, 12)):
+            values = good.values.copy()
+            values[v % good.size] += shift
+            bad = Spectrum(n=good.n, d=good.d, values=values)
+            report = _assert_matches_loop(bad, omega.u, omega.u in omega)
+            assert not report.all_pass
+    broken = classify_congruences(
+        Spectrum(n=3, d=3, values=np.array([3, 3, 1, -1, 1, -1, -1, -3])),
+        hypercube(3).u, False)
+    assert [e.k for e in broken.entries if not e.ok] == [None]
