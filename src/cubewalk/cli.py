@@ -51,8 +51,8 @@ from .graphwalk import (bfs_profile, bipartite_functional,
 from .oracle import OracleMismatchError, verify_equivalence
 from .pst import (CertificationError, certify, decide_pst_exact, folded_cube,
                   plan_route, pst_at_half_pi)
-from .scanner import (ScanReport, antipodality_audit, canonical_dumps,
-                      conjecture_scan, scan_sets)
+from .scanner import (ScanReport, _joined_rows, _pick, antipodality_audit,
+                      canonical_dumps, conjecture_scan, scan_sets)
 from .spectral import classify_set
 
 
@@ -74,11 +74,6 @@ class _Rows(dict):
     a nested object, and the single key "" makes each row the bare value.
     Every column is all JSON strings, or all numbers and nulls.
     """
-
-
-def _pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
-    """texts[index[v]] for every v, one shared string per distinct text."""
-    return np.array(texts, dtype=object)[index].tolist()
 
 
 def _numbers(values: np.ndarray, missing: np.ndarray | None = None
@@ -149,23 +144,6 @@ def _template(node: dict | str, level: int | None) -> tuple[str, list[str]]:
     return "{" + inner + ("," + inner).join(texts) + close + "}", order
 
 
-def _joined_rows(segments: list[str], columns: list[list[str]],
-                 sep: str) -> Iterator[str]:
-    """Every row, the template segments around its column texts, rows
-    joined by ``sep``; yielded _CHUNK rows at a time."""
-    k, size = len(columns), len(columns[0])
-    for start in range(0, size, _CHUNK):
-        m = min(_CHUNK, size - start)
-        parts = [segments[-1] + sep + segments[0]] * (2 * k * m + 1)
-        parts[0] = sep + segments[0] if start else segments[0]
-        parts[-1] = segments[-1]
-        for i, column in enumerate(columns):
-            parts[2 * i + 1::2 * k] = column[start:start + m]
-            if i:
-                parts[2 * i::2 * k] = [segments[i]] * m
-        yield "".join(parts)
-
-
 def _rows_text(rows: _Rows, indented: bool) -> Iterator[str]:
     """The JSON text of the list ``rows`` stands for, in pieces.
 
@@ -175,7 +153,7 @@ def _rows_text(rows: _Rows, indented: bool) -> Iterator[str]:
     template, keys = _row_template(rows, 2 if indented else None)
     yield "[\n    " if indented else "["
     yield from _joined_rows(template.split(_SLOT), [rows[k] for k in keys],
-                            ",\n    " if indented else ",")
+                            ",\n    " if indented else ",", _CHUNK)
     yield "\n  ]" if indented else "]"
 
 
@@ -197,16 +175,19 @@ def _spliced(text: str, tables: dict[str, _Rows],
 
 
 def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
-    """CSV with one column per header, as csv.writer writes the values."""
-    cells = []
-    for texts in columns.values():
-        if texts[0].startswith('"'):
-            cells.append([t[1:-1] for t in texts])
-        else:
-            cells.append(["" if t == "null" else t for t in texts])
+    """CSV with one column per header, as csv.writer writes the values.
+
+    String cells keep their JSON quotes until a piece of rows is joined,
+    and each piece drops them in one pass, so no cell is copied: the
+    string columns (binary labels and class names) never hold a quote.
+    """
+    cells = [texts if texts[0].startswith('"')
+             else ["" if t == "null" else t for t in texts]
+             for texts in columns.values()]
     yield ",".join(columns) + "\r\n"
-    yield from _joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
-                            cells, "")
+    for piece in _joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
+                              cells, "", _CHUNK):
+        yield piece.replace('"', "")
 
 
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,

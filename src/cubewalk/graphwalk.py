@@ -81,7 +81,9 @@ def _bfs_rows(gens: np.ndarray, n: int) -> np.ndarray:
     at r·2ⁿ + x; xor with a label touches only the low n bits, so it stays
     inside its row.  Each level marks the neighbours of its frontier in a
     boolean array and reads the unvisited ones back with ``flatnonzero``,
-    which dedupes the next frontier without a sort.
+    which dedupes the next frontier without a sort.  The generators are
+    gathered one column at a time, so no level holds more than a few
+    frontier-sized arrays; a single row xors its label scalars directly.
     """
     rows = gens.shape[0]
     dist = np.full((rows, 1 << n), -1, dtype=np.int32)
@@ -92,8 +94,13 @@ def _bfs_rows(gens: np.ndarray, n: int) -> np.ndarray:
     while frontier.size:
         level += 1
         marked = np.zeros(flat.size, dtype=bool)
-        for column in gens[frontier >> n].T:
-            marked[frontier ^ column] = True
+        if rows == 1:
+            for label in gens[0].tolist():
+                marked[frontier ^ label] = True
+        else:
+            owner = frontier >> n
+            for column in gens.T:
+                marked[frontier ^ column[owner]] = True
         frontier = np.flatnonzero(marked & (flat < 0))
         flat[frontier] = level
     return dist

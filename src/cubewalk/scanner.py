@@ -18,9 +18,15 @@ per int64 array of the block below n = 14, and one 2ⁿ-entry row above.
 Each layer runs once per block: the xor-sum-zero filter, the
 Walsh-Hadamard butterfly along the rows of the indicator matrix, the
 gcd/character transfer decision per row, and, for the audit, one BFS
-from 0 over the rows that transfer.  Records are built for findings only,
-by the same builder that ``transfer_record`` and ``audit_record`` use for
-one set, so a report line re-runs on its own set to the same dict.
+from 0 over the rows that transfer.  The sets that transfer stay in
+per-block numpy columns: their members, sorted and padded to the block's
+largest degree, u, δ and q of the transfer time π/q, and for the audit
+the connectivity, diameter and distance(0, δ).  The summary counters are
+read off those columns, and the canonical text behind the digest is
+rendered from them, through small text tables, with no per-set dict.
+``ScanReport.findings`` is built on first read, by the same builder that
+``transfer_record`` and ``audit_record`` use for one set, so a report
+line re-runs on its own set to the same dict.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -60,10 +66,11 @@ import heapq
 import json
 import math
 import random
+import re
 import time as _time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -260,11 +267,12 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
 
 def _record(n: int, labels: Iterable[int], u: int,
             offsets: dict[int, RationalAngle],
-            geometry: tuple[bool, int, Sequence[int]] | None = None) -> dict:
+            geometry: tuple[bool, int, Sequence[int] | Mapping[int, int]]
+            | None = None) -> dict:
     """The report line of one set; with ``geometry`` also its audit fields.
 
     ``geometry`` is (connected, diameter, dist) of the BFS from 0, with
-    dist indexed by vertex.
+    dist indexed by vertex (every offset at least).
     """
     code = f"0{n}b"
     omega = [format(e, code) for e in labels]
@@ -311,32 +319,186 @@ def audit_record(omega: ConnectionSet) -> dict:
     return _record(omega.n, omega.elements, omega.u.bits, offsets, geometry)
 
 
-# ── surveys ───────────────────────────────────────────────────────────────
+# ── findings as columns ───────────────────────────────────────────────────
 
 def canonical_dumps(obj) -> str:
     """Sorted keys, no whitespace: the bytes every payload digest covers."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(eq=False)
+def _pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
+    """texts[index[v]] for every v, one shared string per distinct text."""
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _joined_rows(segments: list[str], columns: list[list[str]], sep: str,
+                 chunk: int) -> Iterator[str]:
+    """Every row, the template segments around its column texts, rows
+    joined by ``sep``; yielded ``chunk`` rows at a time."""
+    k, size = len(columns), len(columns[0])
+    for start in range(0, size, chunk):
+        m = min(chunk, size - start)
+        parts = [segments[-1] + sep + segments[0]] * (2 * k * m + 1)
+        parts[0] = sep + segments[0] if start else segments[0]
+        parts[-1] = segments[-1]
+        for i, column in enumerate(columns):
+            parts[2 * i + 1::2 * k] = column[start:start + m]
+            if i:
+                parts[2 * i::2 * k] = [segments[i]] * m
+        yield "".join(parts)
+
+
+def _small_ints(values: np.ndarray) -> list[str]:
+    return _pick(values, [str(v) for v in range(int(values.max()) + 1)])
+
+
+def _booleans(values: np.ndarray) -> list[str]:
+    return _pick(values.astype(np.intp), ["false", "true"])
+
+
+def _template(audit: bool) -> tuple[list[str], list[str]]:
+    """The canonical text of one finding cut around its fields: the text
+    segments, and the field names in the order they fill the cuts."""
+    entry = {"delta": "\0delta", "time": "\0time"}
+    record = {"omega": "\0omega", "d": "\0d", "u": "\0u", "pst": [entry]}
+    if audit:
+        entry.update(distance="\0distance", antipodal="\0antipodal",
+                     is_xor_sum="\0is_xor_sum")
+        record.update(connected="\0connected", diameter="\0diameter",
+                      violations="\0violations")
+    parts = re.split(r'"\\u0000(\w+)"', canonical_dumps(record))
+    return parts[0::2], parts[1::2]
+
+
+_TEMPLATES = {audit: _template(audit) for audit in (False, True)}
+
+
+@dataclass(frozen=True, eq=False)
+class _Findings:
+    """The sets of one survey block that transfer, one entry per set.
+
+    ``labels`` holds each set's members in ascending order, padded on the
+    left with label 0 up to the block's largest degree; the set transfers
+    0 → ``delta`` at π/``q``.  The audit adds the BFS geometry from 0:
+    ``connected``, ``diameter`` and ``distance`` to δ.
+    """
+
+    labels: np.ndarray
+    u: np.ndarray
+    delta: np.ndarray
+    q: np.ndarray
+    connected: np.ndarray | None = None
+    diameter: np.ndarray | None = None
+    distance: np.ndarray | None = None
+
+    def records(self, n: int) -> Iterator[dict]:
+        """The report lines, each as ``audit_record``/``transfer_record``
+        gives it for that set."""
+        geometry = repeat(None)
+        if self.connected is not None:
+            geometry = zip(self.connected.tolist(), self.diameter.tolist(),
+                           self.distance.tolist())
+        for labels, u, db, q, geo in zip(self.labels.tolist(),
+                                         self.u.tolist(),
+                                         self.delta.tolist(),
+                                         self.q.tolist(), geometry):
+            if geo is not None:
+                geo = (geo[0], geo[1], {db: geo[2]})
+            yield _record(n, [x for x in labels if x], u,
+                          {db: RationalAngle(1, q)}, geo)
+
+    def columns(self, n: int) -> dict[str, list[str]]:
+        """The JSON text of every field of every record, by field name.
+
+        Labels, small ints, booleans and times are picked from tables of
+        their distinct texts; omega and violations are built as compact
+        JSON texts by elementwise concatenation, one padded column at a
+        time, so the work scales with the labels held, not with 2ⁿ.
+        """
+        rows, k = self.labels.shape
+        distinct, index = np.unique(
+            np.column_stack([self.labels, self.u, self.delta]),
+            return_inverse=True)
+        index = index.reshape(rows, k + 2)
+        quoted = np.array([f'"{x:0{n}b}"' for x in distinct.tolist()],
+                          dtype=object)
+        listed = quoted + ","
+        listed[distinct == 0] = ""  # padding adds nothing to omega
+        omega = "["
+        for j in range(k - 1):
+            omega = omega + listed[index[:, j]]
+        omega = omega + quoted[index[:, k - 1]] + "]"
+        times, at = np.unique(self.q, return_inverse=True)
+        columns = {
+            "omega": omega.tolist(),
+            "d": _small_ints(np.count_nonzero(self.labels, axis=1)),
+            "u": quoted[index[:, k]].tolist(),
+            "delta": quoted[index[:, k + 1]].tolist(),
+            "time": _pick(at, [json.dumps(str(RationalAngle(1, q)))
+                               for q in times.tolist()]),
+        }
+        if self.connected is not None:
+            xor_sum = self.delta == self.u
+            violations = ("[" + quoted + "]")[index[:, k + 1]]
+            violations[xor_sum] = "[]"
+            columns.update(
+                connected=_booleans(self.connected),
+                diameter=_small_ints(self.diameter),
+                distance=_small_ints(self.distance),
+                antipodal=_booleans(self.distance == self.diameter),
+                is_xor_sum=_booleans(xor_sum),
+                violations=violations.tolist())
+        return columns
+
+    def text(self, n: int) -> Iterator[str]:
+        """The records in canonical JSON, comma-joined, in pieces."""
+        segments, names = _TEMPLATES[self.connected is not None]
+        columns = self.columns(n)
+        return _joined_rows(segments, [columns[name] for name in names],
+                            ",", len(self.u))
+
+
+# ── surveys ───────────────────────────────────────────────────────────────
+
 class ScanReport:
     """Survey result: deterministic payload plus volatile wall time.
 
     ``payload`` (and therefore ``digest``) contains nothing that varies
     between identical runs; two equal surveys must produce byte-identical
     payload JSON regardless of the clock.
+
+    A survey hands over its findings as per-block columns (``blocks``)
+    and ``findings=None``: ``findings`` is then built on first read, and
+    ``canonical_json`` and ``digest`` render the findings text straight
+    from the columns, the bytes ``canonical_dumps(payload())`` would give.
+    A report built with a ``findings`` list serializes that list.
     """
 
-    kind: str
-    n: int
-    filters: dict
-    universe: int
-    findings: list[dict]
-    summary: dict
-    violations: int
-    wall_time_s: float
+    def __init__(self, kind: str, n: int, filters: dict, universe: int,
+                 findings: list[dict] | None, summary: dict, violations: int,
+                 wall_time_s: float, blocks: Sequence[_Findings] = ()):
+        self.kind = kind
+        self.n = n
+        self.filters = filters
+        self.universe = universe
+        self.summary = summary
+        self.violations = violations
+        self.wall_time_s = wall_time_s
+        self._findings = findings
+        self._blocks = tuple(blocks)
+
+    @property
+    def findings(self) -> list[dict]:
+        """One record per set that transfers, in canonical set order."""
+        if self._findings is None:
+            self._findings = [record for block in self._blocks
+                              for record in block.records(self.n)]
+        return self._findings
 
     def payload(self) -> dict:
+        return self._payload(self.findings)
+
+    def _payload(self, findings) -> dict:
         return {
             "kind": self.kind,
             "n": self.n,
@@ -344,7 +506,7 @@ class ScanReport:
             "universe": self.universe,
             "violations": self.violations,
             "summary": self.summary,
-            "findings": self.findings,
+            "findings": findings,
         }
 
     @property
@@ -352,11 +514,29 @@ class ScanReport:
         """Survey throughput; 0 when the clock saw no time pass."""
         return self.universe / self.wall_time_s if self.wall_time_s else 0.0
 
+    def _pieces(self) -> Iterator[str]:
+        """``canonical_dumps(payload())`` in pieces."""
+        if not self._blocks:
+            yield canonical_dumps(self.payload())
+            return
+        hole = "\0"  # JSON text never holds a raw NUL
+        head, tail = canonical_dumps(self._payload(hole)).split(
+            json.dumps(hole))
+        yield head + "["
+        for i, block in enumerate(self._blocks):
+            if i:
+                yield ","
+            yield from block.text(self.n)
+        yield "]" + tail
+
     def canonical_json(self) -> str:
-        return canonical_dumps(self.payload())
+        return "".join(self._pieces())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        digest = hashlib.sha256()
+        for piece in self._pieces():
+            digest.update(piece.encode())
+        return digest.hexdigest()
 
 
 EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
@@ -366,19 +546,18 @@ EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
 def _survey(kind: str, n: int, *, d_min: int | None = None,
             d_max: int | None = None, u_zero: bool = False,
             sample: int | None = None, seed: int = 0) -> ScanReport:
-    """The one survey loop: block by block, records only for findings.
+    """The one survey loop: block by block, columns only for findings.
 
     ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  Each
     block of masks gets one spectrum pass and one transfer decision; the
-    audit adds one BFS over the block's findings.  A record is built only
-    for a set that transfers, with the fields ``audit_record`` or
-    ``transfer_record`` give that set.
+    audit adds one BFS over the block's findings.  The sets that transfer
+    are kept as one ``_Findings`` per block; no record is built here.
     """
     started = _time.perf_counter()
     audit = kind == "antipodal-audit"
     labels = np.arange(1 << n)
     scanned = 0
-    findings = []
+    blocks = []
     for masks, ind in _blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                               sample=sample, seed=seed):
         scanned += len(masks)
@@ -387,42 +566,38 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
         if not hits.size:
             continue
         members = ind[hits] * labels  # each label in its own column, else 0
-        us = np.bitwise_xor.reduce(members, axis=1).tolist()
-        deltas = delta[hits].tolist()
-        times = [RationalAngle(1, q) for q in g[hits].tolist()]
-        geometry = [None] * hits.size
+        degree = int(np.count_nonzero(members, axis=1).max())
+        gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
+        found = dict(labels=gens, u=np.bitwise_xor.reduce(gens, axis=1),
+                     delta=delta[hits], q=g[hits])
         if audit:
-            degree = int(np.count_nonzero(members, axis=1).max())
-            gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
             dists = _bfs_rows(gens, n)
-            geometry = zip((dists >= 0).all(axis=1).tolist(),
-                           dists.max(axis=1).tolist(), dists.tolist())
-        for row, u, db, t, geo in zip(hits.tolist(), us, deltas, times,
-                                      geometry):
-            findings.append(_record(n, _mask_labels(masks[row]), u,
-                                    {db: t}, geo))
-    offsets = sum(len(record["pst"]) for record in findings)
+            found.update(connected=(dists >= 0).all(axis=1),
+                         diameter=dists.max(axis=1),
+                         distance=dists[np.arange(hits.size), delta[hits]])
+        blocks.append(_Findings(**found))
+    count = sum(len(block.u) for block in blocks)  # one offset per set
     note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
     if kind == "pst-scan":
         violations = 0
-        summary = {"sets_scanned": scanned, "sets_with_pst": len(findings),
-                   "offsets_checked": offsets, "note": note}
+        summary = {"sets_scanned": scanned, "sets_with_pst": count,
+                   "offsets_checked": count, "note": note}
     elif kind == "conjecture-scan":
-        violations = len(findings)
+        violations = count
         summary = {"sets_scanned": scanned, "counterexamples": violations,
                    "note": note}
     else:
-        violations = sum(len(record["violations"]) for record in findings)
+        def tally(flags) -> int:
+            return sum(int(np.count_nonzero(flags(b))) for b in blocks)
+
+        violations = tally(lambda b: b.delta != b.u)
         summary = {
             "sets_scanned": scanned,
-            "sets_with_pst": len(findings),
-            "offsets_checked": offsets,
+            "sets_with_pst": count,
+            "offsets_checked": count,
             "violations": violations,
-            "metric_non_antipodal": sum(
-                not entry["antipodal"]
-                for record in findings for entry in record["pst"]),
-            "disconnected_with_pst": sum(
-                not record["connected"] for record in findings),
+            "metric_non_antipodal": tally(lambda b: b.distance != b.diameter),
+            "disconnected_with_pst": tally(lambda b: ~b.connected),
             "reading": ("violation = transfer offset differing from the "
                         "xor-sum; the distance-vs-diameter counts are "
                         "reported, not asserted"),
@@ -432,9 +607,10 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
                "u": "zero" if u_zero else "any", "sample": sample,
                "seed": seed if sample is not None else None}
     return ScanReport(kind=kind, n=n, filters=filters, universe=scanned,
-                      findings=findings, summary=summary,
+                      findings=None, summary=summary,
                       violations=violations,
-                      wall_time_s=_time.perf_counter() - started)
+                      wall_time_s=_time.perf_counter() - started,
+                      blocks=blocks)
 
 
 def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,

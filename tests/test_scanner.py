@@ -327,7 +327,7 @@ def test_sampled_scan_records_seed():
     assert report.canonical_json() == again.canonical_json()
 
 
-@pytest.mark.parametrize("survey, n, kwargs, want", [
+PINNED_SURVEYS = [
     (antipodality_audit, 3, {},
      "124cd808ff1b7bbae63993c840465d27c4ce96384426b729ef35f8039004d409"),
     (conjecture_scan, 3, {},
@@ -343,8 +343,54 @@ def test_sampled_scan_records_seed():
      "e5ed10aa482cfa44a6143d8d536b491a67a6ecedb8e78841aa93a19cd17ee410"),
     (scan_sets, 5, {"d_min": 3, "d_max": 3},
      "c7cf9e849bc5ce5e05d9419b99551c9ace385960154813ab0114a27dbe57d7ad"),
-])
+]
+
+
+@pytest.mark.parametrize("survey, n, kwargs, want", PINNED_SURVEYS)
 def test_pinned_survey_digests(survey, n, kwargs, want):
     # payload bytes pinned from an earlier release; any drift is a change
     # in survey output, not in wall time
     assert survey(n, **kwargs).digest() == want
+
+
+def _larger_surveys():
+    # sampled, windowed and u = 0 surveys past the exhaustive caps, where
+    # labels outgrow a mask word and blocks shrink to a few sets
+    for n in range(6, 11):
+        yield scan_sets(n, sample=24, seed=n)
+        yield scan_sets(n, d_min=2, d_max=n + 1, sample=24, seed=n)
+        yield conjecture_scan(n, sample=24, seed=n)
+        yield scanner._survey("antipodal-audit", n, sample=24, seed=n)
+
+
+def test_survey_digest_renders_from_columns():
+    reports = [survey(n, **kwargs) for survey, n, kwargs, _ in PINNED_SURVEYS]
+    reports += _larger_surveys()
+    # an audit of xor-sum-zero sets: its transfer offsets are violations
+    violating = scanner._survey("antipodal-audit", 5, u_zero=True,
+                                sample=20000, seed=1)
+    empty = conjecture_scan(3)
+    for report in reports + [violating, empty]:
+        # rendered first, from the columns; the records are read after
+        text, digest = report.canonical_json(), report.digest()
+        want = scanner.canonical_dumps(report.payload())
+        assert text == want
+        assert digest == hashlib.sha256(want.encode()).hexdigest()
+    assert sum(len(r.findings) for r in reports[7:]) > 300
+    assert violating.violations == len(violating.findings) > 0
+    assert empty.findings == []
+
+
+def test_survey_builds_no_record_until_read(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a record was built before findings was read")
+
+    monkeypatch.setattr(scanner, "_record", built)
+    audit = antipodality_audit(4)
+    audit.digest()
+    scan = scan_sets(5, d_min=3, d_max=3)
+    scan.digest()
+    assert audit.summary["sets_with_pst"] == 30720
+    assert scan.summary["sets_with_pst"] > 0
+    with pytest.raises(AssertionError, match="record was built"):
+        scan.findings
