@@ -120,6 +120,8 @@ class ConnectionSet:
     is allowed (it generates the edgeless graph).  Zero labels and
     duplicates are rejected outright so the invariants d = len(elements)
     and u = xor of all elements can be trusted everywhere else.
+    ``spectral.spectrum`` stores its result on the object as ``_spectrum``,
+    outside the fields.
     """
 
     n: int

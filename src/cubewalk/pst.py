@@ -37,7 +37,11 @@ complex number otherwise, exact whenever it is a power of i.
 
 Routing.  Removing one basis generator eᵢ from the folded-cube set leaves
 a set with xor-sum eᵢ, so any target is reached by chaining quarter-period
-hops along its set bits.
+hops along its set bits.  Removing a member w from a set takes the term
+(−1)^(wᵀv) out of every λ_v, so stage i's spectrum is λ_v − (−1)^(vᵢ) for
+λ the folded-cube spectrum: a plan runs one WHT, on the folded cube,
+derives each stage's spectrum from it, certifies the stage on it, and
+drops it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
 from .dynamics import HALF_PI, GaussianInteger, RationalAngle, gaussian_unit
-from .spectral import spectrum
+from .spectral import spectrum, wht
 
 
 class CertificationError(RuntimeError):
@@ -168,18 +172,32 @@ def certify(omega: ConnectionSet, delta: GroupElement, time: RationalAngle,
     if delta.n != omega.n:
         raise DimensionMismatchError(
             f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
+    return _certificate(omega.n, omega.d, spectrum(omega).values, delta,
+                        time, method)
+
+
+def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
+                 time: RationalAngle, method: str) -> PstCertificate:
+    """The check behind ``certify``, on the spectrum ``values`` of a set
+    of degree d in Z₂ⁿ."""
     q = time.q
-    gaps = omega.d - spectrum(omega).values  # Δ_v, in [0, 2d]
-    parity = np.bitwise_count(np.arange(gaps.size) & delta.bits) & 1
-    m = min(q, 2 * omega.d + 1)  # the same test for any q, in int64
-    if (gaps % m).any() or ((gaps // m - parity) & 1).any():
+    m = min(q, 2 * d + 1)  # the same test for any q, in int64
+    weights = np.bitwise_count(np.arange(values.size) & delta.bits)
+    gaps = d - values  # Δ_v, in [0, 2d]; reduced in place below
+    aligned = not (gaps % m).any()
+    if aligned:  # then Δ_v/q must have the parity of δᵀv
+        gaps //= m
+        gaps -= weights
+        gaps &= 1
+        aligned = not gaps.any()
+    if not aligned:
         raise CertificationError(
             f"fidelity at {time} for delta={delta} is not 1")
-    e0 = -time.p * omega.d % (2 * q)
+    e0 = -time.p * d % (2 * q)
     k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
     phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
     return PstCertificate(
-        n=omega.n, delta=delta, time=time, method=method,
+        n=n, delta=delta, time=time, method=method,
         phase=phase if time.is_quarter_exact else complex(phase))
 
 
@@ -202,7 +220,9 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     Stage i uses the folded-cube set with basis generator eᵢ removed; its
     xor-sum is then eᵢ, so the stage teleports by eᵢ in time π/2.  One
     stage per set bit of the target, ascending.  Every stage certificate
-    is verified before the plan is returned.
+    is verified exactly before the plan is returned, on a stage spectrum
+    derived from the one folded-cube WHT (see "Routing" in the module
+    docstring); no spectrum is stored on any set of the plan.
     """
     if isinstance(target, int):
         target = GroupElement(target, n)
@@ -212,27 +232,34 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     if target.bits == 0:
         raise ValueError("target must be nonzero; the empty route is trivial")
     base = folded_cube(n)
-    stages = []
+    values = wht(base.indicator())
     if n == 1:
         # {1} already has xor-sum e₁; removing it would leave nothing.
-        cert = pst_at_half_pi(base)
-        stages.append(RouteStage(omega=base, hop=cert.delta, time=cert.time,
-                                 certificate=cert))
+        stages = [_stage(base, values)]
     else:
-        for i in range(n):
-            if not (target.bits >> i) & 1:
-                continue
-            hop = GroupElement(1 << i, n)
-            stage_set = ConnectionSet(
-                n, tuple(e for e in base.elements if e != hop.bits))
-            cert = pst_at_half_pi(stage_set)
-            if cert is None or cert.delta != hop:
-                raise RuntimeError("internal: stage set lost its xor-sum")
-            stages.append(RouteStage(omega=stage_set, hop=hop,
-                                     time=cert.time, certificate=cert))
+        stages = [
+            _stage(ConnectionSet(n, tuple(e for e in base.elements
+                                          if e != 1 << i)),
+                   _without_generator(values, i))
+            for i in range(n) if (target.bits >> i) & 1]
     acc = 0
     for stage in stages:
         acc ^= stage.hop.bits
     if acc != target.bits:
         raise RuntimeError("internal: route hops do not reach the target")
     return RoutingPlan(n=n, target=target, base=base, stages=tuple(stages))
+
+
+def _without_generator(values: np.ndarray, i: int) -> np.ndarray:
+    """λ_v − (−1)^(vᵢ): the spectrum once eᵢ leaves a set with spectrum λ."""
+    halves = values.reshape(-1, 2, 1 << i)  # [:, b, :] holds the v with vᵢ = b
+    return (halves + np.array([[-1], [1]])).reshape(values.shape)
+
+
+def _stage(omega: ConnectionSet, values: np.ndarray) -> RouteStage:
+    """The certified π/2 hop by the xor-sum of ``omega``, whose spectrum is
+    ``values``."""
+    cert = _certificate(omega.n, omega.d, values, omega.u, HALF_PI,
+                        "closed-form")
+    return RouteStage(omega=omega, hop=cert.delta, time=cert.time,
+                      certificate=cert)

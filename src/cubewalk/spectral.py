@@ -83,10 +83,22 @@ class Spectrum:
 
 
 def spectrum(omega: ConnectionSet) -> Spectrum:
-    """Integer spectrum of X(Z₂ⁿ, Ω) via one WHT of the indicator of Ω."""
-    values = wht(omega.indicator())
-    values.setflags(write=False)
-    return Spectrum(n=omega.n, d=omega.d, values=values)
+    """Integer spectrum of X(Z₂ⁿ, Ω) via one WHT of the indicator of Ω.
+
+    The first call stores the result on ``omega`` itself, and every later
+    call on the same object returns that stored, read-only Spectrum, so
+    each set object pays for one transform.  The stored spectrum lives
+    exactly as long as ``omega``; it is not a field, so equality, hashing
+    and repr of the set ignore it, and an equal but distinct set runs its
+    own transform.
+    """
+    spec = getattr(omega, "_spectrum", None)
+    if spec is None:
+        values = wht(omega.indicator())
+        values.setflags(write=False)
+        spec = Spectrum(n=omega.n, d=omega.d, values=values)
+        object.__setattr__(omega, "_spectrum", spec)  # omega is frozen
+    return spec
 
 
 # ── congruence classification ────────────────────────────────────────────

@@ -7,6 +7,11 @@ gate can be read at a glance without scrolling the full report.
 
 import re
 
+import numpy as np
+import pytest
+
+from cubewalk import spectral
+
 CRITERIA = {
     1: "hypercube transfer to the all-ones offset at pi/2, exact, n up to 10",
     2: "three-generator example: pairs, folded-cube bipartition, profile",
@@ -18,6 +23,25 @@ CRITERIA = {
     8: "antipodality audit clean and deterministic, n up to 4",
     9: "routing plans verified stage by stage, n = 3..6",
 }
+
+@pytest.fixture
+def integer_transforms(monkeypatch):
+    """The shapes of the integer WHTs run during the test, one per call.
+
+    Every spectrum (``spectral.wht`` on a 0/1 indicator) passes through
+    ``spectral._wht_rows``; the float transforms of the walk are left out.
+    """
+    calls = []
+    inner = spectral._wht_rows
+
+    def counting(arr):
+        if not np.issubdtype(arr.dtype, np.inexact):
+            calls.append(arr.shape)
+        return inner(arr)
+
+    monkeypatch.setattr(spectral, "_wht_rows", counting)
+    return calls
+
 
 _PATTERN = re.compile(r"test_criterion_(\d+)")
 _outcomes: dict[int, str] = {}

@@ -13,11 +13,13 @@ from cubewalk.bitspace import (ConnectionSet, DimensionMismatchError,
                                GroupElement, hypercube)
 from cubewalk.dynamics import (HALF_PI, GaussianInteger, RationalAngle,
                                all_fidelities)
+from cubewalk import pst
 from cubewalk.oracle import evolve_expm
 from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
                           folded_cube, plan_route, pst_at_half_pi,
                           pst_offsets)
 from cubewalk.scanner import enumerate_sets, scan_sets
+from cubewalk.spectral import classify_set, spectrum, wht
 
 
 def _random_set(rng, n):
@@ -342,3 +344,70 @@ def test_plan_route_dense_composition():
     for stage in plan.stages:
         u_total = evolve_dense(stage.omega, stage.time.radians) @ u_total
     assert abs(abs(u_total[target, 0]) - 1.0) <= 1e-9
+
+
+# ── one spectrum per set ──────────────────────────────────────────────────
+
+def test_one_integer_transform_per_set(integer_transforms):
+    rng = random.Random(10)
+    omega = ConnectionSet(10, tuple(rng.sample(range(1, 1 << 10), 23)))
+    assert omega.u.bits
+    spec = spectrum(omega)
+    assert classify_set(omega).eigenvalues is spec.values
+    assert pst_at_half_pi(omega).delta == omega.u
+    for delta in (omega.u, GroupElement(rng.randrange(1, 1 << 10), 10)):
+        decide_pst_exact(omega, delta)
+    certify(omega, omega.u, HALF_PI)
+    all_fidelities(omega, RationalAngle(1, 3))
+    assert integer_transforms == [(1 << 10,)]
+
+
+def test_plan_route_runs_one_transform(integer_transforms):
+    for n in range(2, 13):
+        integer_transforms.clear()
+        plan = plan_route(n, (1 << n) - 1)
+        assert len(plan.stages) == n
+        assert integer_transforms == [(1 << n,)]
+        # no stage set carries a spectrum, so a re-check runs its own WHT
+        for stage in plan.stages:
+            certify(stage.omega, stage.hop, stage.time)
+        assert len(integer_transforms) == 1 + n
+
+
+def test_stage_spectra_are_the_folded_cube_spectrum_less_one_generator(
+        monkeypatch):
+    certified = []
+    inner = pst._certificate
+
+    def recording(n, d, values, delta, time, method):
+        certified.append(values.copy())
+        return inner(n, d, values, delta, time, method)
+
+    monkeypatch.setattr(pst, "_certificate", recording)
+    for n in range(2, 9):
+        folded = wht(folded_cube(n).indicator())
+        v = np.arange(1 << n)
+        for target in range(1, 1 << n):
+            certified.clear()
+            plan = plan_route(n, target)
+            assert len(certified) == len(plan.stages)
+            for stage, values in zip(plan.stages, certified):
+                i = stage.hop.bits.bit_length() - 1
+                assert values.tolist() == wht(stage.omega.indicator()).tolist()
+                assert values.tolist() == (
+                    folded - (1 - 2 * ((v >> i) & 1))).tolist()
+                assert "_spectrum" not in vars(stage.omega)
+    assert "_spectrum" not in vars(plan_route(1, 1).stages[0].omega)
+
+
+def test_plan_route_rejects_a_tampered_stage_spectrum(monkeypatch):
+    inner = pst._without_generator
+
+    def tampered(values, i):
+        out = inner(values, i)
+        out[-1] += 2
+        return out
+
+    monkeypatch.setattr(pst, "_without_generator", tampered)
+    with pytest.raises(CertificationError):
+        plan_route(5, 0b10110)

@@ -1,6 +1,7 @@
 """Walsh transform, integer spectra, and congruence classification."""
 
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +104,34 @@ def test_spectrum_values_are_write_locked():
     spec = spectrum(hypercube(3))
     with pytest.raises(ValueError):
         spec.values[0] = 99
+
+
+def test_spectrum_is_stored_on_its_set(integer_transforms):
+    omega = hypercube(5)
+    before = (hash(omega), repr(omega))
+    first = spectrum(omega)
+    assert spectrum(omega) is first
+    assert classify_set(omega).eigenvalues is first.values
+    assert integer_transforms == [(32,)]
+    with pytest.raises(ValueError):
+        first.values[0] = 99
+    twin = ConnectionSet(5, omega.elements)
+    assert twin == omega and twin is not omega
+    assert spectrum(twin) is not first
+    assert spectrum(twin).values.tolist() == first.values.tolist()
+    assert len(integer_transforms) == 2
+    assert (hash(omega), repr(omega)) == before
+    assert hash(twin) == hash(omega) and {omega: 1}[twin] == 1
+
+
+def test_stored_spectrum_lives_as_long_as_its_set():
+    omega = hypercube(4)
+    kept = weakref.ref(spectrum(omega))
+    assert kept() is spectrum(omega)
+    dropped = weakref.ref(spectrum(hypercube(4)))
+    assert dropped() is None
+    del omega
+    assert kept() is None
 
 
 def test_hypercube_spectrum_formula():
