@@ -121,7 +121,8 @@ class ConnectionSet:
     duplicates are rejected outright so the invariants d = len(elements)
     and u = xor of all elements can be trusted everywhere else.
     ``spectral.spectrum`` stores its result on the object as ``_spectrum``,
-    outside the fields.
+    and ``pst.pst_offsets`` its decision as ``_pst_offsets``, outside the
+    fields.
     """
 
     n: int

@@ -155,9 +155,15 @@ _UNITS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
 # ── float path ────────────────────────────────────────────────────────────
 
 def all_amplitudes(omega: ConnectionSet, t: float) -> np.ndarray:
-    """Unnormalized amplitudes T_δ(t) for every δ, complex128."""
-    lam = spectrum(omega).values
-    return wht(np.exp(-1j * float(t) * lam))
+    """Unnormalized amplitudes T_δ(t) for every δ, complex128.
+
+    λ takes integer values in [−d, d] only, so the phases e^(−iλt) are read
+    from a table of 2d + 1 exponentials, each computed by the same
+    expression as a phase taken entry by entry, hence with the same bits.
+    """
+    d = omega.d
+    table = np.exp(-1j * float(t) * np.arange(-d, d + 1, dtype=np.int64))
+    return wht(table[spectrum(omega).values + d])
 
 
 def amplitude(omega: ConnectionSet, a: GroupElement, b: GroupElement,
@@ -175,13 +181,11 @@ def all_fidelities(omega: ConnectionSet, t) -> np.ndarray:
     ``t`` may be a float (radians) or a RationalAngle.  On the π/2 grid the
     entries are the exact 0.0 and 1.0 of the point mass, not approximations.
     """
-    size = 1 << omega.n
     if isinstance(t, RationalAngle):
         if t.is_quarter_exact:
-            re, im = exact_components(omega, t)
-            return np.sqrt((re * re + im * im).astype(np.float64)) / size
+            return _grid_fidelities(omega, t, 0)
         t = t.radians
-    return np.abs(all_amplitudes(omega, float(t))) / size
+    return np.abs(all_amplitudes(omega, float(t))) / (1 << omega.n)
 
 
 # ── exact path (q | 2) ────────────────────────────────────────────────────
@@ -195,6 +199,14 @@ def _point_mass(omega: ConnectionSet,
     m = t.p * (2 // t.q)
     return (omega.u.bits if m % 2 else 0,
             gaussian_unit(-m * omega.d) * (1 << omega.n))
+
+
+def _grid_fidelities(omega: ConnectionSet, t: RationalAngle,
+                    a: int) -> np.ndarray:
+    """Float zeros with one exact 1.0 at a ⊕ mu: |T_δ(t)|/2ⁿ over δ = a⊕b."""
+    out = np.zeros(1 << omega.n)
+    out[a ^ _point_mass(omega, t)[0]] = 1.0
+    return out
 
 
 def exact_components(omega: ConnectionSet,
@@ -237,6 +249,8 @@ def measurement_distribution(omega: ConnectionSet, a: GroupElement,
     if a.n != omega.n:
         raise DimensionMismatchError(
             f"vertex of Z2^{a.n} against a set on Z2^{omega.n}")
+    if isinstance(t, RationalAngle) and t.is_quarter_exact:
+        return _grid_fidelities(omega, t, a.bits)
     fid = all_fidelities(omega, t)
     idx = np.arange(1 << omega.n) ^ a.bits
     return (fid * fid)[idx]

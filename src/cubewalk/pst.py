@@ -30,8 +30,10 @@ T_δ(t) are powers ζ^(e_v) of ζ = e^(iπ/q), e_v = q·δᵀv − p·λ_v mod 2
 the fidelity is 1 iff they all coincide: p·Δ_v ≡ q·δᵀv (mod 2q) for every
 v.  With p, q coprime these are the congruences above at τ = p/q, q | Δ_v
 and Δ_v/q ≡ δᵀv (mod 2); p drops out, as it is odd when q is even and
-Δ_v/q is even when q is odd.  ``certify`` checks them in integers, with
-no amplitude and no tolerance, and reads off the global phase
+Δ_v/q is even when q is odd.  Together they are one congruence per v,
+Δ_v ≡ q·(δᵀv mod 2) (mod 2q), a mask of the low bits when q is a power
+of two.  ``certify`` checks all 2ⁿ of them in integers, with no
+amplitude and no tolerance, and reads off the global phase
 e^(−idt) = ζ^(e_0), e_0 = −p·d mod 2q: a Gaussian unit on the π/2 grid, a
 complex number otherwise, exact whenever it is a power of i.
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
 from .dynamics import HALF_PI, GaussianInteger, RationalAngle, gaussian_unit
-from .spectral import spectrum, wht
+from .spectral import character_bits, spectrum, wht
 
 
 class CertificationError(RuntimeError):
@@ -118,12 +120,18 @@ def pst_offsets(omega: ConnectionSet) -> dict[int, RationalAngle]:
     """All offsets δ with PST and their earliest times, one spectrum pass.
 
     The result holds at most one offset: {δ: π/g} when Δ/g mod 2 is the
-    character of δ, and {} otherwise (see the module docstring).
+    character of δ, and {} otherwise (see the module docstring).  Like
+    ``spectrum``, the first call stores the decision on ``omega`` (as
+    ``_pst_offsets``), so every δ asked of one set object costs one pass;
+    each call returns a fresh dict.
     """
-    delta, g = _decide_rows(spectrum(omega).values[None, :])
-    if not delta[0]:
-        return {}
-    return {int(delta[0]): RationalAngle(1, int(g[0]))}
+    offsets = getattr(omega, "_pst_offsets", None)
+    if offsets is None:
+        delta, g = _decide_rows(spectrum(omega).values[None, :])
+        offsets = {int(delta[0]): RationalAngle(1, int(g[0]))} \
+            if delta[0] else {}
+        object.__setattr__(omega, "_pst_offsets", offsets)  # omega is frozen
+    return dict(offsets)
 
 
 def _decide_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,15 +190,13 @@ def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
     of degree d in Z₂ⁿ."""
     q = time.q
     m = min(q, 2 * d + 1)  # the same test for any q, in int64
-    weights = np.bitwise_count(np.arange(values.size) & delta.bits)
     gaps = d - values  # Δ_v, in [0, 2d]; reduced in place below
-    aligned = not (gaps % m).any()
-    if aligned:  # then Δ_v/q must have the parity of δᵀv
-        gaps //= m
-        gaps -= weights
-        gaps &= 1
-        aligned = not gaps.any()
-    if not aligned:
+    np.subtract(gaps, m, out=gaps, where=character_bits(n, delta.bits))
+    if m & (m - 1):
+        gaps %= 2 * m
+    else:  # m = 2^s (m = 2 on the π/2 grid): the residue is a mask
+        gaps &= 2 * m - 1
+    if gaps.any():
         raise CertificationError(
             f"fidelity at {time} for delta={delta} is not 1")
     e0 = -time.p * d % (2 * q)

@@ -11,6 +11,15 @@ produces the full spectrum at once.  The transform here is the plain
 butterfly in natural (binary-counter) order, without 1/√2 factors, hence
 wht(wht(x)) == 2ⁿ·x.
 
+The butterfly levels run from the lowest bit up, two at a time (radix 4).
+For the entries x₀, x₁, x₂, x₃ at offsets 0, h, 2h, 3h, one pass forms
+s₀₁ = x₀+x₁, d₀₁ = x₀−x₁, s₂₃ = x₂+x₃, d₂₃ = x₂−x₃ and writes s₀₁+s₂₃,
+d₀₁+d₂₃, s₀₁−s₂₃, d₀₁−d₂₃ back in place; an odd number of levels ends
+with one radix-2 pass.  These are the very sums and differences that the
+radix-2 levels h and 2h compute, on the same operands in the same order,
+so int64, float64 and complex128 results keep every bit of the
+level-by-level butterfly, in two sweeps over the data per two levels.
+
 Each eigenvalue is further pinned down modulo 4 by the xor-sum u of the
 connection set; ``classify_congruences`` checks the applicable congruence
 for every eigenvalue and reports the multiplicity index k it determines.
@@ -45,23 +54,51 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     """The butterfly along the last axis, one transform per row.
 
     The last axis must have power-of-two length; the result is a fresh
-    array, in the dtypes ``wht`` documents.
+    array, in the dtypes ``wht`` documents.  Levels are taken two at a
+    time (radix 4, see the module docstring), with one radix-2 level last
+    when the length is an odd power of two.
     """
     if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
-        out = arr.astype(np.int64)
+        out = arr.astype(np.int64, order="C")
     elif np.issubdtype(arr.dtype, np.complexfloating):
-        out = arr.astype(np.complex128)
+        out = arr.astype(np.complex128, order="C")
     else:
-        out = arr.astype(np.float64)
-    shape = out.shape
+        out = arr.astype(np.float64, order="C")
+    size = out.shape[-1]
+    if size >= 4:
+        buf = np.empty((4, out.size // 4), dtype=out.dtype)
     h = 1
-    while h < shape[-1]:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :].copy()
-        out[:, 0, :] = top + out[:, 1, :]
-        out[:, 1, :] = top - out[:, 1, :]
-        h <<= 1
-    return out.reshape(shape)
+    while 4 * h <= size:
+        x0, x1, x2, x3 = out.reshape(-1, 4, h).transpose(1, 0, 2)
+        s01, d01, s23, d23 = buf.reshape(4, -1, h)
+        np.add(x0, x1, out=s01)
+        np.subtract(x0, x1, out=d01)
+        np.add(x2, x3, out=s23)
+        np.subtract(x2, x3, out=d23)
+        np.add(s01, s23, out=x0)
+        np.add(d01, d23, out=x1)
+        np.subtract(s01, s23, out=x2)
+        np.subtract(d01, d23, out=x3)
+        h <<= 2
+    if h < size:
+        top, bottom = out.reshape(-1, 2, h).transpose(1, 0, 2)
+        first = top.copy()
+        np.add(first, bottom, out=top)
+        np.subtract(first, bottom, out=bottom)
+    return out
+
+
+def character_bits(n: int, w: int) -> np.ndarray:
+    """wᵀv mod 2 for every v ∈ Z₂ⁿ, as bools: χ_w(v) = (−1)^(bit at v).
+
+    Built by doubling, one bit of w at a time: the v with bit i set repeat
+    the v below 2^i, flipped when wᵢ = 1.
+    """
+    out = np.zeros(1 << n, dtype=bool)
+    for i in range(n):
+        h = 1 << i
+        np.logical_xor(out[:h], bool(w >> i & 1), out=out[h:2 * h])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +236,11 @@ def classify_congruences(spec: Spectrum, u: GroupElement,
         case = CASE_SUM_INSIDE
         bound = (d - 1) // 2
 
-    odd = (np.bitwise_count(np.arange(spec.size) & u.bits) & 1).astype(bool)
+    odd = character_bits(spec.n, u.bits)
     shift = 2 if case == CASE_SUM_OUTSIDE else -2
     diff = np.where(odd, d + shift, d) - spec.values
-    in_class = diff % 4 == 0
-    k = diff // 4
+    in_class = (diff & 3) == 0  # diff % 4 and diff // 4 in two's complement
+    k = diff >> 2
     ok = in_class & (k >= 0) & (k <= bound)
     for column in (odd, in_class, k, ok):
         column.setflags(write=False)

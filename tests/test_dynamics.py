@@ -132,6 +132,20 @@ def test_all_amplitudes_against_direct_sum():
         assert np.max(np.abs(got - want)) <= 1e-9 * (1 << n)
 
 
+def test_all_amplitudes_keep_the_bits_of_one_exponential_per_entry():
+    # one exponential per distinct eigenvalue, gathered, against one per v
+    rng = random.Random(17)
+    cases = [(ConnectionSet(rng.randint(1, 8), ()), rng.uniform(0, 9))]
+    cases += [(_random_set(rng, rng.randint(1, 8)), t)
+              for t in (0.0, 1e17, 1e300, -2.5, math.pi / 3)]
+    cases += [(_random_set(rng, rng.randint(1, 10)), rng.uniform(-50, 50))
+              for _ in range(300)]
+    for omega, t in cases:
+        lam = spectrum(omega).values
+        want = wht(np.exp(-1j * t * lam))
+        assert all_amplitudes(omega, t).tobytes() == want.tobytes()
+
+
 def test_amplitude_is_an_offset_lookup():
     rng = random.Random(17)
     omega = _random_set(rng, 4)
@@ -259,6 +273,21 @@ def test_fidelity_exact_branch_agrees_with_float():
         exact = all_fidelities(omega, t)
         floaty = all_fidelities(omega, t.radians)
         assert np.max(np.abs(exact - floaty)) <= FLOAT_TOL
+
+
+def test_grid_fidelities_keep_the_bits_of_the_point_mass_modulus():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        omega = _random_set(rng, n)
+        a = GroupElement(rng.randrange(1 << n), n)
+        t = RationalAngle(rng.randint(0, 9), rng.choice((1, 2)))
+        re, im = exact_components(omega, t)
+        fid = np.sqrt((re * re + im * im).astype(np.float64)) / (1 << n)
+        dist = (fid * fid)[np.arange(1 << n) ^ a.bits]
+        assert all_fidelities(omega, t).tobytes() == fid.tobytes()
+        assert measurement_distribution(omega, a, t).tobytes() == \
+            dist.tobytes()
 
 
 # ── measurement ───────────────────────────────────────────────────────────

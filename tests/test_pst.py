@@ -281,6 +281,67 @@ def test_certify_is_exact_at_every_rational_time():
                         assert abs(complex(cert.phase) - expected) <= 1e-9
 
 
+def _aligned_by_division(d, values, delta_bits, q):
+    """The certificate's congruences by % and //: the oracle of the masks."""
+    m = min(q, 2 * d + 1)
+    weights = np.bitwise_count(np.arange(values.size) & delta_bits)
+    gaps = d - values
+    if (gaps % m).any():
+        return False
+    return not ((gaps // m - weights) & 1).any()
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 4, 6, 8, 16))
+def test_certificate_accepts_and_rejects_as_division_does(q):
+    # synthetic spectra: aligned gaps, one tampered gap, or noise; gaps
+    # may be negative, so & and >> must floor as % and // do
+    rng = np.random.default_rng(q)
+    verdicts = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(0, 20))
+        m = min(q, 2 * d + 1)
+        delta = GroupElement(int(rng.integers(0, 1 << n)), n)
+        parity = np.bitwise_count(np.arange(1 << n) & delta.bits) & 1
+        gaps = m * (2 * rng.integers(-3, 4, size=1 << n) + parity)
+        if trial % 3 == 1:
+            gaps[rng.integers(0, 1 << n)] += rng.integers(1, 2 * m + 1)
+        elif trial % 3 == 2:
+            gaps = rng.integers(-4 * m, 4 * m + 1, size=1 << n)
+        values = d - gaps
+        want = _aligned_by_division(d, values, delta.bits, q)
+        try:
+            pst._certificate(n, d, values, delta, RationalAngle(1, q),
+                             "exact-decision")
+        except CertificationError:
+            got = False
+        else:
+            got = True
+        assert got == want, (n, d, delta.bits, values.tolist())
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("omega, delta, time", [
+    (hypercube(4), 0b1111, HALF_PI),
+    (ConnectionSet(3, (1, 2, 7)), 0b100, HALF_PI),
+    (ConnectionSet.parse("00001,00110,00111,01000,01001,01100,01101,"
+                         "10000,10001,10010,10011", 5), 0b00001,
+     RationalAngle(1, 4)),
+])
+def test_certificate_rejects_every_single_tampered_gap(omega, delta, time):
+    values = spectrum(omega).values
+    delta = GroupElement(delta, omega.n)
+    pst._certificate(omega.n, omega.d, values, delta, time, "closed-form")
+    for v in range(values.size):
+        for shift in (1, -1, time.q, -time.q):  # divisibility, then parity
+            tampered = values.copy()
+            tampered[v] += shift
+            with pytest.raises(CertificationError):
+                pst._certificate(omega.n, omega.d, tampered, delta, time,
+                                 "closed-form")
+
+
 def test_certify_huge_numerators_and_denominators():
     omega, delta = hypercube(3), GroupElement(0b111, 3)
     # (2^62 + 1)*pi/2 is pi/2 plus a whole number of periods
@@ -360,6 +421,31 @@ def test_one_integer_transform_per_set(integer_transforms):
     certify(omega, omega.u, HALF_PI)
     all_fidelities(omega, RationalAngle(1, 3))
     assert integer_transforms == [(1 << 10,)]
+
+
+def test_one_transfer_decision_per_set(monkeypatch):
+    calls = []
+    inner = pst._decide_rows
+
+    def counting(values):
+        calls.append(values.shape)
+        return inner(values)
+
+    monkeypatch.setattr(pst, "_decide_rows", counting)
+    omega = hypercube(4)
+    assert decide_pst_exact(omega, GroupElement(0b1111, 4)) == HALF_PI
+    assert decide_pst_exact(omega, GroupElement(0b0011, 4)) is None
+    table = pst_offsets(omega)
+    table[0b0011] = HALF_PI  # the caller's copy, not the stored one
+    assert pst_offsets(omega) == {0b1111: HALF_PI}
+    assert decide_pst_exact(omega, GroupElement(0b0011, 4)) is None
+    assert calls == [(1, 16)]
+    # an equal but distinct set decides for itself
+    assert pst_offsets(hypercube(4)) == {0b1111: HALF_PI}
+    assert len(calls) == 2
+    edgeless = ConnectionSet(3, ())
+    assert pst_offsets(edgeless) == {} and pst_offsets(edgeless) == {}
+    assert len(calls) == 3
 
 
 def test_plan_route_runs_one_transform(integer_transforms):

@@ -9,8 +9,8 @@ import pytest
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
 from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
                                CASE_SUM_ZERO, CongruenceEntry, Spectrum,
-                               classify_congruences, _wht_rows, classify_set,
-                               spectrum, wht)
+                               character_bits, classify_congruences,
+                               _wht_rows, classify_set, spectrum, wht)
 from cubewalk.bitspace import DimensionMismatchError
 
 
@@ -59,6 +59,74 @@ def test_wht_leaves_input_untouched():
     x = np.array([3, 1, -2, 7], dtype=np.int64)
     wht(x)
     np.testing.assert_array_equal(x, [3, 1, -2, 7])
+
+
+def _wht_by_levels(arr):
+    """The radix-2 butterfly, one level per pass: the bit-identity oracle."""
+    if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
+        out = arr.astype(np.int64)
+    elif np.issubdtype(arr.dtype, np.complexfloating):
+        out = arr.astype(np.complex128)
+    else:
+        out = arr.astype(np.float64)
+    shape = out.shape
+    h = 1
+    while h < shape[-1]:
+        out = out.reshape(-1, 2, h)
+        top = out[:, 0, :].copy()
+        out[:, 0, :] = top + out[:, 1, :]
+        out[:, 1, :] = top - out[:, 1, :]
+        h <<= 1
+    return out.reshape(shape)
+
+
+def _wht_inputs(rng, shape):
+    yield rng.integers(-1000, 1000, size=shape, dtype=np.int64)
+    yield rng.random(shape) < 0.5
+    yield rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    yield rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_radix4_butterfly_keeps_every_bit_of_the_radix2_levels(n):
+    rng = np.random.default_rng(100 + n)
+    for shape in ((1 << n,), (5, 1 << n)):
+        for x in _wht_inputs(rng, shape):
+            before = x.copy()
+            want = _wht_by_levels(x)
+            got = _wht_rows(x)
+            assert got.dtype == want.dtype and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == before.tobytes()  # input left alone
+            if len(shape) == 1:
+                assert wht(x).tobytes() == want.tobytes()
+            else:  # each row of a block is its own transform
+                for row, out in zip(x, got):
+                    assert _wht_rows(row).tobytes() == out.tobytes()
+
+
+def test_radix4_butterfly_on_strided_and_empty_input():
+    rng = np.random.default_rng(7)
+    block = rng.integers(-9, 9, size=(32, 6))
+    assert _wht_rows(block.T).tobytes() == \
+        _wht_by_levels(block.T.copy()).tobytes()
+    assert _wht_rows(np.asfortranarray(block.T)).tobytes() == \
+        _wht_by_levels(block.T.copy()).tobytes()
+    assert wht(block[::-1, 0]).tobytes() == \
+        _wht_by_levels(block[::-1, 0].copy()).tobytes()
+    assert _wht_rows(np.zeros((0, 16), dtype=bool)).shape == (0, 16)
+
+
+def test_character_bits_are_the_parities_of_w_and_v():
+    rng = random.Random(8)
+    for n in range(13):
+        for w in {0, (1 << n) - 1, rng.randrange(1 << n)}:
+            want = [(w & v).bit_count() & 1 for v in range(1 << n)]
+            got = character_bits(n, w)
+            assert got.dtype == bool and got.tolist() == [bool(b) for b in want]
+            point = np.zeros(1 << n, dtype=np.int64)
+            point[w] = 1
+            assert (wht(point) == np.where(got, -1, 1)).all()
 
 
 def _direct_eigenvalue(omega, v):
@@ -283,3 +351,25 @@ def test_vectorized_classifier_matches_the_loop_on_broken_spectra():
         Spectrum(n=3, d=3, values=np.array([3, 3, 1, -1, 1, -1, -1, -3])),
         hypercube(3).u, False)
     assert [e.k for e in broken.entries if not e.ok] == [None]
+
+
+def test_classifier_columns_match_division_on_negative_differences():
+    # λ beyond d makes d − λ negative: & 3 and >> 2 must agree with the
+    # floor division of % 4 and // 4 there too
+    rng = np.random.default_rng(29)
+    for n in range(1, 9):
+        for _ in range(20):
+            d = int(rng.integers(0, 3 * n + 1))
+            values = rng.integers(-3 * d - 9, 3 * d + 10, size=1 << n)
+            values[0], values[-1] = -3 * d - 9, 3 * d + 9
+            u = GroupElement(int(rng.integers(0, 1 << n)), n)
+            u_in_set = bool(u.bits) and bool(rng.integers(0, 2))
+            report = classify_congruences(
+                Spectrum(n=n, d=d, values=values), u, u_in_set)
+            shift = 2 if report.case == CASE_SUM_OUTSIDE else -2
+            diff = np.where(report.odd, d + shift, d) - values
+            assert (diff < 0).any() and (values < 0).any()
+            np.testing.assert_array_equal(report.in_class, diff % 4 == 0)
+            np.testing.assert_array_equal(report.k, diff // 4)
+            _assert_matches_loop(Spectrum(n=n, d=d, values=values), u,
+                                 u_in_set)
