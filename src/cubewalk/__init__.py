@@ -12,8 +12,8 @@ against.
 from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
                        MAX_DIMENSION, SetFormatError, dot_parity, gf2_rank,
                        hypercube, odd_parity_functional, spans)
-from .dynamics import (FLOAT_TOL, HALF_PI, PI, GaussianInteger,
-                       RationalAngle, UnsupportedAngleError, all_amplitudes,
+from .dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
+                       UnsupportedAngleError, all_amplitudes,
                        all_amplitudes_exact, all_fidelities, amplitude,
                        amplitude_exact, gaussian_unit,
                        measurement_distribution)
@@ -38,7 +38,7 @@ __all__ = [
     "ConnectionSet", "DimensionMismatchError", "GroupElement",
     "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
     "hypercube", "odd_parity_functional", "spans",
-    "FLOAT_TOL", "HALF_PI", "PI", "GaussianInteger", "RationalAngle",
+    "HALF_PI", "PI", "GaussianInteger", "RationalAngle",
     "UnsupportedAngleError", "all_amplitudes", "all_amplitudes_exact",
     "all_fidelities", "amplitude", "amplitude_exact", "gaussian_unit",
     "measurement_distribution",

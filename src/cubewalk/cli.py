@@ -10,13 +10,12 @@ Conventions shared by all subcommands:
     stderr so long runs stay legible,
   * --csv switches tabular subcommands (spectrum, evolve, measure) to CSV
     on stdout with the run manifest as one JSON line on stderr,
-  * there is one emit path, ``_emit``.  A list with one row per vertex
-    (2ⁿ rows) never becomes Python dicts: the command hands it over as
-    numpy-rendered columns of JSON texts (``_Rows``), and ``_emit`` writes
-    the indented document, the canonical text behind the digest and the
-    CSV rows from those columns, splicing the rows into what json.dumps
-    makes of the rest of the payload.  The bytes are the ones json.dumps
-    would write for the full payload,
+  * there is one emit path, ``_emit``, surveys included.  A list with one
+    row per vertex (2ⁿ rows) or per survey finding never becomes Python
+    dicts: the command hands it over as numpy-rendered columns of JSON
+    texts (``jsontext.Rows``), and ``_emit`` writes the indented document,
+    the canonical text behind the digest and the CSV rows from them, with
+    the bytes json.dumps would write for the full payload,
   * every JSON document embeds a run manifest: argv, tool version, the
     inputs, seed where one applies, start/finish timestamps, and a sha256
     digest of the canonical payload so re-runs can be compared byte for
@@ -31,13 +30,13 @@ Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,32 +47,18 @@ from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
                        measurement_distribution)
 from .graphwalk import (bfs_profile, bipartite_functional,
                         is_complete_bipartite)
+from .jsontext import (Rows, booleans, digest, dumps, joined_rows, pick,
+                       slot, slots)
 from .oracle import OracleMismatchError, verify_equivalence
-from .pst import (CertificationError, certify, decide_pst_exact, folded_cube,
-                  plan_route, pst_at_half_pi)
-from .scanner import (ScanReport, _joined_rows, _pick, antipodality_audit,
-                      canonical_dumps, conjecture_scan, scan_sets)
+from .pst import (CertificationError, certify, decide_pst_exact, plan_route,
+                  pst_at_half_pi)
+from .scanner import (ScanReport, antipodality_audit, conjecture_scan,
+                      scan_sets)
 from .spectral import classify_set
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
-
-
-# Rows rendered per piece of output: bounds the text held at once.
-_CHUNK = 1 << 16
-# Marks a column value in a row template; JSON text never holds a raw NUL.
-_SLOT = "\0"
-
-
-class _Rows(dict):
-    """A payload list with one JSON row per vertex, held as columns.
-
-    Maps a key to the JSON texts of that field in every row, in row order;
-    there is at least one row.  A dotted key ("amplitude.re") is a field of
-    a nested object, and the single key "" makes each row the bare value.
-    Every column is all JSON strings, or all numbers and nulls.
-    """
 
 
 def _numbers(values: np.ndarray, missing: np.ndarray | None = None
@@ -95,7 +80,7 @@ def _numbers(values: np.ndarray, missing: np.ndarray | None = None
     if missing is not None:
         index[missing] = len(texts)
         texts.append("null")
-    return _pick(index, texts)
+    return pick(index, texts)
 
 
 def _binary_texts(n: int) -> list[str]:
@@ -105,73 +90,6 @@ def _binary_texts(n: int) -> list[str]:
     low = [format(x, f"0{half}b") + '"' for x in range(1 << half)] \
         if half else ['"']
     return [h + lo for h in high for lo in low]
-
-
-def _row_template(keys: Iterable[str], level: int | None
-                  ) -> tuple[str, list[str]]:
-    """One row as text with a _SLOT per field, and the keys in slot order.
-
-    ``level`` is the nesting depth of the row in a document indented by
-    two spaces; None gives the compact, key-sorted form of
-    ``canonical_dumps``.
-    """
-    keys = list(keys)
-    if keys == [""]:
-        return _template("", level)
-    tree: dict = {}
-    for key in keys:
-        *path, leaf = key.split(".")
-        node = tree
-        for name in path:
-            node = node.setdefault(name, {})
-        node[leaf] = key
-    return _template(tree, level)
-
-
-def _template(node: dict | str, level: int | None) -> tuple[str, list[str]]:
-    if isinstance(node, str):
-        return _SLOT, [node]
-    if level is None:
-        items, inner, close, colon = sorted(node.items()), "", "", ":"
-    else:
-        items, colon = node.items(), ": "
-        inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    texts, order = [], []
-    for name, sub in items:
-        text, keys = _template(sub, None if level is None else level + 1)
-        texts.append(encode_basestring_ascii(name) + colon + text)
-        order += keys
-    return "{" + inner + ("," + inner).join(texts) + close + "}", order
-
-
-def _rows_text(rows: _Rows, indented: bool) -> Iterator[str]:
-    """The JSON text of the list ``rows`` stands for, in pieces.
-
-    Indented as json.dumps(indent=2) indents the value of a top-level key,
-    or compact with sorted keys as ``canonical_dumps``.
-    """
-    template, keys = _row_template(rows, 2 if indented else None)
-    yield "[\n    " if indented else "["
-    yield from _joined_rows(template.split(_SLOT), [rows[k] for k in keys],
-                            ",\n    " if indented else ",", _CHUNK)
-    yield "\n  ]" if indented else "]"
-
-
-def _marker(key: str) -> str:
-    return "\0" + key + "\0"
-
-
-def _spliced(text: str, tables: dict[str, _Rows],
-             indented: bool) -> Iterator[str]:
-    """``text`` in pieces, each table's marker replaced by its rows."""
-    marks = sorted((text.index(json.dumps(_marker(key))), key)
-                   for key in tables)
-    done = 0
-    for at, key in marks:
-        yield text[done:at]
-        yield from _rows_text(tables[key], indented)
-        done = at + len(json.dumps(_marker(key)))
-    yield text[done:]
 
 
 def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
@@ -185,29 +103,22 @@ def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
              else ["" if t == "null" else t for t in texts]
              for texts in columns.values()]
     yield ",".join(columns) + "\r\n"
-    for piece in _joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
-                              cells, "", _CHUNK):
+    for piece in joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
+                             cells, ""):
         yield piece.replace('"', "")
 
 
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
           seed=None, csv: dict[str, list[str]] | None = None,
-          manifest_extra: dict | None = None,
-          summary_lines: list[str] | None = None) -> None:
+          manifest_extra: dict | None = None) -> dict:
     """Serialize one command result according to the output flags.
 
-    Payload values that are ``_Rows`` are spliced in as lists; ``csv``
-    maps each CSV header to one of their columns.  Documents are dumped
-    with allow_nan=False, so a non-finite float raises ValueError (exit 2)
+    ``Rows`` in the payload are spliced in as lists; ``csv`` maps each
+    CSV header to one of their columns.  Documents are dumped with
+    allow_nan=False, so a non-finite float raises ValueError (exit 2)
     before anything is written: ``_numbers`` checks its columns alike.
+    Returns the manifest.
     """
-    tables = {key: value for key, value in payload.items()
-              if isinstance(value, _Rows)}
-    marked = {key: _marker(key) if key in tables else value
-              for key, value in payload.items()}
-    digest = hashlib.sha256()
-    for piece in _spliced(canonical_dumps(marked), tables, indented=False):
-        digest.update(piece.encode())
     manifest = {
         "tool": "cubewalk",
         "version": __version__,
@@ -216,7 +127,7 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
         "seed": seed,
         "started": args.started_at,
         "finished": _utc_now(),
-        "payload_sha256": digest.hexdigest(),
+        "payload_sha256": digest(payload),
     }
     manifest.update(manifest_extra or {})
     if getattr(args, "csv", False) and csv is not None:
@@ -224,9 +135,8 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
         print(json.dumps({"manifest": manifest}, allow_nan=False),
               file=sys.stderr)
     else:
-        text = json.dumps({**marked, "manifest": manifest}, indent=2,
-                          allow_nan=False) + "\n"
-        pieces = _spliced(text, tables, indented=True)
+        pieces = chain(dumps({**payload, "manifest": manifest},
+                             indented=True), ["\n"])
     out = getattr(args, "out", None)
     if out:
         try:
@@ -236,9 +146,7 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.writelines(pieces)
-    if summary_lines:
-        for line in summary_lines:
-            print(line, file=sys.stderr)
+    return manifest
 
 
 def _angle_of(args: argparse.Namespace):
@@ -253,14 +161,10 @@ def _angle_of(args: argparse.Namespace):
     return args.t_real
 
 
-def _gauss_json(z: GaussianInteger) -> dict:
-    return {"re": z.re, "im": z.im}
-
-
-def _phase_json(phase) -> dict:
-    if isinstance(phase, GaussianInteger):
-        return _gauss_json(phase)
-    return {"re": float(phase.real), "im": float(phase.imag)}
+def _complex_json(z: GaussianInteger | complex) -> dict:
+    if isinstance(z, GaussianInteger):
+        return {"re": z.re, "im": z.im}
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 # ── subcommands ───────────────────────────────────────────────────────────
@@ -268,15 +172,15 @@ def _phase_json(phase) -> dict:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     omega = ConnectionSet.parse(args.omega, args.n)
     report = classify_set(omega)
-    rows = _Rows({
+    columns = {
         "v": _binary_texts(args.n),
         "lambda": _numbers(report.eigenvalues),
         "k": _numbers(report.k, missing=~report.in_class),
-        "congruence_class": _pick(
+        "congruence_class": pick(
             report.odd.astype(np.intp),
             [encode_basestring_ascii(c) for c in report.classes]),
-        "ok": _pick(report.ok.astype(np.intp), ["false", "true"]),
-    })
+        "ok": booleans(report.ok),
+    }
     payload = {
         "command": "spectrum",
         "n": args.n,
@@ -285,11 +189,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "u": str(omega.u),
         "case": report.case,
         "all_pass": report.all_pass,
-        "eigenvalues": rows,
+        "eigenvalues": Rows(slots(*columns), [columns]),
     }
     _emit(args, payload, {"n": args.n, "omega": omega.format()},
-          csv={"v_binary": rows["v"], "lambda": rows["lambda"],
-               "k": rows["k"], "congruence_class": rows["congruence_class"]})
+          csv={"v_binary": columns["v"], "lambda": columns["lambda"],
+               "k": columns["k"],
+               "congruence_class": columns["congruence_class"]})
     return 0
 
 
@@ -306,24 +211,27 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             omega, t.radians if isinstance(t, RationalAngle) else t)
     fid = np.abs(amp) / size  # as all_fidelities: exact 0.0/1.0 on the grid
     amp = amp / size
-    rows = _Rows({"delta": _binary_texts(args.n), "fidelity": _numbers(fid)})
+    columns = {"delta": _binary_texts(args.n), "fidelity": _numbers(fid),
+               "re": _numbers(amp.real), "im": _numbers(amp.imag)}
+    row = slots("delta", "fidelity")
     if exact:
-        rows["amplitude_exact.re"] = _numbers(re)
-        rows["amplitude_exact.im"] = _numbers(im)
-    rows["amplitude.re"] = _numbers(amp.real)
-    rows["amplitude.im"] = _numbers(amp.imag)
+        columns.update(exact_re=_numbers(re), exact_im=_numbers(im))
+        row["amplitude_exact"] = {"re": slot("exact_re"),
+                                  "im": slot("exact_im")}
+    row["amplitude"] = {"re": slot("re"), "im": slot("im")}
     payload = {
         "command": "evolve",
         "n": args.n,
         "omega": omega.format(),
         "time": str(t) if isinstance(t, RationalAngle) else t,
         "mode": "exact" if exact else "float",
-        "fidelities": rows,
+        "fidelities": Rows(row, [columns]),
     }
     _emit(args, payload,
           {"n": args.n, "omega": omega.format(), "time": payload["time"]},
-          csv={"delta_binary": rows["delta"], "fidelity": rows["fidelity"],
-               "re": rows["amplitude.re"], "im": rows["amplitude.im"]})
+          csv={"delta_binary": columns["delta"],
+               "fidelity": columns["fidelity"], "re": columns["re"],
+               "im": columns["im"]})
     return 0
 
 
@@ -343,7 +251,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         "fidelity": float(fid[delta.bits]),
     }
     if exact:
-        payload["amplitude_exact"] = _gauss_json(
+        payload["amplitude_exact"] = _complex_json(
             amplitude_exact(omega, delta, t))
     _emit(args, payload, {"n": args.n, "omega": omega.format(),
                           "delta": str(delta), "time": payload["time"]})
@@ -356,14 +264,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
         else GroupElement.zero(args.n)
     t = _angle_of(args)
     dist = measurement_distribution(omega, start, t)
-    rows = _Rows({"vertex": _binary_texts(args.n), "p": _numbers(dist)})
+    columns = {"vertex": _binary_texts(args.n), "p": _numbers(dist)}
     payload = {
         "command": "measure",
         "n": args.n,
         "omega": omega.format(),
         "a": str(start),
         "time": str(t) if isinstance(t, RationalAngle) else t,
-        "distribution": rows,
+        "distribution": Rows(slots(*columns), [columns]),
     }
     if isinstance(t, RationalAngle) and t.q == 2:
         # Odd multiple of pi/2 (p is odd in lowest terms): the outcome is
@@ -379,7 +287,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     _emit(args, payload,
           {"n": args.n, "omega": omega.format(), "a": str(start),
            "time": payload["time"]},
-          csv={"vertex_binary": rows["vertex"], "probability": rows["p"]})
+          csv={"vertex_binary": columns["vertex"],
+               "probability": columns["p"]})
     return 0
 
 
@@ -391,6 +300,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     functional = bipartite_functional(omega)
     parts = is_complete_bipartite(omega)
     labels = _binary_texts(args.n)
+    distances = {"v": labels,
+                 "dist": _numbers(profile.dist, missing=profile.dist < 0)}
     payload = {
         "command": "graph",
         "n": args.n,
@@ -400,16 +311,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "connected": profile.connected,
         "diameter": profile.diameter,
         "shells": profile.shell_sizes(),
-        "distances": _Rows({
-            "v": labels,
-            "dist": _numbers(profile.dist, missing=profile.dist < 0)}),
+        "distances": Rows(slots(*distances), [distances]),
         "bipartite": functional is not None,
         "bipartite_functional": str(functional) if functional else None,
         "complete_bipartite": list(parts) if parts else None,
     }
     if profile.connected:
         far = np.flatnonzero(profile.dist == profile.diameter)
-        payload["antipodal"] = _Rows({"": _pick(far, labels)})
+        payload["antipodal"] = Rows(slot("v"), [{"v": pick(far, labels)}])
     else:
         payload["antipodal"] = None
     _emit(args, payload, {"n": args.n, "omega": omega.format(),
@@ -431,7 +340,7 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
     if cert is not None:
         payload["time"] = str(cert.time)
         payload["delta"] = str(cert.delta)
-        payload["phase"] = _phase_json(cert.phase)
+        payload["phase"] = _complex_json(cert.phase)
         payload["method"] = cert.method
     else:
         payload["note"] = "revival at pi/2"
@@ -453,7 +362,7 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
     if found is not None:
         cert = certify(omega, delta, found)
         payload["time"] = str(found)
-        payload["phase"] = _phase_json(cert.phase)
+        payload["phase"] = _complex_json(cert.phase)
         payload["method"] = cert.method
     _emit(args, payload, {"n": args.n, "omega": omega.format(),
                           "delta": str(delta)})
@@ -473,43 +382,36 @@ def cmd_route(args: argparse.Namespace) -> int:
             "omega": s.omega.format(),
             "hop": str(s.hop),
             "time": str(s.time),
-            "phase": _phase_json(s.certificate.phase),
+            "phase": _complex_json(s.certificate.phase),
         } for s in plan.stages],
     }
     _emit(args, payload, {"n": args.n, "target": str(target)})
     return 0
 
 
-def _survey_summary(report: ScanReport) -> list[str]:
-    label_width = max(len(k) for k in report.summary) + 2
-    lines = [f"{report.kind}  n={report.n}  "
-             f"wall={report.wall_time_s:.2f}s  "
-             f"{report.sets_per_s:.0f} sets/s"]
-    for key, val in report.summary.items():
-        lines.append(f"  {key:<{label_width}}{val}")
-    lines.append(f"  {'digest':<{label_width}}{report.digest()[:16]}")
-    return lines
-
-
 def _emit_survey(args: argparse.Namespace, report: ScanReport,
                  inputs: dict, seed=None) -> int:
-    """Emit a survey report; its timings go in the manifest only."""
-    _emit(args, {"command": args.command, "report": report.payload()},
-          inputs, seed=seed,
-          manifest_extra={"wall_time_s": report.wall_time_s,
-                          "sets_per_s": report.sets_per_s,
-                          "path": "batched"},
-          summary_lines=_survey_summary(report))
+    """Emit a survey report, its timings in the manifest only, then an
+    aligned summary on stderr; ``digest`` there is the payload_sha256."""
+    manifest = _emit(args, {"command": args.command,
+                            "report": report.columnar_payload()},
+                     inputs, seed=seed,
+                     manifest_extra={"wall_time_s": report.wall_time_s,
+                                     "sets_per_s": report.sets_per_s,
+                                     "path": "batched"})
+    width = max(len(k) for k in report.summary) + 2
+    print(f"{report.kind}  n={report.n}  wall={report.wall_time_s:.2f}s  "
+          f"{report.sets_per_s:.0f} sets/s", file=sys.stderr)
+    for key, val in [*report.summary.items(),
+                     ("digest", manifest["payload_sha256"][:16])]:
+        print(f"  {key:<{width}}{val}", file=sys.stderr)
     return 3 if report.violations else 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    common = dict(d_min=args.d_min, d_max=args.d_max, sample=args.sample,
-                  seed=args.seed)
-    if args.u_zero:
-        report = conjecture_scan(args.n, **common)
-    else:
-        report = scan_sets(args.n, **common)
+    survey = conjecture_scan if args.u_zero else scan_sets
+    report = survey(args.n, d_min=args.d_min, d_max=args.d_max,
+                    sample=args.sample, seed=args.seed)
     return _emit_survey(args, report, {"n": args.n, "filters": report.filters},
                         seed=args.seed if args.sample else None)
 
@@ -539,9 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"cubewalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, set_args=True, time_args=False,
+    def add(name, handler, help_text, *, set_args=True, time_args=False,
             csv_arg=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if set_args:
             p.add_argument("--n", type=int, required=True,
                            help="dimension of the label space")
@@ -561,34 +464,37 @@ def build_parser() -> argparse.ArgumentParser:
                                      "instead of stdout")
         return p
 
-    add("spectrum", "integer spectrum and congruence classes", csv_arg=True)
+    add("spectrum", cmd_spectrum, "integer spectrum and congruence classes",
+        csv_arg=True)
 
-    add("evolve", "fidelities (and amplitudes) for every offset at one "
-        "time", time_args=True, csv_arg=True)
+    add("evolve", cmd_evolve, "fidelities (and amplitudes) for every offset "
+        "at one time", time_args=True, csv_arg=True)
 
-    p = add("fidelity", "fidelity at one offset and one time",
+    p = add("fidelity", cmd_fidelity, "fidelity at one offset and one time",
             time_args=True)
     p.add_argument("--delta", required=True, help="offset a xor b")
 
-    p = add("measure", "position-measurement distribution at one time",
-            time_args=True, csv_arg=True)
+    p = add("measure", cmd_measure, "position-measurement distribution at "
+            "one time", time_args=True, csv_arg=True)
     p.add_argument("--a", help="start vertex (default all-zero)")
 
-    p = add("graph", "distances, diameter, antipodal offsets, bipartite "
-            "type")
+    p = add("graph", cmd_graph, "distances, diameter, antipodal offsets, "
+            "bipartite type")
     p.add_argument("--source", help="BFS source (default all-zero)")
 
-    add("pst-check", "closed-form transfer test at pi/2")
+    add("pst-check", cmd_pst_check, "closed-form transfer test at pi/2")
 
-    p = add("pst-search", "exact earliest-transfer decision for one offset")
+    p = add("pst-search", cmd_pst_search, "exact earliest-transfer decision "
+            "for one offset")
     p.add_argument("--delta", required=True, help="offset to test")
 
-    p = add("route", "chain quarter-period hops to a target offset",
-            set_args=False)
+    p = add("route", cmd_route, "chain quarter-period hops to a target "
+            "offset", set_args=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", required=True, help="target offset, nonzero")
 
-    p = add("scan", "survey sets for transfer offsets", set_args=False)
+    p = add("scan", cmd_scan, "survey sets for transfer offsets",
+            set_args=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--u-zero", action="store_true",
                    help="restrict to xor-sum-zero sets (conjecture scan; "
@@ -599,31 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample this many sets instead of exhausting")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("audit-antipodal", "antipodality audit of every transfer "
-            "offset", set_args=False)
+    p = add("audit-antipodal", cmd_audit, "antipodality audit of every "
+            "transfer offset", set_args=False)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("oracle-verify", "drive the dense reference paths against the "
-            "transform path", set_args=False)
+    p = add("oracle-verify", cmd_oracle_verify, "drive the dense reference "
+            "paths against the transform path", set_args=False)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-max", type=int, default=6)
-
-    handlers = {
-        "spectrum": cmd_spectrum,
-        "evolve": cmd_evolve,
-        "fidelity": cmd_fidelity,
-        "measure": cmd_measure,
-        "graph": cmd_graph,
-        "pst-check": cmd_pst_check,
-        "pst-search": cmd_pst_search,
-        "route": cmd_route,
-        "scan": cmd_scan,
-        "audit-antipodal": cmd_audit,
-        "oracle-verify": cmd_oracle_verify,
-    }
-    parser.set_defaults(handlers=handlers)
     return parser
 
 
@@ -633,9 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = argv
     args.started_at = _utc_now()
-    handler = args.handlers[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (CertificationError, OracleMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -31,9 +31,6 @@ class UnsupportedAngleError(ValueError):
     """Exact evaluation was requested outside the quarter-period grid."""
 
 
-FLOAT_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class RationalAngle:
     """A time of the form (p/q)·π with p ≥ 0, q ≥ 1, stored in lowest terms."""

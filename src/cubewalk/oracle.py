@@ -161,11 +161,19 @@ def verify_equivalence(*, trials: int = 100, pair_trials: int = 50,
     Returns a report with the worst deviations observed; ``ok`` is True
     when every deviation is inside its tolerance.  The closed-form route
     under test is dynamics.all_amplitudes, reshaped into a matrix via
-    U[b, a] = T(a⊕b)/2ⁿ.
+    U[b, a] = T(a⊕b)/2ⁿ.  Negative counts, two zero counts and
+    ``n_max`` < 1 raise ValueError: an ``ok`` report always checked something.
     """
     from .dynamics import all_amplitudes
     from .spectral import spectrum
 
+    for name, count in (("trials", trials), ("pair_trials", pair_trials)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
+    if trials == pair_trials == 0:
+        raise ValueError("trials and pair_trials are both 0: nothing to check")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > DENSE_CAP:
         raise DenseCapError(
             f"dense path is capped at n <= {DENSE_CAP}, got n_max={n_max}")

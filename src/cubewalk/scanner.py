@@ -22,11 +22,10 @@ from 0 over the rows that transfer.  The sets that transfer stay in
 per-block numpy columns: their members, sorted and padded to the block's
 largest degree, u, δ and q of the transfer time π/q, and for the audit
 the connectivity, diameter and distance(0, δ).  The summary counters are
-read off those columns, and the canonical text behind the digest is
-rendered from them, through small text tables, with no per-set dict.
-``ScanReport.findings`` is built on first read, by the same builder that
-``transfer_record`` and ``audit_record`` use for one set, so a report
-line re-runs on its own set to the same dict.
+read off those columns, and the digest and the CLI's document render them
+as ``jsontext.Rows``, with no per-set dict.  ``ScanReport.findings`` is
+built on first read, by the builder that ``transfer_record`` and
+``audit_record`` use for one set, so a line re-runs to the same dict.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -61,12 +60,10 @@ digest-to-digest.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
 import random
-import re
 import time as _time
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -74,10 +71,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import jsontext
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .dynamics import RationalAngle
 from .graphwalk import _bfs_rows, bfs_profile
+from .jsontext import Rows, booleans, brackets, pick, slots
 from .pst import _decide_rows, pst_offsets
 from .spectral import _wht_rows
 
@@ -321,61 +320,23 @@ def audit_record(omega: ConnectionSet) -> dict:
 
 # ── findings as columns ───────────────────────────────────────────────────
 
-def canonical_dumps(obj) -> str:
-    """Sorted keys, no whitespace: the bytes every payload digest covers."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
-    """texts[index[v]] for every v, one shared string per distinct text."""
-    return np.array(texts, dtype=object)[index].tolist()
-
-
-def _joined_rows(segments: list[str], columns: list[list[str]], sep: str,
-                 chunk: int) -> Iterator[str]:
-    """Every row, the template segments around its column texts, rows
-    joined by ``sep``; yielded ``chunk`` rows at a time."""
-    k, size = len(columns), len(columns[0])
-    for start in range(0, size, chunk):
-        m = min(chunk, size - start)
-        parts = [segments[-1] + sep + segments[0]] * (2 * k * m + 1)
-        parts[0] = sep + segments[0] if start else segments[0]
-        parts[-1] = segments[-1]
-        for i, column in enumerate(columns):
-            parts[2 * i + 1::2 * k] = column[start:start + m]
-            if i:
-                parts[2 * i::2 * k] = [segments[i]] * m
-        yield "".join(parts)
-
-
 def _small_ints(values: np.ndarray) -> list[str]:
-    return _pick(values, [str(v) for v in range(int(values.max()) + 1)])
+    return pick(values, [str(v) for v in range(int(values.max()) + 1)])
 
 
-def _booleans(values: np.ndarray) -> list[str]:
-    return _pick(values.astype(np.intp), ["false", "true"])
-
-
-def _template(audit: bool) -> tuple[list[str], list[str]]:
-    """The canonical text of one finding cut around its fields: the text
-    segments, and the field names in the order they fill the cuts."""
-    entry = {"delta": "\0delta", "time": "\0time"}
-    record = {"omega": "\0omega", "d": "\0d", "u": "\0u", "pst": [entry]}
+def _skeleton(audit: bool) -> dict:
+    """One finding with a slot at every field, laid out as ``_record``."""
+    entry = slots("delta", "time")
+    record = {**slots("omega", "d", "u"), "pst": [entry]}
     if audit:
-        entry.update(distance="\0distance", antipodal="\0antipodal",
-                     is_xor_sum="\0is_xor_sum")
-        record.update(connected="\0connected", diameter="\0diameter",
-                      violations="\0violations")
-    parts = re.split(r'"\\u0000(\w+)"', canonical_dumps(record))
-    return parts[0::2], parts[1::2]
-
-
-_TEMPLATES = {audit: _template(audit) for audit in (False, True)}
+        entry.update(slots("distance", "antipodal", "is_xor_sum"))
+        record.update(slots("connected", "diameter", "violations"))
+    return record
 
 
 @dataclass(frozen=True, eq=False)
 class _Findings:
-    """The sets of one survey block that transfer, one entry per set.
+    """The sets of one survey block at dimension ``n`` that transfer.
 
     ``labels`` holds each set's members in ascending order, padded on the
     left with label 0 up to the block's largest degree; the set transfers
@@ -383,6 +344,7 @@ class _Findings:
     ``connected``, ``diameter`` and ``distance`` to δ.
     """
 
+    n: int
     labels: np.ndarray
     u: np.ndarray
     delta: np.ndarray
@@ -391,7 +353,7 @@ class _Findings:
     diameter: np.ndarray | None = None
     distance: np.ndarray | None = None
 
-    def records(self, n: int) -> Iterator[dict]:
+    def records(self) -> Iterator[dict]:
         """The report lines, each as ``audit_record``/``transfer_record``
         gives it for that set."""
         geometry = repeat(None)
@@ -404,58 +366,60 @@ class _Findings:
                                          self.q.tolist(), geometry):
             if geo is not None:
                 geo = (geo[0], geo[1], {db: geo[2]})
-            yield _record(n, [x for x in labels if x], u,
+            yield _record(self.n, [x for x in labels if x], u,
                           {db: RationalAngle(1, q)}, geo)
 
-    def columns(self, n: int) -> dict[str, list[str]]:
+    def columns(self) -> dict:
         """The JSON text of every field of every record, by field name.
 
         Labels, small ints, booleans and times are picked from tables of
-        their distinct texts; omega and violations are built as compact
-        JSON texts by elementwise concatenation, one padded column at a
-        time, so the work scales with the labels held, not with 2ⁿ.
+        their distinct texts; omega and violations, functions of the
+        layout, by elementwise concatenation, one padded column at a time,
+        so the work scales with the labels held, not with 2ⁿ.
         """
         rows, k = self.labels.shape
         distinct, index = np.unique(
             np.column_stack([self.labels, self.u, self.delta]),
             return_inverse=True)
         index = index.reshape(rows, k + 2)
-        quoted = np.array([f'"{x:0{n}b}"' for x in distinct.tolist()],
+        quoted = np.array([f'"{x:0{self.n}b}"' for x in distinct.tolist()],
                           dtype=object)
-        listed = quoted + ","
-        listed[distinct == 0] = ""  # padding adds nothing to omega
-        omega = "["
-        for j in range(k - 1):
-            omega = omega + listed[index[:, j]]
-        omega = omega + quoted[index[:, k - 1]] + "]"
+
+        def omega(indent: str | None) -> list[str]:
+            opening, sep, closing = brackets(indent)
+            listed = quoted + sep
+            listed[distinct == 0] = ""  # padding adds nothing
+            text = opening
+            for j in range(k - 1):
+                text = text + listed[index[:, j]]
+            return (text + quoted[index[:, k - 1]] + closing).tolist()
+
         times, at = np.unique(self.q, return_inverse=True)
         columns = {
-            "omega": omega.tolist(),
+            "omega": omega,
             "d": _small_ints(np.count_nonzero(self.labels, axis=1)),
             "u": quoted[index[:, k]].tolist(),
             "delta": quoted[index[:, k + 1]].tolist(),
-            "time": _pick(at, [json.dumps(str(RationalAngle(1, q)))
-                               for q in times.tolist()]),
+            "time": pick(at, [json.dumps(str(RationalAngle(1, q)))
+                              for q in times.tolist()]),
         }
         if self.connected is not None:
             xor_sum = self.delta == self.u
-            violations = ("[" + quoted + "]")[index[:, k + 1]]
-            violations[xor_sum] = "[]"
+
+            def violations(indent: str | None) -> list[str]:
+                opening, _, closing = brackets(indent)
+                texts = (opening + quoted + closing)[index[:, k + 1]]
+                texts[xor_sum] = "[]"
+                return texts.tolist()
+
             columns.update(
-                connected=_booleans(self.connected),
+                connected=booleans(self.connected),
                 diameter=_small_ints(self.diameter),
                 distance=_small_ints(self.distance),
-                antipodal=_booleans(self.distance == self.diameter),
-                is_xor_sum=_booleans(xor_sum),
-                violations=violations.tolist())
+                antipodal=booleans(self.distance == self.diameter),
+                is_xor_sum=booleans(xor_sum),
+                violations=violations)
         return columns
-
-    def text(self, n: int) -> Iterator[str]:
-        """The records in canonical JSON, comma-joined, in pieces."""
-        segments, names = _TEMPLATES[self.connected is not None]
-        columns = self.columns(n)
-        return _joined_rows(segments, [columns[name] for name in names],
-                            ",", len(self.u))
 
 
 # ── surveys ───────────────────────────────────────────────────────────────
@@ -467,11 +431,10 @@ class ScanReport:
     between identical runs; two equal surveys must produce byte-identical
     payload JSON regardless of the clock.
 
-    A survey hands over its findings as per-block columns (``blocks``)
-    and ``findings=None``: ``findings`` is then built on first read, and
-    ``canonical_json`` and ``digest`` render the findings text straight
-    from the columns, the bytes ``canonical_dumps(payload())`` would give.
-    A report built with a ``findings`` list serializes that list.
+    A survey hands over its findings as per-block columns (``blocks``):
+    ``findings`` is then built on first read, and ``columnar_payload``
+    holds them as ``Rows`` that render to the bytes of ``payload()``.  A
+    report built with a ``findings`` list serializes that list.
     """
 
     def __init__(self, kind: str, n: int, filters: dict, universe: int,
@@ -492,13 +455,19 @@ class ScanReport:
         """One record per set that transfers, in canonical set order."""
         if self._findings is None:
             self._findings = [record for block in self._blocks
-                              for record in block.records(self.n)]
+                              for record in block.records()]
         return self._findings
 
     def payload(self) -> dict:
-        return self._payload(self.findings)
+        return {**self.columnar_payload(), "findings": self.findings}
 
-    def _payload(self, findings) -> dict:
+    def columnar_payload(self) -> dict:
+        """``payload()`` with findings as ``Rows`` where the survey left
+        columns, so no record is built."""
+        findings = self._findings
+        if findings is None or self._blocks:
+            findings = Rows(_skeleton(self.kind == "antipodal-audit"),
+                            [block.columns for block in self._blocks])
         return {
             "kind": self.kind,
             "n": self.n,
@@ -514,29 +483,12 @@ class ScanReport:
         """Survey throughput; 0 when the clock saw no time pass."""
         return self.universe / self.wall_time_s if self.wall_time_s else 0.0
 
-    def _pieces(self) -> Iterator[str]:
-        """``canonical_dumps(payload())`` in pieces."""
-        if not self._blocks:
-            yield canonical_dumps(self.payload())
-            return
-        hole = "\0"  # JSON text never holds a raw NUL
-        head, tail = canonical_dumps(self._payload(hole)).split(
-            json.dumps(hole))
-        yield head + "["
-        for i, block in enumerate(self._blocks):
-            if i:
-                yield ","
-            yield from block.text(self.n)
-        yield "]" + tail
-
     def canonical_json(self) -> str:
-        return "".join(self._pieces())
+        return "".join(jsontext.dumps(self.columnar_payload(),
+                                      indented=False))
 
     def digest(self) -> str:
-        digest = hashlib.sha256()
-        for piece in self._pieces():
-            digest.update(piece.encode())
-        return digest.hexdigest()
+        return jsontext.digest(self.columnar_payload())
 
 
 EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
@@ -575,7 +527,7 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
             found.update(connected=(dists >= 0).all(axis=1),
                          diameter=dists.max(axis=1),
                          distance=dists[np.arange(hits.size), delta[hits]])
-        blocks.append(_Findings(**found))
+        blocks.append(_Findings(n, **found))
     count = sum(len(block.u) for block in blocks)  # one offset per set
     note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
     if kind == "pst-scan":

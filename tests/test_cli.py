@@ -365,6 +365,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
                                        "01", "--delta", "01",
                                        "--t-real", value])
         assert code == 2 and out == "" and "finite" in err
+    for tail, name in ((["--trials", "-1"], "trials"),
+                       (["--pairs", "-3"], "pair_trials"),
+                       (["--trials", "-1", "--pairs", "-3"], "trials"),
+                       (["--trials", "0", "--pairs", "0"], "both 0"),
+                       (["--n-max", "0"], "n_max")):
+        code, out, err = _run(capsys, ["oracle-verify", *tail])
+        assert code == 2 and out == "" and name in err, tail
     missing = tmp_path / "missing" / "x.json"
     code, _, err = _run(capsys, ["spectrum", "--n", "2", "--omega", "01",
                                  "--out", str(missing)])

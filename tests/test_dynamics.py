@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
-from cubewalk.dynamics import (FLOAT_TOL, HALF_PI, PI, GaussianInteger,
-                               RationalAngle, UnsupportedAngleError,
-                               all_amplitudes, all_amplitudes_exact,
-                               all_fidelities, amplitude, amplitude_exact,
-                               exact_components, gaussian_unit,
-                               measurement_distribution)
+from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
+                               UnsupportedAngleError, all_amplitudes,
+                               all_amplitudes_exact, all_fidelities,
+                               amplitude, amplitude_exact, exact_components,
+                               gaussian_unit, measurement_distribution)
 from cubewalk.spectral import spectrum, wht
+
+# how far the float fidelities may stray from the exact ones on the grid
+FLOAT_TOL = 1e-9
 
 
 def _random_set(rng, n):

@@ -14,13 +14,13 @@ import random
 
 import numpy as np
 
-from cubewalk import cli
+from cubewalk import cli, jsontext
 from cubewalk.bitspace import ConnectionSet, GroupElement
 from cubewalk.dynamics import (RationalAngle, all_amplitudes,
                                exact_components, measurement_distribution)
 from cubewalk.graphwalk import (bfs_profile, bipartite_functional,
                                 is_complete_bipartite)
-from cubewalk.scanner import canonical_dumps
+from cubewalk.jsontext import canonical_dumps
 from cubewalk.spectral import Spectrum, classify_congruences, spectrum
 
 
@@ -157,7 +157,7 @@ def _handle(argv):
     """``cli.main`` minus its per-call parser build, which dwarfs n <= 3."""
     args = PARSER.parse_args(argv)
     args.raw_argv, args.started_at = argv, cli._utc_now()
-    return args.handlers[args.command](args)
+    return args.handler(args)
 
 
 def _assert_same_bytes(capsys, argv, tmp_path=None):
@@ -226,7 +226,7 @@ def test_every_set_small_is_byte_identical(capsys):
 
 
 def test_random_sets_are_byte_identical(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK", 7)  # rows cross piece boundaries
+    monkeypatch.setattr(jsontext, "CHUNK", 7)  # rows cross piece boundaries
     rng = random.Random(17)
     for _ in range(50):
         n = rng.randint(1, 10)

@@ -9,7 +9,7 @@ from collections import deque
 
 import pytest
 
-from cubewalk import scanner
+from cubewalk import cli, jsontext, scanner
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
@@ -373,9 +373,14 @@ def test_survey_digest_renders_from_columns():
     for report in reports + [violating, empty]:
         # rendered first, from the columns; the records are read after
         text, digest = report.canonical_json(), report.digest()
-        want = scanner.canonical_dumps(report.payload())
+        document = "".join(jsontext.dumps(
+            {"command": "scan", "report": report.columnar_payload()},
+            indented=True))
+        want = jsontext.canonical_dumps(report.payload())
         assert text == want
         assert digest == hashlib.sha256(want.encode()).hexdigest()
+        assert document == json.dumps(
+            {"command": "scan", "report": report.payload()}, indent=2)
     assert sum(len(r.findings) for r in reports[7:]) > 300
     assert violating.violations == len(violating.findings) > 0
     assert empty.findings == []
@@ -394,3 +399,9 @@ def test_survey_builds_no_record_until_read(monkeypatch):
     assert scan.summary["sets_with_pst"] > 0
     with pytest.raises(AssertionError, match="record was built"):
         scan.findings
+    # the CLI writes its document and digest from the columns as well
+    monkeypatch.setattr(scanner.ScanReport, "payload", built)
+    monkeypatch.setattr(scanner.ScanReport, "digest", built)
+    for argv in (["audit-antipodal", "--n", "3"],
+                 ["scan", "--n", "3", "--u-zero"]):
+        assert cli.main(argv) == 0
