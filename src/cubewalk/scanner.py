@@ -9,7 +9,8 @@ and windows such as d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 masks.
 The window is counted before anything is walked.  Beyond that only
 sampling is offered; a sample larger than the number of sets its filters
 admit (xor-sum-zero sets are counted exactly, by a character sum) is
-refused before the first draw.
+refused before the first draw.  The antipodality audit takes neither a
+window nor a sample, so it stops at n = 4 (``EXHAUSTIVE_CAP``).
 
 The masks stream through the survey in blocks of at most
 ``BLOCK_CELLS`` = 2¹³ indicator entries, 2¹³⁻ⁿ sets (one set from n = 13
@@ -25,7 +26,9 @@ the connectivity, diameter and distance(0, δ).  The summary counters are
 read off those columns, and the digest and the CLI's document render them
 as ``jsontext.Rows``, with no per-set dict.  ``ScanReport.findings`` is
 built on first read, by the builder that ``transfer_record`` and
-``audit_record`` use for one set, so a line re-runs to the same dict.
+``audit_record`` use for one set, so a line re-runs to the same dict.  A
+cubelike graph transfers from 0 to at most one offset (Cheung and
+Godsil, 2011), so a record carries the set's one offset, or none.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -65,9 +68,10 @@ import json
 import math
 import random
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,7 +84,8 @@ from .jsontext import Rows, booleans, brackets, pick, slots
 from .pst import _decide_rows, pst_offsets
 from .spectral import _wht_rows
 
-EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP
+EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP;
+# the antipodality audit, which takes no window, stops there
 FILTERED_CAP = 5
 MASK_CAP = 1 << 24
 # Indicator entries per block: 512 sets at n = 4, 256 at n = 5, one set
@@ -265,57 +270,54 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
 # ── per-set records ───────────────────────────────────────────────────────
 
 def _record(n: int, labels: Iterable[int], u: int,
-            offsets: dict[int, RationalAngle],
-            geometry: tuple[bool, int, Sequence[int] | Mapping[int, int]]
-            | None = None) -> dict:
+            transfer: tuple[int, RationalAngle] | None,
+            geometry: tuple[bool, int, int] | None = None) -> dict:
     """The report line of one set; with ``geometry`` also its audit fields.
 
-    ``geometry`` is (connected, diameter, dist) of the BFS from 0, with
-    dist indexed by vertex (every offset at least).
+    ``transfer`` is the set's one offset and its time, (δ, π/q), or None;
+    ``geometry`` is (connected, diameter, distance to δ) of the BFS from 0.
     """
     code = f"0{n}b"
     omega = [format(e, code) for e in labels]
     record = {"omega": omega, "d": len(omega), "u": format(u, code),
               "pst": []}
-    violations = []
-    for db, t in sorted(offsets.items()):
+    if transfer is not None:
+        db, t = transfer
         entry = {"delta": format(db, code), "time": str(t)}
         record["pst"].append(entry)
         if geometry is not None:
-            distance = int(geometry[2][db])
-            entry["distance"] = distance
-            entry["antipodal"] = distance == geometry[1]
-            entry["is_xor_sum"] = db == u
-            if db != u:
-                violations.append(entry["delta"])
-    if geometry is not None and offsets:
-        record["connected"], record["diameter"] = geometry[:2]
-        record["violations"] = violations
+            connected, diameter, distance = geometry
+            entry.update(distance=distance, antipodal=distance == diameter,
+                         is_xor_sum=db == u)
+            record.update(connected=connected, diameter=diameter,
+                          violations=[] if db == u else [entry["delta"]])
     return record
 
 
 def transfer_record(omega: ConnectionSet) -> dict:
-    """Exact PST offsets of one set, in a JSON-ready shape."""
-    return _record(omega.n, omega.elements, omega.u.bits, pst_offsets(omega))
+    """The exact PST offset of one set, if any, in a JSON-ready shape."""
+    return _record(omega.n, omega.elements, omega.u.bits,
+                   next(iter(pst_offsets(omega).items()), None))
 
 
 def audit_record(omega: ConnectionSet) -> dict:
-    """Transfer offsets of one set with their distance geometry.
+    """The transfer offset of one set, if any, with its distance geometry.
 
-    Per offset: the graph distance from 0, whether that equals the
+    For the offset: the graph distance from 0, whether that equals the
     diameter (the metric antipodality flag), and whether the offset is
     the xor-sum of the set (the structural one).  ``diameter`` is the
     eccentricity of vertex 0 in its component, which equals the graph
-    diameter when the graph is connected; every transfer offset lies in
+    diameter when the graph is connected; the transfer offset lies in
     that component, so its distance is always defined.  ``violations``
-    lists the offsets differing from the xor-sum.
+    lists the offset when it differs from the xor-sum.
     """
-    offsets = pst_offsets(omega)
+    transfer = next(iter(pst_offsets(omega).items()), None)
     geometry = None
-    if offsets:
+    if transfer is not None:
         profile = bfs_profile(omega, GroupElement.zero(omega.n))
-        geometry = (profile.connected, profile.diameter, profile.dist)
-    return _record(omega.n, omega.elements, omega.u.bits, offsets, geometry)
+        geometry = (profile.connected, profile.diameter,
+                    int(profile.dist[transfer[0]]))
+    return _record(omega.n, omega.elements, omega.u.bits, transfer, geometry)
 
 
 # ── findings as columns ───────────────────────────────────────────────────
@@ -364,10 +366,8 @@ class _Findings:
                                          self.u.tolist(),
                                          self.delta.tolist(),
                                          self.q.tolist(), geometry):
-            if geo is not None:
-                geo = (geo[0], geo[1], {db: geo[2]})
             yield _record(self.n, [x for x in labels if x], u,
-                          {db: RationalAngle(1, q)}, geo)
+                          (db, RationalAngle(1, q)), geo)
 
     def columns(self) -> dict:
         """The JSON text of every field of every record, by field name.
@@ -424,6 +424,7 @@ class _Findings:
 
 # ── surveys ───────────────────────────────────────────────────────────────
 
+@dataclass(frozen=True, eq=False)
 class ScanReport:
     """Survey result: deterministic payload plus volatile wall time.
 
@@ -431,43 +432,33 @@ class ScanReport:
     between identical runs; two equal surveys must produce byte-identical
     payload JSON regardless of the clock.
 
-    A survey hands over its findings as per-block columns (``blocks``):
-    ``findings`` is then built on first read, and ``columnar_payload``
-    holds them as ``Rows`` that render to the bytes of ``payload()``.  A
-    report built with a ``findings`` list serializes that list.
+    The survey hands over its findings as per-block columns (``blocks``):
+    ``findings`` is built from them on first read, one record per set
+    with the set's one transfer offset, and ``columnar_payload`` holds
+    them as ``Rows`` that render to the bytes of ``payload()``.
     """
 
-    def __init__(self, kind: str, n: int, filters: dict, universe: int,
-                 findings: list[dict] | None, summary: dict, violations: int,
-                 wall_time_s: float, blocks: Sequence[_Findings] = ()):
-        self.kind = kind
-        self.n = n
-        self.filters = filters
-        self.universe = universe
-        self.summary = summary
-        self.violations = violations
-        self.wall_time_s = wall_time_s
-        self._findings = findings
-        self._blocks = tuple(blocks)
+    kind: str
+    n: int
+    filters: dict
+    universe: int
+    summary: dict
+    violations: int
+    wall_time_s: float
+    blocks: tuple[_Findings, ...] = field(repr=False)
 
-    @property
+    @cached_property
     def findings(self) -> list[dict]:
         """One record per set that transfers, in canonical set order."""
-        if self._findings is None:
-            self._findings = [record for block in self._blocks
-                              for record in block.records()]
-        return self._findings
+        return [record for block in self.blocks
+                for record in block.records()]
 
     def payload(self) -> dict:
         return {**self.columnar_payload(), "findings": self.findings}
 
     def columnar_payload(self) -> dict:
-        """``payload()`` with findings as ``Rows`` where the survey left
+        """``payload()`` with findings as ``Rows`` of the survey's
         columns, so no record is built."""
-        findings = self._findings
-        if findings is None or self._blocks:
-            findings = Rows(_skeleton(self.kind == "antipodal-audit"),
-                            [block.columns for block in self._blocks])
         return {
             "kind": self.kind,
             "n": self.n,
@@ -475,7 +466,8 @@ class ScanReport:
             "universe": self.universe,
             "violations": self.violations,
             "summary": self.summary,
-            "findings": findings,
+            "findings": Rows(_skeleton(self.kind == "antipodal-audit"),
+                             [block.columns for block in self.blocks]),
         }
 
     @property
@@ -559,10 +551,9 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
                "u": "zero" if u_zero else "any", "sample": sample,
                "seed": seed if sample is not None else None}
     return ScanReport(kind=kind, n=n, filters=filters, universe=scanned,
-                      findings=None, summary=summary,
-                      violations=violations,
+                      summary=summary, violations=violations,
                       wall_time_s=_time.perf_counter() - started,
-                      blocks=blocks)
+                      blocks=tuple(blocks))
 
 
 def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,
@@ -596,6 +587,12 @@ def antipodality_audit(n: int) -> ScanReport:
     result, not a malfunction: transfer to a generator offset happens
     whenever the xor-sum lies inside the set.  Findings are built by
     ``audit_record``, which anyone can re-run on a single set to confirm a
-    report line independently.
+    report line independently.  The audit takes no window and no sample,
+    so n above ``EXHAUSTIVE_CAP`` is refused before anything is walked.
     """
+    _check_dimension(n)
+    if n > EXHAUSTIVE_CAP:
+        raise EnumerationCapError(
+            f"the antipodality audit is exhaustive and reaches n = "
+            f"{EXHAUSTIVE_CAP}; got n = {n}")
     return _survey("antipodal-audit", n)

@@ -17,7 +17,7 @@ from cubewalk import cli, scanner
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.cli import main
 from cubewalk.dynamics import HALF_PI, all_fidelities
-from cubewalk.scanner import ScanReport
+from cubewalk.scanner import conjecture_scan
 
 
 def _run(capsys, argv):
@@ -241,26 +241,26 @@ def test_scan_and_audit_exit_codes(capsys):
 
 
 def test_survey_violation_exit_code(capsys, monkeypatch):
-    # wiring check only: a nonzero violation count must map to exit 3
-    report = ScanReport(kind="conjecture-scan", n=2, filters={}, universe=1,
-                        findings=[{"omega": ["11"]}],
-                        summary={"counterexamples": 1}, violations=1,
-                        wall_time_s=0.01)
+    # wiring check: a nonzero violation count must map to exit 3; this
+    # sample holds exactly one counterexample
+    report = conjecture_scan(5, sample=2000, seed=11)
     monkeypatch.setattr(cli, "conjecture_scan", lambda n, **kw: report)
-    code, out, err = _run(capsys, ["scan", "--n", "2", "--u-zero"])
+    code, out, err = _run(capsys, ["scan", "--n", "5", "--u-zero",
+                                   "--sample", "2000", "--seed", "11"])
     assert code == 3
     doc, payload = _json_of(out)
     assert payload == {"command": "scan", "report": report.payload()}
-    assert doc["manifest"]["wall_time_s"] == 0.01
+    assert doc["manifest"]["wall_time_s"] == report.wall_time_s
     assert "counterexamples  1" in err
 
 
 def test_scan_window_errors_exit_2(capsys, monkeypatch):
-    # the window is checked before the walk, so no set is ever examined
-    def walked(omega):
-        raise AssertionError(f"walked {omega.format()}")
+    # the window is checked before the walk, so no block of sets is ever
+    # built: every block a walk produces passes through _indicators
+    def walked(masks, n):
+        raise AssertionError(f"walked {len(masks)} sets at n = {n}")
 
-    monkeypatch.setattr(scanner, "transfer_record", walked)
+    monkeypatch.setattr(scanner, "_indicators", walked)
     for argv in (["--n", "5", "--d-min", "1"],
                  ["--n", "3", "--d-min", "5", "--d-max", "2"]):
         code, out, err = _run(capsys, ["scan", *argv])
@@ -372,6 +372,11 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
                        (["--n-max", "0"], "n_max")):
         code, out, err = _run(capsys, ["oracle-verify", *tail])
         assert code == 2 and out == "" and name in err, tail
+    # the audit has no window and no sample to offer past its cap
+    for n in ("5", "6"):
+        code, out, err = _run(capsys, ["audit-antipodal", "--n", n])
+        assert code == 2 and out == "" and "n = 4" in err
+        assert "sample" not in err and "window" not in err
     missing = tmp_path / "missing" / "x.json"
     code, _, err = _run(capsys, ["spectrum", "--n", "2", "--omega", "01",
                                  "--out", str(missing)])

@@ -193,6 +193,10 @@ def test_transfer_record_no_transfer():
     record = transfer_record(ConnectionSet(2, (1, 2, 3)))
     assert record["pst"] == []
     assert record["u"] == "00"
+    # with no transfer the audit adds no geometry
+    audit = audit_record(ConnectionSet(2, (1, 2, 3)))
+    assert set(audit) == {"omega", "d", "u", "pst"}
+    assert audit["pst"] == []
 
 
 def test_audit_record_offset_inside_the_set():
@@ -208,6 +212,21 @@ def test_audit_record_offset_inside_the_set():
     assert entry["antipodal"] is False
     assert entry["is_xor_sum"] is True
     assert record["violations"] == []
+    # the n = 5 xor-sum-zero set that transfers at pi/4 lands on a
+    # generator too, and that offset differs from the xor-sum
+    fixture = ConnectionSet.parse("00001,00110,00111,01000,01001,01100,"
+                                  "01101,10000,10001,10010,10011", 5)
+    assert audit_record(fixture) == {
+        "omega": ["00001", "00110", "00111", "01000", "01001", "01100",
+                  "01101", "10000", "10001", "10010", "10011"],
+        "d": 11,
+        "u": "00000",
+        "pst": [{"delta": "00001", "time": "pi/4", "distance": 1,
+                 "antipodal": False, "is_xor_sum": False}],
+        "connected": True,
+        "diameter": 2,
+        "violations": ["00001"],
+    }
 
 
 def test_audit_record_antipodal_case():
