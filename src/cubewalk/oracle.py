@@ -6,7 +6,8 @@ routes can be compared: the regular representation as explicit Kronecker
 products of bit-flip blocks, the adjacency matrix as their sum, and the
 walk operator both by dense diagonalization and by scipy's expm.  None of
 it imports the transform; agreement between the two routes is evidence,
-not tautology.
+not tautology.  Each trial of ``verify_equivalence`` builds one adjacency
+matrix, and both dense routes and the ``eigvalsh`` check read it.
 
 Dense work is capped at n ≤ 10 (a 1024×1024 complex matrix); the fast
 path has no such limit.
@@ -19,6 +20,7 @@ commutators and eigenvalue diagonalization are exact integer statements.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -49,6 +51,13 @@ def _check_cap(n: int) -> None:
             f"dense path is capped at n <= {DENSE_CAP}, got {n}")
 
 
+def _kron_step(mat: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """np.kron(mat, block) for a 2×2 block, as one broadcast product."""
+    rows, cols = mat.shape
+    return (mat[:, None, :, None] * block[None, :, None, :]).reshape(
+        2 * rows, 2 * cols)
+
+
 def regular_rep(w: GroupElement) -> np.ndarray:
     """Permutation matrix of x ↦ x⊕w as a Kronecker product.
 
@@ -59,7 +68,7 @@ def regular_rep(w: GroupElement) -> np.ndarray:
     _check_cap(w.n)
     mat = np.ones((1, 1), dtype=np.int64)
     for i in range(w.n - 1, -1, -1):
-        mat = np.kron(mat, _FLIP if (w.bits >> i) & 1 else _EYE2)
+        mat = _kron_step(mat, _FLIP if (w.bits >> i) & 1 else _EYE2)
     return mat
 
 
@@ -78,21 +87,21 @@ def _hadamard(n: int) -> np.ndarray:
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
     mat = np.ones((1, 1), dtype=np.int64)
     for _ in range(n):
-        mat = np.kron(mat, block)
+        mat = _kron_step(mat, block)
     mat.setflags(write=False)
     return mat
 
 
-def dense_eigenvalues(omega: ConnectionSet) -> np.ndarray:
-    """Eigenvalues by explicit conjugation H A H / 2ⁿ, exact in int64.
+def _finite_time(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+    return t
 
-    The conjugated matrix must come out diagonal with entries divisible by
-    2ⁿ; anything else means the adjacency matrix was not cubelike, which
-    cannot happen for a ConnectionSet.
-    """
-    adj = adjacency_dense(omega)
-    had = _hadamard(omega.n)
-    size = 1 << omega.n
+
+def _eigenvalues(adj: np.ndarray) -> np.ndarray:
+    size = adj.shape[0]
+    had = _hadamard(size.bit_length() - 1)
     conj = had @ adj @ had
     diag = np.diagonal(conj).copy()
     off = conj - np.diag(diag)
@@ -103,39 +112,64 @@ def dense_eigenvalues(omega: ConnectionSet) -> np.ndarray:
     return diag // size
 
 
+def _unitary(adj: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """U(t) by diagonalization, with its defect ‖UU† − I‖_max."""
+    lam = _eigenvalues(adj)
+    size = adj.shape[0]
+    had = _hadamard(size.bit_length() - 1).astype(np.float64)
+    phases = np.exp(-1j * t * lam)
+    unitary = (had * phases[None, :]) @ had / size
+    gram = unitary @ unitary.conj().T
+    defect = float(np.abs(gram - np.eye(size)).max())
+    if not defect <= UNITARY_TOL:
+        raise OracleMismatchError(f"unitarity defect {defect:.3e}")
+    return unitary, defect
+
+
+def _expm(adj: np.ndarray, t: float) -> np.ndarray:
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg import expm
+
+    return expm(-1j * t * adj.astype(np.float64))
+
+
+def dense_eigenvalues(omega: ConnectionSet) -> np.ndarray:
+    """Eigenvalues by explicit conjugation H A H / 2ⁿ, exact in int64.
+
+    The conjugated matrix must come out diagonal with entries divisible by
+    2ⁿ; anything else means the adjacency matrix was not cubelike, which
+    cannot happen for a ConnectionSet.
+    """
+    return _eigenvalues(adjacency_dense(omega))
+
+
 def evolve_dense(omega: ConnectionSet, t: float,
                  cross_check: bool = True) -> np.ndarray:
     """Walk operator U(t) = exp(−itA) by dense diagonalization.
 
     With ``cross_check`` the result is also compared entrywise against
     scipy's scaling-and-squaring expm; disagreement beyond EVOLVE_TOL or a
-    unitarity defect beyond UNITARY_TOL raises OracleMismatchError.
+    unitarity defect beyond UNITARY_TOL raises OracleMismatchError.  A
+    non-finite ``t`` raises ValueError.
     """
-    lam = dense_eigenvalues(omega)
-    had = _hadamard(omega.n).astype(np.float64)
-    size = 1 << omega.n
-    phases = np.exp(-1j * float(t) * lam)
-    unitary = (had * phases[None, :]) @ had / size
-    gram = unitary @ unitary.conj().T
-    defect = float(np.abs(gram - np.eye(size)).max())
-    if defect > UNITARY_TOL:
-        raise OracleMismatchError(f"unitarity defect {defect:.3e}")
+    t = _finite_time(t)
+    adj = adjacency_dense(omega)
+    unitary, _ = _unitary(adj, t)
     if cross_check:
-        other = evolve_expm(omega, t)
-        dev = float(np.abs(unitary - other).max())
-        if dev > EVOLVE_TOL:
+        dev = float(np.abs(unitary - _expm(adj, t)).max())
+        if not dev <= EVOLVE_TOL:
             raise OracleMismatchError(
                 f"diagonalization and expm disagree by {dev:.3e}")
     return unitary
 
 
 def evolve_expm(omega: ConnectionSet, t: float) -> np.ndarray:
-    """Walk operator through scipy.linalg.expm, the second dense route."""
-    # Imported here so that importing the package does not load scipy.
-    from scipy.linalg import expm
+    """Walk operator through scipy.linalg.expm, the second dense route.
 
-    adj = adjacency_dense(omega)
-    return expm(-1j * float(t) * adj.astype(np.float64))
+    A non-finite ``t`` raises ValueError.
+    """
+    t = _finite_time(t)
+    return _expm(adjacency_dense(omega), t)
 
 
 def commutation_check(first: ConnectionSet, second: ConnectionSet) -> int:
@@ -154,12 +188,20 @@ def _random_set(rng: random.Random, n: int) -> ConnectionSet:
     return ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
+def _worst(route: str, worst: float, dev: float) -> float:
+    # max() keeps its first argument against a NaN, so a NaN would pass.
+    if not math.isfinite(dev):
+        raise OracleMismatchError(f"{route} route deviation is {dev}")
+    return max(worst, dev)
+
+
 def verify_equivalence(*, trials: int = 100, pair_trials: int = 50,
                        seed: int = 0, n_max: int = 6) -> dict:
     """Drive the dense routes against the transform path on random inputs.
 
     Returns a report with the worst deviations observed; ``ok`` is True
-    when every deviation is inside its tolerance.  The closed-form route
+    when every deviation is inside its tolerance; a non-finite deviation
+    raises OracleMismatchError naming its route.  The closed-form route
     under test is dynamics.all_amplitudes, reshaped into a matrix via
     U[b, a] = T(a⊕b)/2ⁿ.  Negative counts, two zero counts and
     ``n_max`` < 1 raise ValueError: an ``ok`` report always checked something.
@@ -187,20 +229,19 @@ def verify_equivalence(*, trials: int = 100, pair_trials: int = 50,
         omega = _random_set(rng, n)
         t = rng.uniform(0.0, 2.0 * np.pi)
         size = 1 << n
-        dense = evolve_dense(omega, t, cross_check=False)
-        other = evolve_expm(omega, t)
-        expm_dev = max(expm_dev, float(np.abs(dense - other).max()))
-        gram = dense @ dense.conj().T
-        unitary_dev = max(unitary_dev,
-                          float(np.abs(gram - np.eye(size)).max()))
+        adj = adjacency_dense(omega)
+        dense, defect = _unitary(adj, t)
+        unitary_dev = max(unitary_dev, defect)
+        expm_dev = _worst("expm", expm_dev,
+                          float(np.abs(dense - _expm(adj, t)).max()))
         idx = np.arange(size)
         fast = all_amplitudes(omega, t)[idx[:, None] ^ idx[None, :]] / size
-        closed_dev = max(closed_dev, float(np.abs(dense - fast).max()))
-        eigs = np.sort(np.linalg.eigvalsh(adjacency_dense(omega)
-                                          .astype(np.float64)))
+        closed_dev = _worst("closed-form", closed_dev,
+                            float(np.abs(dense - fast).max()))
+        eigs = np.sort(np.linalg.eigvalsh(adj.astype(np.float64)))
         exact = np.sort(spectrum(omega).values)
-        spectrum_dev = max(spectrum_dev,
-                           float(np.abs(eigs - exact).max()))
+        spectrum_dev = _worst("spectrum", spectrum_dev,
+                              float(np.abs(eigs - exact).max()))
     commutator_max = 0
     for _ in range(pair_trials):
         a = _random_set(rng, 4)

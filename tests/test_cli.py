@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cubewalk
-from cubewalk import cli, scanner
+from cubewalk import cli, dynamics, scanner
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.cli import main
 from cubewalk.dynamics import HALF_PI, all_fidelities
@@ -350,6 +350,17 @@ def test_oracle_verify_subcommand(capsys):
     doc, _ = _json_of(out)
     assert doc["ok"] is True
     assert doc["commutator_max"] == 0
+
+
+def test_oracle_verify_non_finite_deviation_exits_1(capsys, monkeypatch):
+    def nan_amplitudes(omega, t):
+        return np.full(1 << omega.n, np.nan, dtype=complex)
+
+    monkeypatch.setattr(dynamics, "all_amplitudes", nan_amplitudes)
+    code, out, err = _run(capsys, ["oracle-verify", "--trials", "5",
+                                   "--pairs", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed:") and "closed-form" in err
 
 
 def test_invalid_inputs_exit_2(capsys, tmp_path):

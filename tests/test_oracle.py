@@ -5,13 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from cubewalk import dynamics, oracle
 from cubewalk.bitspace import (ConnectionSet, DimensionMismatchError,
                                GroupElement, hypercube)
 from cubewalk.dynamics import all_amplitudes
-from cubewalk.oracle import (DENSE_CAP, DenseCapError, adjacency_dense,
-                             commutation_check, dense_eigenvalues,
-                             evolve_dense, evolve_expm, regular_rep,
-                             verify_equivalence)
+from cubewalk.oracle import (DENSE_CAP, DenseCapError, OracleMismatchError,
+                             adjacency_dense, commutation_check,
+                             dense_eigenvalues, evolve_dense, evolve_expm,
+                             regular_rep, verify_equivalence)
 from cubewalk.spectral import spectrum
 
 
@@ -22,16 +23,19 @@ def _random_set(rng, n):
 
 
 def test_regular_rep_permutes_by_xor():
-    rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        w = GroupElement(rng.randrange(1 << n), n)
+    # every w at n <= 6, then one w at the cap, the largest broadcast
+    cases = [GroupElement(bits, n) for n in range(1, 7)
+             for bits in range(1 << n)]
+    cases.append(GroupElement(0b1011001110, DENSE_CAP))
+    for w in cases:
         mat = regular_rep(w)
-        size = 1 << n
+        size = 1 << w.n
         want = np.zeros((size, size), dtype=np.int64)
         for x in range(size):
             want[x ^ w.bits, x] = 1
+        assert mat.dtype == np.int64
         np.testing.assert_array_equal(mat, want)
+    assert adjacency_dense(hypercube(DENSE_CAP)).dtype == np.int64
 
 
 def test_adjacency_entries():
@@ -90,6 +94,38 @@ def test_evolution_column_equals_amplitudes():
 
 def test_cross_check_runs_inside_evolve():
     evolve_dense(hypercube(3), 0.7)  # raises if the routes ever split
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_is_refused(t):
+    for route in (evolve_dense, evolve_expm):
+        with pytest.raises(ValueError, match="finite"):
+            route(hypercube(2), t)
+
+
+def test_one_adjacency_per_trial(monkeypatch):
+    built = []
+
+    def counted(omega):
+        built.append(omega)
+        return adjacency_dense(omega)
+
+    monkeypatch.setattr(oracle, "adjacency_dense", counted)
+    evolve_dense(hypercube(3), 0.7)
+    assert len(built) == 1
+    built.clear()
+    # one per trial, shared by both dense routes and eigvalsh; two per pair
+    verify_equivalence(trials=7, pair_trials=3, seed=2, n_max=4)
+    assert len(built) == 7 + 2 * 3
+
+
+def test_non_finite_deviation_fails(monkeypatch):
+    def nan_amplitudes(omega, t):
+        return np.full(1 << omega.n, np.nan, dtype=complex)
+
+    monkeypatch.setattr(dynamics, "all_amplitudes", nan_amplitudes)
+    with pytest.raises(OracleMismatchError, match="closed-form"):
+        verify_equivalence(trials=5, pair_trials=1)
 
 
 def test_commutation():
