@@ -78,6 +78,7 @@ class GroupElement:
 
     @classmethod
     def parse(cls, token: str, n: int) -> GroupElement:
+        _check_dimension(n)
         return cls(_parse_label(token, n, allow_zero=True), n)
 
 
@@ -203,14 +204,12 @@ class ConnectionSet:
 
 
 def _mask_labels(mask: int) -> list[int]:
-    """Labels of a set stored as a mask: bit j of the mask is label j+1."""
-    labels = []
-    m = mask
-    while m:
-        low = m & -m
-        labels.append(low.bit_length())
-        m ^= low
-    return labels
+    """Labels of a set stored as a mask: bit j of the mask is label j+1.
+
+    Ascending, read off the mask's binary digits in time linear in its
+    width.
+    """
+    return [j for j, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1"]
 
 
 def hypercube(n: int) -> ConnectionSet:

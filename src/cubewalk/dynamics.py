@@ -19,6 +19,7 @@ Every fidelity on the grid is thus exactly 0 or 1.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ from .spectral import spectrum, wht
 
 class UnsupportedAngleError(ValueError):
     """Exact evaluation was requested outside the quarter-period grid."""
+
+
+# p, pi, p*pi or p pi, each optionally over /q; a bare pi stands for p = 1
+_ANGLE = re.compile(r"([0-9]+|(?=pi))(\*?pi)?(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -73,25 +78,15 @@ class RationalAngle:
 
     @classmethod
     def parse(cls, text: str) -> RationalAngle:
-        """Accept 'p/q' or 'p', and the printed forms like 'pi/2', '3*pi/4'."""
-        s = text.strip().lower().replace(" ", "")
-        if not s:
-            raise ValueError("empty angle")
-        if s == "0":
-            return cls(0)
-        if "pi" in s:
-            s = s.replace("*pi", "pi")
-            head, _, tail = s.partition("pi")
-            p = int(head) if head else 1
-            q = int(tail[1:]) if tail.startswith("/") else 1
-            if tail and not tail.startswith("/"):
-                raise ValueError(f"bad angle {text!r}")
-            return cls(p, q)
-        num, _, den = s.partition("/")
-        try:
-            return cls(int(num), int(den) if den else 1)
-        except ValueError:
-            raise ValueError(f"bad angle {text!r}") from None
+        """Accept 'p/q' or 'p', and the printed forms like 'pi/2', '3*pi/4'.
+
+        Any other text raises ValueError("bad angle '<text>'").
+        """
+        match = _ANGLE.fullmatch(text.strip().lower().replace(" ", ""))
+        if not match:
+            raise ValueError(f"bad angle {text!r}")
+        p, _, q = match.groups()
+        return cls(int(p or 1), int(q or 1))
 
 
 HALF_PI = RationalAngle(1, 2)

@@ -24,11 +24,13 @@ per-block numpy columns: their members, sorted and padded to the block's
 largest degree, u, δ and q of the transfer time π/q, and for the audit
 the connectivity, diameter and distance(0, δ).  The summary counters are
 read off those columns, and the digest and the CLI's document render them
-as ``jsontext.Rows``, with no per-set dict.  ``ScanReport.findings`` is
-built on first read, by the builder that ``transfer_record`` and
-``audit_record`` use for one set, so a line re-runs to the same dict.  A
-cubelike graph transfers from 0 to at most one offset (Cheung and
-Godsil, 2011), so a record carries the set's one offset, or none.
+as ``jsontext.Rows``, with no per-set dict.  Label handling is linear in
+the labels held: masks are read and written as binary digits, and each
+omega text is one join.  ``ScanReport.findings`` is built on first read,
+by the builder that ``transfer_record`` and ``audit_record`` use for one
+set, so a line re-runs to the same dict.  A cubelike graph transfers from
+0 to at most one offset (Cheung and Godsil, 2011), so a record carries
+the set's one offset, or none.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -181,9 +183,10 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
             mask = rng.randrange(1, 1 << width)
         else:
             d = rng.randint(lo, hi)
-            mask = 0
+            digits = bytearray(b"0" * width)  # the mask's binary digits
             for label in rng.sample(range(1, width + 1), d):
-                mask |= 1 << (label - 1)
+                digits[-label] = ord("1")
+            mask = int(digits, 2)
         if u_zero:
             u = _xor_of_mask(mask)
             if u:
@@ -373,9 +376,9 @@ class _Findings:
         """The JSON text of every field of every record, by field name.
 
         Labels, small ints, booleans and times are picked from tables of
-        their distinct texts; omega and violations, functions of the
-        layout, by elementwise concatenation, one padded column at a time,
-        so the work scales with the labels held, not with 2ⁿ.
+        their distinct texts; omega joins each row's member texts and
+        violations wraps δ's.  Past the sort that builds the label table,
+        the work is linear in the labels held, not in 2ⁿ.
         """
         rows, k = self.labels.shape
         distinct, index = np.unique(
@@ -384,20 +387,18 @@ class _Findings:
         index = index.reshape(rows, k + 2)
         quoted = np.array([f'"{x:0{self.n}b}"' for x in distinct.tolist()],
                           dtype=object)
+        degree = np.count_nonzero(self.labels, axis=1)
 
         def omega(indent: str | None) -> list[str]:
             opening, sep, closing = brackets(indent)
-            listed = quoted + sep
-            listed[distinct == 0] = ""  # padding adds nothing
-            text = opening
-            for j in range(k - 1):
-                text = text + listed[index[:, j]]
-            return (text + quoted[index[:, k - 1]] + closing).tolist()
+            return [opening + sep.join(row[k - d:]) + closing  # past the padding
+                    for row, d in zip(quoted[index[:, :k]].tolist(),
+                                      degree.tolist())]
 
         times, at = np.unique(self.q, return_inverse=True)
         columns = {
             "omega": omega,
-            "d": _small_ints(np.count_nonzero(self.labels, axis=1)),
+            "d": _small_ints(degree),
             "u": quoted[index[:, k]].tolist(),
             "delta": quoted[index[:, k + 1]].tolist(),
             "time": pick(at, [json.dumps(str(RationalAngle(1, q)))

@@ -8,8 +8,9 @@ import pytest
 
 from cubewalk.bitspace import (MAX_DIMENSION, ConnectionSet,
                                DimensionMismatchError, GroupElement,
-                               SetFormatError, dot_parity, gf2_rank,
-                               hypercube, odd_parity_functional, spans)
+                               SetFormatError, _mask_labels, dot_parity,
+                               gf2_rank, hypercube, odd_parity_functional,
+                               spans)
 
 
 def test_group_element_basics():
@@ -43,6 +44,9 @@ def test_group_element_rejects_bad_dimension():
         GroupElement(1, MAX_DIMENSION + 1)
     with pytest.raises(ValueError):
         GroupElement(8, 3)  # bits outside the space
+    for n in (0, MAX_DIMENSION + 6):  # before the label is read
+        with pytest.raises(ValueError, match="dimension must be in"):
+            GroupElement.parse("1", n)
 
 
 def test_dot_parity_matches_popcount():
@@ -114,6 +118,18 @@ def test_hypercube():
     assert q4.elements == (1, 2, 4, 8)
     assert q4.d == 4
     assert q4.u == GroupElement.all_ones(4)
+
+
+def test_mask_labels_against_bit_tests():
+    def reference(mask):
+        return [j + 1 for j in range(mask.bit_length()) if mask >> j & 1]
+
+    rng = random.Random(7)
+    wide = [rng.getrandbits(1 << 14), rng.getrandbits((1 << 16) - 1),
+            1 << (1 << 14), (1 << (1 << 14)) - 1,
+            sum(1 << rng.randrange(1 << 15) for _ in range(40))]
+    for mask in [*range(1 << 7), *wide]:  # every set at n <= 3, then wide
+        assert _mask_labels(mask) == reference(mask)
 
 
 def _span_size(vectors):

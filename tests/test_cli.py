@@ -370,7 +370,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
                          "--delta", "000"])[0] == 2
     assert _run(capsys, ["evolve", "--n", "2", "--omega", "01",
                          "--t-pi", "nonsense"])[0] == 2
+    code, out, err = _run(capsys, ["evolve", "--n", "2", "--omega", "01",
+                                   "--t-pi", "3/"])
+    assert code == 2 and out == "" and "bad angle '3/'" in err
     assert _run(capsys, ["route", "--n", "3", "--target", "000"])[0] == 2
+    for n in ("30", "0"):  # the dimension is checked before the label
+        code, out, err = _run(capsys, ["route", "--n", n, "--target", "1"])
+        assert code == 2 and out == "" and "dimension must be in 1..24" in err
     for value in ("nan", "inf"):
         code, out, err = _run(capsys, ["fidelity", "--n", "2", "--omega",
                                        "01", "--delta", "01",

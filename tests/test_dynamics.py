@@ -86,9 +86,13 @@ def test_rational_angle_parse_and_str():
     for angle in (RationalAngle(0), PI, HALF_PI, RationalAngle(3, 4),
                   RationalAngle(5, 2), RationalAngle(2)):
         assert RationalAngle.parse(str(angle)) == angle
-    for bad in ("", "pi/0", "-1/2", "x", "1/2/3"):
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="denominator"):
+        RationalAngle.parse("pi/0")
+    for bad in ("", "-1/2", "x", "1/2/3", "3/", "pi/", "pi/x", "xpi", "1/2pi",
+                "pi/2/3"):
+        with pytest.raises(ValueError) as info:
             RationalAngle.parse(bad)
+        assert str(info.value) == f"bad angle {bad!r}"
 
 
 def test_rational_angle_radians_and_grid():

@@ -362,6 +362,9 @@ PINNED_SURVEYS = [
      "e5ed10aa482cfa44a6143d8d536b491a67a6ecedb8e78841aa93a19cd17ee410"),
     (scan_sets, 5, {"d_min": 3, "d_max": 3},
      "c7cf9e849bc5ce5e05d9419b99551c9ace385960154813ab0114a27dbe57d7ad"),
+    # a windowed sample: a degree drawn first, then that many labels
+    (scan_sets, 9, {"d_min": 3, "d_max": 200, "sample": 40, "seed": 8},
+     "77bb01567acfe5ccaaa0b1ade6107e6367a82ceb19081ca5b11dfc50e9d85ff9"),
 ]
 
 
@@ -380,6 +383,10 @@ def _larger_surveys():
         yield scan_sets(n, d_min=2, d_max=n + 1, sample=24, seed=n)
         yield conjecture_scan(n, sample=24, seed=n)
         yield scanner._survey("antipodal-audit", n, sample=24, seed=n)
+    # one set per block: findings with thousands of labels each
+    yield scan_sets(14, sample=2, seed=14)
+    yield scan_sets(14, d_max=12000, sample=2, seed=14)
+    yield conjecture_scan(14, sample=2, seed=14)
 
 
 def test_survey_digest_renders_from_columns():
@@ -400,7 +407,10 @@ def test_survey_digest_renders_from_columns():
         assert digest == hashlib.sha256(want.encode()).hexdigest()
         assert document == json.dumps(
             {"command": "scan", "report": report.payload()}, indent=2)
-    assert sum(len(r.findings) for r in reports[7:]) > 300
+    assert sum(len(r.findings) for r in reports[len(PINNED_SURVEYS):]) > 300
+    plain, windowed, u_zero = reports[-3:]
+    assert min(f["d"] for r in (plain, windowed) for f in r.findings) > 1000
+    assert u_zero.universe == 2  # every toggled draw has xor-sum 0
     assert violating.violations == len(violating.findings) > 0
     assert empty.findings == []
 
