@@ -20,9 +20,14 @@ Conventions shared by all subcommands:
     inputs, seed where one applies, start/finish timestamps, and a sha256
     digest of the canonical payload so re-runs can be compared byte for
     byte,
+  * the manifest's ``env`` names the Python and numpy versions, and for
+    oracle-verify the scipy version and the OPENBLAS_NUM_THREADS value
+    scipy's BLAS loaded with, with who set it (see ``_load_scipy``),
   * exit codes: 0 success, 1 verification failure (an oracle or
     certificate check did not hold), 2 usage or input errors, 3 a survey
-    found a violation.
+    found a violation, 141 stdout closed before the document was written
+    (a reader such as ``head`` stopped early; nothing goes to stderr, and
+    141 is what a shell reports for a process ended by SIGPIPE).
 
 Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 """
@@ -32,6 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from itertools import chain
@@ -47,8 +54,8 @@ from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
                        measurement_distribution)
 from .graphwalk import (bfs_profile, bipartite_functional,
                         is_complete_bipartite)
-from .jsontext import (Rows, booleans, digest, dumps, joined_rows, pick,
-                       slot, slots)
+from .jsontext import (Rows, binary_texts, booleans, digest, dumps,
+                       joined_rows, numbers, pick, slot, slots)
 from .oracle import OracleMismatchError, verify_equivalence
 from .pst import (CertificationError, certify, decide_pst_exact, plan_route,
                   pst_at_half_pi)
@@ -57,39 +64,14 @@ from .scanner import (ScanReport, antipodality_audit, conjecture_scan,
 from .spectral import classify_set
 
 
+# The exit code when the reader closes stdout early: 128 + SIGPIPE.
+EXIT_STDOUT_CLOSED = 141
+# Read once by OpenBLAS, when the library loads.
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
-
-
-def _numbers(values: np.ndarray, missing: np.ndarray | None = None
-             ) -> list[str]:
-    """JSON texts of an int or float column, "null" where ``missing``.
-
-    Each distinct value is rendered once; floats are told apart by bit
-    pattern, so -0.0 keeps its sign.  A non-finite float raises
-    ValueError, as json.dumps(allow_nan=False) does.
-    """
-    keys = values
-    if values.dtype.kind == "f":
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant")
-        keys = values.view(np.int64)
-    distinct, index = np.unique(keys, return_inverse=True)
-    texts = list(map(repr, distinct.view(values.dtype).tolist()))
-    if missing is not None:
-        index[missing] = len(texts)
-        texts.append("null")
-    return pick(index, texts)
-
-
-def _binary_texts(n: int) -> list[str]:
-    """JSON texts of every n-bit label in order: '"00"', '"01"', ..."""
-    half = n // 2
-    high = ['"' + format(x, f"0{n - half}b") for x in range(1 << (n - half))]
-    low = [format(x, f"0{half}b") + '"' for x in range(1 << half)] \
-        if half else ['"']
-    return [h + lo for h in high for lo in low]
 
 
 def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
@@ -110,18 +92,22 @@ def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
 
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
           seed=None, csv: dict[str, list[str]] | None = None,
-          manifest_extra: dict | None = None) -> dict:
+          env: dict | None = None, manifest_extra: dict | None = None
+          ) -> dict:
     """Serialize one command result according to the output flags.
 
     ``Rows`` in the payload are spliced in as lists; ``csv`` maps each
     CSV header to one of their columns.  Documents are dumped with
     allow_nan=False, so a non-finite float raises ValueError (exit 2)
-    before anything is written: ``_numbers`` checks its columns alike.
+    before anything is written: ``numbers`` checks its columns alike.
+    ``env`` adds to the Python and numpy versions in ``manifest.env``.
     Returns the manifest.
     """
     manifest = {
         "tool": "cubewalk",
         "version": __version__,
+        "env": {"python": platform.python_version(),
+                "numpy": np.__version__, **(env or {})},
         "argv": list(args.raw_argv),
         "inputs": inputs,
         "seed": seed,
@@ -145,7 +131,14 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early.  What is still buffered goes to
+            # devnull, so the flush at exit cannot fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(EXIT_STDOUT_CLOSED) from None
     return manifest
 
 
@@ -173,9 +166,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     omega = ConnectionSet.parse(args.omega, args.n)
     report = classify_set(omega)
     columns = {
-        "v": _binary_texts(args.n),
-        "lambda": _numbers(report.eigenvalues),
-        "k": _numbers(report.k, missing=~report.in_class),
+        "v": binary_texts(args.n),
+        "lambda": numbers(report.eigenvalues),
+        "k": numbers(report.k, missing=~report.in_class),
         "congruence_class": pick(
             report.odd.astype(np.intp),
             [encode_basestring_ascii(c) for c in report.classes]),
@@ -211,11 +204,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             omega, t.radians if isinstance(t, RationalAngle) else t)
     fid = np.abs(amp) / size  # as all_fidelities: exact 0.0/1.0 on the grid
     amp = amp / size
-    columns = {"delta": _binary_texts(args.n), "fidelity": _numbers(fid),
-               "re": _numbers(amp.real), "im": _numbers(amp.imag)}
+    columns = {"delta": binary_texts(args.n), "fidelity": numbers(fid),
+               "re": numbers(amp.real), "im": numbers(amp.imag)}
     row = slots("delta", "fidelity")
     if exact:
-        columns.update(exact_re=_numbers(re), exact_im=_numbers(im))
+        columns.update(exact_re=numbers(re), exact_im=numbers(im))
         row["amplitude_exact"] = {"re": slot("exact_re"),
                                   "im": slot("exact_im")}
     row["amplitude"] = {"re": slot("re"), "im": slot("im")}
@@ -264,7 +257,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         else GroupElement.zero(args.n)
     t = _angle_of(args)
     dist = measurement_distribution(omega, start, t)
-    columns = {"vertex": _binary_texts(args.n), "p": _numbers(dist)}
+    columns = {"vertex": binary_texts(args.n), "p": numbers(dist)}
     payload = {
         "command": "measure",
         "n": args.n,
@@ -299,9 +292,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
     profile = bfs_profile(omega, source)
     functional = bipartite_functional(omega)
     parts = is_complete_bipartite(omega)
-    labels = _binary_texts(args.n)
+    labels = binary_texts(args.n)
     distances = {"v": labels,
-                 "dist": _numbers(profile.dist, missing=profile.dist < 0)}
+                 "dist": numbers(profile.dist, missing=profile.dist < 0)}
     payload = {
         "command": "graph",
         "n": args.n,
@@ -420,12 +413,41 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return _emit_survey(args, antipodality_audit(args.n), {"n": args.n})
 
 
+def _load_scipy() -> dict:
+    """Import scipy.linalg for the dense oracle; its ``env`` entries.
+
+    scipy ships its own OpenBLAS, and on its default thread pool the
+    oracle's ≤ 64 × 64 expm calls spend most of their time in thread
+    contention: on 2 vCPUs one thread halved oracle-verify end to end.
+    So scipy loads with OPENBLAS_NUM_THREADS=1, unless the user set the
+    variable or scipy was loaded before this command (then its setting is
+    unknown).  The library reads the variable once, when it loads, so
+    os.environ is put back at once and later children and in-process
+    callers see no change.
+    """
+    if "scipy" in sys.modules:
+        threads = {"value": None, "set_by": "unknown"}
+    elif BLAS_THREADS in os.environ:
+        threads = {"value": os.environ[BLAS_THREADS], "set_by": "user"}
+    else:
+        threads = {"value": "1", "set_by": "cubewalk"}
+        os.environ[BLAS_THREADS] = "1"
+    try:
+        import scipy.linalg
+    finally:
+        if threads["set_by"] == "cubewalk":
+            del os.environ[BLAS_THREADS]
+    return {"scipy": scipy.__version__, BLAS_THREADS: threads}
+
+
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
+    # only the trials call scipy's expm
+    env = _load_scipy() if args.trials > 0 else None
     result = verify_equivalence(trials=args.trials, pair_trials=args.pairs,
                                 seed=args.seed, n_max=args.n_max)
     payload = {"command": "oracle-verify", **result}
     _emit(args, payload, {"trials": args.trials, "pairs": args.pairs,
-                          "n_max": args.n_max}, seed=args.seed)
+                          "n_max": args.n_max}, seed=args.seed, env=env)
     return 0 if result["ok"] else 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
 from typing import Iterator, Sequence
 
@@ -45,6 +46,45 @@ def pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
 
 def booleans(values: np.ndarray) -> list[str]:
     return pick(values.astype(np.intp), ["false", "true"])
+
+
+def numbers(values: np.ndarray, missing: np.ndarray | None = None
+            ) -> list[str]:
+    """JSON texts of an int or float column, "null" where ``missing``.
+
+    Each distinct value is rendered once; floats are told apart by bit
+    pattern, so -0.0 keeps its sign.  A non-finite float raises
+    ValueError, as json.dumps(allow_nan=False) does.
+    """
+    keys = values
+    if values.dtype.kind == "f":
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
+        keys = values.view(np.int64)
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(values.dtype).tolist()))
+    if missing is not None:
+        index[missing] = len(texts)
+        texts.append("null")
+    return pick(index, texts)
+
+
+def binary_texts(n: int, labels: np.ndarray | None = None) -> list[str]:
+    """JSON texts of n-bit labels, '"0101"': of ``labels`` (non-negative
+    ints below 2ⁿ), or of every label in order when None.
+
+    Each text joins one of 2^⌈n/2⌉ high-half texts to one of 2^⌊n/2⌋
+    low-half texts, so no label is formatted on its own.
+    """
+    half = n // 2
+    high = ['"' + format(x, f"0{n - half}b") for x in range(1 << (n - half))]
+    low = [format(x, f"0{half}b") + '"' for x in range(1 << half)] \
+        if half else ['"']
+    if labels is None:
+        return [h + lo for h in high for lo in low]
+    return list(map(operator.add, pick(labels >> half, high),
+                    pick(labels & ((1 << half) - 1), low)))
 
 
 def brackets(indent: str | None) -> tuple[str, str, str]:

@@ -82,7 +82,8 @@ from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .dynamics import RationalAngle
 from .graphwalk import _bfs_rows, bfs_profile
-from .jsontext import Rows, booleans, brackets, pick, slots
+from .jsontext import (Rows, binary_texts, booleans, brackets,
+                       numbers, pick, slots)
 from .pst import _decide_rows, pst_offsets
 from .spectral import _wht_rows
 
@@ -325,10 +326,6 @@ def audit_record(omega: ConnectionSet) -> dict:
 
 # ── findings as columns ───────────────────────────────────────────────────
 
-def _small_ints(values: np.ndarray) -> list[str]:
-    return pick(values, [str(v) for v in range(int(values.max()) + 1)])
-
-
 def _skeleton(audit: bool) -> dict:
     """One finding with a slot at every field, laid out as ``_record``."""
     entry = slots("delta", "time")
@@ -385,8 +382,7 @@ class _Findings:
             np.column_stack([self.labels, self.u, self.delta]),
             return_inverse=True)
         index = index.reshape(rows, k + 2)
-        quoted = np.array([f'"{x:0{self.n}b}"' for x in distinct.tolist()],
-                          dtype=object)
+        quoted = np.array(binary_texts(self.n, distinct), dtype=object)
         degree = np.count_nonzero(self.labels, axis=1)
 
         def omega(indent: str | None) -> list[str]:
@@ -398,7 +394,7 @@ class _Findings:
         times, at = np.unique(self.q, return_inverse=True)
         columns = {
             "omega": omega,
-            "d": _small_ints(degree),
+            "d": numbers(degree),
             "u": quoted[index[:, k]].tolist(),
             "delta": quoted[index[:, k + 1]].tolist(),
             "time": pick(at, [json.dumps(str(RationalAngle(1, q)))
@@ -415,8 +411,8 @@ class _Findings:
 
             columns.update(
                 connected=booleans(self.connected),
-                diameter=_small_ints(self.diameter),
-                distance=_small_ints(self.distance),
+                diameter=numbers(self.diameter),
+                distance=numbers(self.distance),
                 antipodal=booleans(self.distance == self.diameter),
                 is_xor_sum=booleans(xor_sum),
                 violations=violations)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import types
@@ -432,15 +433,98 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+def _child_env(**extra):
+    src = os.path.dirname(os.path.dirname(cubewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **extra)
+    if "OPENBLAS_NUM_THREADS" not in extra:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy backs only the dense oracle, so CLI start-up must not pay for it
-    src = os.path.dirname(os.path.dirname(cubewalk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, cubewalk.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+ORACLE_ARGV = ["oracle-verify", "--trials", "5", "--pairs", "2",
+               "--n-max", "4"]
+
+
+@pytest.mark.parametrize("extra, threads", [
+    ({}, {"value": "1", "set_by": "cubewalk"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"value": "2", "set_by": "user"})])
+def test_oracle_verify_records_blas_threads(capsys, extra, threads):
+    done = subprocess.run([sys.executable, "-m", "cubewalk.cli",
+                           *ORACLE_ARGV], env=_child_env(**extra),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc, payload = _json_of(done.stdout)
+    env = doc["manifest"]["env"]
+    assert env["OPENBLAS_NUM_THREADS"] == threads
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"]
+    # the thread count is outside the digested payload and leaves it be
+    assert payload == _json_of(_run(capsys, ORACLE_ARGV)[1])[1]
+
+
+def test_oracle_verify_leaves_os_environ_as_it_was():
+    probe = ("import contextlib, io, json, os, sys\n"
+             "from cubewalk.cli import main\n"
+             "before = dict(os.environ)\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             f"    code = main({ORACLE_ARGV!r})\n"
+             "env = json.loads(out.getvalue())['manifest']['env']\n"
+             "print(json.dumps([code, env, dict(os.environ) == before]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    code, env, unchanged = json.loads(done.stdout)
+    assert code == 0 and unchanged
+    assert env["OPENBLAS_NUM_THREADS"] == {"value": "1",
+                                           "set_by": "cubewalk"}
+
+
+def test_oracle_verify_without_trials_leaves_scipy_unloaded():
+    probe = ("import contextlib, io, json, sys\n"
+             "from cubewalk.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    main(['oracle-verify', '--trials', '0', '--pairs', '10'])\n"
+             "env = json.loads(out.getvalue())['manifest']['env']\n"
+             "print(json.dumps(['scipy' in sys.modules, sorted(env)]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert json.loads(done.stdout) == [False, ["numpy", "python"]]
+
+
+def test_every_manifest_names_its_environment(capsys):
+    for argv in (["pst-check", "--n", "3", "--omega", "001,010,111"],
+                 ["scan", "--n", "2"]):
+        doc = json.loads(_run(capsys, argv)[1])
+        assert doc["manifest"]["env"]["numpy"] == np.__version__, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "4"],
+    ["evolve", "--n", "3", "--omega", "001,010,111", "--t-pi", "1/3"],
+    ["spectrum", "--n", "3", "--omega", "001,010", "--csv"]])
+def test_closed_stdout_exits_quietly(argv):
+    # as `cubewalk ... | head -c 100`: the reader is gone before the write
+    proc = subprocess.Popen([sys.executable, "-m", "cubewalk.cli", *argv],
+                            env=_child_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_STDOUT_CLOSED == 141
+    if "--csv" in argv:  # the manifest line goes to stderr first
+        assert json.loads(err)["manifest"]["argv"] == argv
+    else:
+        assert err == b""
 
 
 def test_version_flag(capsys):

@@ -256,12 +256,40 @@ def test_number_texts_match_json():
     values = np.array([0.0, -0.0, 1.0, -1.0, 1e-05, 0.1, 1e16, 1e22,
                        5e-324, -2.5e-308, 1.7976931348623157e308, 0.0,
                        -0.0, 2.0 ** -40, 1 / 3])
-    assert cli._numbers(values) == [json.dumps(x) for x in values.tolist()]
+    assert jsontext.numbers(values) == [json.dumps(x)
+                                        for x in values.tolist()]
     ints = np.array([3, -1, 0, -7, 3, 2 ** 40], dtype=np.int64)
     missing = ints < 0
-    assert cli._numbers(ints, missing=missing) == [
+    assert jsontext.numbers(ints, missing=missing) == [
         "null" if m else json.dumps(x)
         for x, m in zip(ints.tolist(), missing.tolist())]
+
+
+def test_small_int_columns_match_str():
+    # the survey's d, diameter and distance columns: a few distinct values,
+    # some far apart, in every integer dtype a column arrives in
+    rng = np.random.default_rng(5)
+    for dtype in (np.int64, np.intp, np.int32, np.int8):
+        for size in (1, 2, 17, 3000):
+            top = rng.choice([1, 5, 127])
+            values = rng.integers(0, top + 1, size).astype(dtype)
+            values[0] = top
+            assert jsontext.numbers(values) == list(map(str,
+                                                        values.tolist()))
+    sparse = np.array([524_287, 3, 524_287, 0])  # one d at n = 20
+    assert jsontext.numbers(sparse) == ["524287", "3", "524287", "0"]
+
+
+def test_binary_label_texts_match_format():
+    rng = np.random.default_rng(7)
+    for n in range(1, 21):
+        labels = rng.integers(0, 1 << n, 200)
+        labels[:2] = 0, (1 << n) - 1
+        assert jsontext.binary_texts(n, labels) == [
+            f'"{x:0{n}b}"' for x in labels.tolist()], n
+        if n <= 12:
+            assert jsontext.binary_texts(n) == [
+                f'"{x:0{n}b}"' for x in range(1 << n)], n
 
 
 # ── no 2^n list reaches json.dumps ────────────────────────────────────────
