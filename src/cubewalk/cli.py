@@ -391,7 +391,7 @@ def _emit_survey(args: argparse.Namespace, report: ScanReport,
                      inputs, seed=seed,
                      manifest_extra={"wall_time_s": report.wall_time_s,
                                      "sets_per_s": report.sets_per_s,
-                                     "path": "batched"})
+                                     "path": report.path})
     width = max(len(k) for k in report.summary) + 2
     print(f"{report.kind}  n={report.n}  wall={report.wall_time_s:.2f}s  "
           f"{report.sets_per_s:.0f} sets/s", file=sys.stderr)

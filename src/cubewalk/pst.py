@@ -25,6 +25,13 @@ and Godsil, "Perfect state transfer in cubelike graphs", LAA 2011).  The
 decision is one O(2ⁿ) integer pass, sound and complete over rational
 multiples of π; the edgeless graph (g = 0) never transfers.
 
+No gcd and no division is computed.  For distinct labels the gcd of the
+gaps is a power of two (Ward; Cheung and Godsil), so it equals the lowest
+set bit of the OR of the gaps, and Δ_v/g is odd exactly when Δ_v has
+that bit.  Even where the gcd had an odd factor m, Δ_v/g and Δ_v/(g·m)
+would have the same parity, so δ and the yes/no answer do not rest on
+that theorem; only the time π/g does.
+
 Certificates.  At t = (p/q)π the 2ⁿ unit terms (−1)^(δᵀv)·e^(−iλ_v t) of
 T_δ(t) are powers ζ^(e_v) of ζ = e^(iπ/q), e_v = q·δᵀv − p·λ_v mod 2q, and
 the fidelity is 1 iff they all coincide: p·Δ_v ≡ q·δᵀv (mod 2q) for every
@@ -137,17 +144,24 @@ def pst_offsets(omega: ConnectionSet) -> dict[int, RationalAngle]:
 def _decide_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transfer decision for each row of a (rows × 2ⁿ) spectrum block.
 
-    Returns δ and g per row: the set of that row transfers 0 → δ at π/g
-    when δ ≠ 0, and not at all when δ = 0.  A transfer offset is never 0,
-    because g is the gcd of the gaps and so some Δ_v/g is odd.
+    Returns δ and g per row, g in the dtype of ``values``: the set of that
+    row transfers 0 → δ at π/g when δ ≠ 0, and not at all when δ = 0.  g
+    is the lowest set bit of the OR of the gaps, which equals their gcd
+    by Ward's theorem (see the module docstring); Δ_v/g is odd exactly
+    when Δ_v has bit g.  A transfer offset is never 0, because some Δ_v/g
+    is odd.  An edgeless row has g = 0 and never transfers.  Every step
+    is elementwise or a reduction over v, so a Fortran-ordered block, as
+    the survey's word path passes, reduces whole columns at a time.
     """
-    size = values.shape[1]
-    gaps = values[:, :1] - values  # Δ_v = d − λ_v, all even, Δ_0 = 0
-    g = np.gcd.reduce(gaps, axis=1)
-    odd = (gaps // np.maximum(g, 1)[:, None]) & 1  # g = 0: edgeless graph
-    basis = 1 << np.arange(size.bit_length() - 1)
-    delta = (odd[:, basis] * basis).sum(axis=1)
-    chars = np.bitwise_count(np.arange(size) & delta[:, None]) & 1
+    gaps = values[:, :1] - values  # Δ_v = d − λ_v ≥ 0, all even, Δ_0 = 0
+    acc = np.bitwise_or.reduce(gaps, axis=1)
+    g = acc & -acc
+    odd = np.bitwise_and(gaps, g[:, None], out=gaps) != 0
+    basis = [1 << i for i in range(values.shape[1].bit_length() - 1)]
+    chars = np.zeros_like(odd)  # δᵀv mod 2 for δ read off odd at v = eᵢ
+    for h in basis:
+        np.logical_xor(chars[:, :h], odd[:, h:h + 1], out=chars[:, h:2 * h])
+    delta = (odd[:, basis] * np.array(basis)).sum(axis=1)
     transfers = (g > 0) & (odd == chars).all(axis=1)
     return np.where(transfers, delta, 0), g
 

@@ -12,25 +12,48 @@ admit (xor-sum-zero sets are counted exactly, by a character sum) is
 refused before the first draw.  The antipodality audit takes neither a
 window nor a sample, so it stops at n = 4 (``EXHAUSTIVE_CAP``).
 
-The masks stream through the survey in blocks of at most
-``BLOCK_CELLS`` = 2¹³ indicator entries, 2¹³⁻ⁿ sets (one set from n = 13
-on), so a walk of 2²⁴ masks never holds more than one block: about 64 KB
-per int64 array of the block below n = 14, and one 2ⁿ-entry row above.
-Each layer runs once per block: the xor-sum-zero filter, the
-Walsh-Hadamard butterfly along the rows of the indicator matrix, the
-gcd/character transfer decision per row, and, for the audit, one BFS
-from 0 over the rows that transfer.  The sets that transfer stay in
-per-block numpy columns: their members, sorted and padded to the block's
-largest degree, u, δ and q of the transfer time π/q, and for the audit
-the connectivity, diameter and distance(0, δ).  The summary counters are
-read off those columns, and the digest and the CLI's document render them
-as ``jsontext.Rows``, with no per-set dict.  Label handling is linear in
-the labels held: masks are read and written as binary digits, and each
-omega text is one join.  ``ScanReport.findings`` is built on first read,
-by the builder that ``transfer_record`` and ``audit_record`` use for one
-set, so a line re-runs to the same dict.  A cubelike graph transfers from
-0 to at most one offset (Cheung and Godsil, 2011), so a record carries
-the set's one offset, or none.
+Every argument is checked before anything is allocated.  The masks then
+stream through the survey in blocks, so a walk of 2²⁴ masks never holds
+more than one block, on one of two paths (``ScanReport.path``):
+
+  * "word-table" serves every survey at n ≤ 5 (``WORD_CAP``), where the
+    2ⁿ − 1 bits of a mask fit one int64 word.  A block holds
+    ``WORD_ROWS`` = 2¹¹ masks.  Read-only tables, built once per n by
+    doubling over the labels, replace the indicator matrix, the WHT and
+    the BFS: per subset of labels its int8 spectrum (adding label w adds
+    the character row χ_w), its uint8 xor-sum, its members and, for the
+    audit, its distances from 0 (D'(x) = min(D(x), D(x ⊕ w) + 1), since a
+    shortest walk in Z₂ⁿ uses each label at most once).  The mask bits
+    are split into chunks of at most 16 bits, one table row per subset
+    of a chunk: one chunk of 2¹⁵ rows at n ≤ 4, and two at n = 5, where
+    spectra add, xor-sums xor, members merge and distances join by
+    min-plus over xor.  The tables take 1 MB at n = 4 and 4.6 MB at
+    n = 5, and the distance tables add 0.5 MB and 3 MB when an audit
+    first asks for them.  Per block the layers are: gather and join the
+    rows of the tables, apply the xor-sum-zero filter, decide every row,
+    and read members, u and distances for the rows that transfer.
+  * "indicator-wht" serves the sampled surveys at n ≥ 6, where only
+    sampling reaches.  A block holds ``BLOCK_CELLS`` = 2¹³ indicator
+    entries, 2¹³⁻ⁿ sets (one set from n = 13 on): about 64 KB per int64
+    array below n = 14, and one 2ⁿ-entry row above.  Per block: the
+    indicator matrix, the Walsh-Hadamard butterfly along its rows, the
+    transfer decision, and, for the audit, one BFS from 0 over the rows
+    that transfer.  A sample is drawn with its filters applied, so this
+    path runs no xor-sum filter.
+
+Both paths share one transfer decision per row (``pst._decide_rows``).
+The sets that transfer stay in per-block numpy columns: their members,
+sorted and padded to the block's largest degree, u, δ and q of the
+transfer time π/q, and for the audit the connectivity, diameter and
+distance(0, δ).  The summary counters are read off those columns, and
+the digest and the CLI's document render them as ``jsontext.Rows``, with
+no per-set dict.  Label handling is linear in the labels held: masks are
+read and written as binary digits, and each omega text is one join.
+``ScanReport.findings`` is built on first read, by the builder that
+``transfer_record`` and ``audit_record`` use for one set, so a line
+re-runs to the same dict.  A cubelike graph transfers from 0 to at most
+one offset (Cheung and Godsil, 2011), so a record carries the set's one
+offset, or none.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -71,7 +94,7 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
@@ -85,15 +108,15 @@ from .graphwalk import _bfs_rows, bfs_profile
 from .jsontext import (Rows, binary_texts, booleans, brackets,
                        numbers, pick, slots)
 from .pst import _decide_rows, pst_offsets
-from .spectral import _wht_rows
+from .spectral import _wht_rows, character_bits
 
 EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP;
 # the antipodality audit, which takes no window, stops there
 FILTERED_CAP = 5
 MASK_CAP = 1 << 24
-# Indicator entries per block: 512 sets at n = 4, 256 at n = 5, one set
-# from n = 13 on.  Each int64 array of a block then takes 64 KB below
-# n = 14; blocks 16 times larger ran no faster and raised peak memory.
+# Indicator entries per block of the indicator path: 128 sets at n = 6,
+# one set from n = 13 on.  Each int64 array of a block then takes 64 KB
+# below n = 14; blocks 16 times larger ran no faster and raised peak memory.
 BLOCK_CELLS = 1 << 13
 
 
@@ -202,6 +225,211 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     return sorted(chosen)
 
 
+def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
+                 u_zero: bool, sample: int | None, seed: int) -> Iterator[int]:
+    """The masks a survey walks, ascending, after every argument is checked.
+
+    Nothing is allocated before the checks.  An exhaustive stream still
+    holds sets of any xor-sum (the word path filters it block by block);
+    a sample is drawn with the filters applied, so at n > ``WORD_CAP``,
+    where only sampling reaches, every mask already has xor-sum 0 under
+    ``u_zero``.
+    """
+    _check_dimension(n)
+    for bound in (d_min, d_max):
+        if bound is not None and bound < 1:
+            raise ValueError("degree bounds must be at least 1")
+    width = (1 << n) - 1
+    lo = d_min if d_min is not None else 1
+    hi = min(width, d_max if d_max is not None else width)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
+    if sample is None:
+        return iter(_exhaustive_masks(n, lo, hi))
+    windowed = d_min is not None or d_max is not None
+    return iter(_sampled_masks(n, lo, hi, windowed, u_zero, sample, seed))
+
+
+# ── the word path: subset tables at n ≤ WORD_CAP ─────────────────────────
+
+WORD_CAP = FILTERED_CAP  # every mask an exhaustive walk reaches fits int64
+CHUNK_BITS = 16  # mask bits per subset table, 2¹⁶ rows at most
+# Masks per word-path block: an int8 spectrum block takes 32 KB at n = 4
+# and 64 KB at n = 5.  A block's findings render as one piece of text, so
+# the block also bounds the memory of rendering: blocks of 2¹³ masks ran
+# the surveys about 15 % faster, but raised the peak RSS of
+# ``audit-antipodal --n 4`` from 41 MB to 58 MB.
+WORD_ROWS = 1 << 11
+
+
+def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:
+    """Row m holds the value of the subset of ``labels`` picked by the bits
+    of m, built by doubling.
+
+    Row 0 is ``first``; rows 2ʲ..2ʲ⁺¹−1 are rows 0..2ʲ−1 with label j
+    added, written in place by ``extend(rows, label, out)``.
+    """
+    table = np.empty((1 << len(labels), *first.shape), dtype=first.dtype)
+    table[0] = first
+    for j, w in enumerate(labels):
+        extend(table[:1 << j], w, table[1 << j:2 << j])
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class _WordTables:
+    """Read-only subset tables of the masks at one dimension n ≤ WORD_CAP.
+
+    The 2ⁿ − 1 mask bits are split into chunks of at most ``CHUNK_BITS``,
+    starting at ``shifts``: one chunk at n ≤ 4, two at n = 5.  Each table
+    holds one row per subset of a chunk's labels, built by doubling on
+    first use.  A mask's value is the join of its chunks' rows: spectra
+    add, xor-sums xor, members merge, and distances join by min-plus over
+    xor.
+    """
+
+    n: int
+
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(range(0, (1 << self.n) - 1, CHUNK_BITS))
+
+    def _tables(self, first: np.ndarray, extend) -> tuple[np.ndarray, ...]:
+        width = (1 << self.n) - 1
+        return tuple(
+            _subset_table(first, list(range(shift + 1, min(
+                shift + CHUNK_BITS, width) + 1)), extend)
+            for shift in self.shifts)
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, ...]:
+        """int8 spectra: adding label w adds the character row χ_w.  At
+        n ≤ 5, |λ_v| ≤ d ≤ 31 and every gap d − λ_v ≤ 62, so int8 holds
+        the sum of two chunks and the decision's gaps."""
+        size = 1 << self.n
+        chi = np.array([np.where(character_bits(self.n, w), -1, 1)
+                        for w in range(size)], dtype=np.int8)
+        return self._tables(np.zeros(size, dtype=np.int8),
+                            lambda rows, w, out: np.add(rows, chi[w],
+                                                        out=out))
+
+    @cached_property
+    def xors(self) -> tuple[np.ndarray, ...]:
+        """uint8 xor-sums."""
+        return self._tables(np.zeros((), dtype=np.uint8), np.bitwise_xor)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """uint8 labels, ascending and right-aligned in ``CHUNK_BITS``
+        columns, 0 on the left: label w, the largest yet, goes last."""
+        def extend(rows, w, out):
+            out[:, :-1] = rows[:, 1:]
+            out[:, -1] = w
+
+        return self._tables(np.zeros(CHUNK_BITS, dtype=np.uint8), extend)
+
+    @cached_property
+    def distances(self) -> tuple[np.ndarray, ...]:
+        """int8 distances from 0, n + 1 where unreached.  A shortest walk
+        in Z₂ⁿ uses each label at most once, so adding label w gives
+        D'(x) = min(D(x), D(x ⊕ w) + 1)."""
+        first = np.full(1 << self.n, self.n + 1, dtype=np.int8)
+        first[0] = 0
+        flips = _flips(self.n)
+        return self._tables(first, lambda rows, w, out: np.minimum(
+            rows, rows[:, flips[w]] + 1, out=out))
+
+    def _gather(self, tables: tuple[np.ndarray, ...],
+                words: np.ndarray) -> list[np.ndarray]:
+        return [table.take((words >> shift) & ((1 << CHUNK_BITS) - 1),
+                           axis=0)
+                for table, shift in zip(tables, self.shifts)]
+
+    def spectra_of(self, words: np.ndarray) -> np.ndarray:
+        """The int8 (rows × 2ⁿ) spectra of the sets of ``words``, in
+        Fortran order: the decision reduces over v, and each reduction
+        step then runs along one contiguous column."""
+        first, *rest = self._gather(self.spectra, words)
+        for more in rest:
+            first += more
+        return np.asfortranarray(first)
+
+    def xors_of(self, words: np.ndarray) -> np.ndarray:
+        """The xor-sums of the sets of ``words``, as uint8."""
+        first, *rest = self._gather(self.xors, words)
+        for more in rest:
+            first ^= more
+        return first
+
+    def members_of(self, words: np.ndarray) -> np.ndarray:
+        """The labels of each set of ``words``, ascending, padded on the
+        left with 0 to the largest degree among them."""
+        gens = np.hstack(self._gather(self.members, words))
+        if len(self.shifts) > 1:
+            gens.sort(axis=1)
+        return gens[:, gens.shape[1] - int(np.bitwise_count(words).max()):]
+
+    def distances_of(self, words: np.ndarray) -> np.ndarray:
+        """Distances from 0 for the sets of ``words``, -1 where unreached.
+
+        Chunks join by min-plus over xor: a walk to x splits into the
+        labels of the first chunk, summing to some y, and those of the
+        second, summing to x ⊕ y.
+        """
+        # vertex-major (2ⁿ × rows), so the join moves whole rows
+        first, *rest = (np.ascontiguousarray(part.T) for part in
+                        self._gather(self.distances, words))
+        for more in rest:
+            joined = np.full_like(first, self.n + 1)
+            for y, flip in enumerate(_flips(self.n)):
+                np.minimum(joined, first[y] + more[flip], out=joined)
+            first = joined
+        np.copyto(first, -1, where=first > self.n)
+        return first.T
+
+
+@cache
+def _flips(n: int) -> np.ndarray:
+    """The (2ⁿ × 2ⁿ) table w, v ↦ v ⊕ w."""
+    labels = np.arange(1 << n)
+    flips = labels[:, None] ^ labels
+    flips.flags.writeable = False
+    return flips
+
+
+_word_tables = cache(_WordTables)  # one read-only set per n = 1..5
+
+
+def _word_blocks(n: int, masks: Iterator[int],
+                 u_zero: bool) -> Iterator[np.ndarray]:
+    """The mask stream as int64 blocks of at most ``WORD_ROWS`` masks, in
+    canonical order; ``u_zero`` keeps the xor-sum-zero ones."""
+    tables = _word_tables(n)
+    while (words := np.fromiter(islice(masks, WORD_ROWS),
+                                dtype=np.int64)).size:
+        if u_zero:
+            words = words[tables.xors_of(words) == 0]
+        if words.size:
+            yield words
+
+
+def _word_findings(n: int, words: np.ndarray,
+                   audit: bool) -> _Findings | None:
+    """The sets of one word block that transfer, from the subset tables."""
+    tables = _word_tables(n)
+    delta, g = _decide_rows(tables.spectra_of(words))
+    hits = np.flatnonzero(delta)
+    if not hits.size:
+        return None
+    words = words[hits]
+    return _findings(n, tables.members_of(words), tables.xors_of(words),
+                     delta[hits], g[hits],
+                     tables.distances_of(words) if audit else None)
+
+
+# ── the indicator path: sampled surveys at n > WORD_CAP ──────────────────
+
 def _indicators(masks: list[int], n: int) -> np.ndarray:
     """The (rows × 2ⁿ) 0/1 indicator matrix of a list of masks."""
     width = (1 << n) - 1
@@ -215,42 +443,33 @@ def _indicators(masks: list[int], n: int) -> np.ndarray:
     return ind
 
 
-def _blocks(n: int, *, d_min: int | None, d_max: int | None, u_zero: bool,
-            sample: int | None,
-            seed: int) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The filtered mask stream, block by block, with indicator rows.
+def _indicator_findings(n: int, masks: list[int],
+                        audit: bool) -> _Findings | None:
+    """The sets of one block of masks that transfer, from the WHT of their
+    indicator rows."""
+    ind = _indicators(masks, n)
+    delta, g = _decide_rows(_wht_rows(ind))
+    hits = np.flatnonzero(delta)
+    if not hits.size:
+        return None
+    members = ind[hits] * np.arange(1 << n)  # each label in its column
+    degree = int(np.count_nonzero(members, axis=1).max())
+    gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
+    return _findings(n, gens, np.bitwise_xor.reduce(gens, axis=1),
+                     delta[hits], g[hits],
+                     _bfs_rows(gens, n) if audit else None)
 
-    Each block holds the masks of at most ``BLOCK_CELLS >> n`` consecutive
-    candidates (one at least), in canonical order, and their indicator
-    matrix; the xor-sum-zero filter runs on the whole block at once.
-    Every argument is checked on the first ``next()``.
-    """
-    _check_dimension(n)
-    for bound in (d_min, d_max):
-        if bound is not None and bound < 1:
-            raise ValueError("degree bounds must be at least 1")
-    width = (1 << n) - 1
-    lo = d_min if d_min is not None else 1
-    hi = min(width, d_max if d_max is not None else width)
-    if lo > hi:
-        raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
-    if sample is None:
-        masks = iter(_exhaustive_masks(n, lo, hi))
-    else:
-        windowed = d_min is not None or d_max is not None
-        masks = iter(_sampled_masks(n, lo, hi, windowed, u_zero, sample,
-                                    seed))
-    rows = max(1, BLOCK_CELLS >> n)
-    labels = np.arange(width + 1)
-    while block := list(islice(masks, rows)):
-        ind = _indicators(block, n)
-        if u_zero:
-            keep = np.flatnonzero(
-                np.bitwise_xor.reduce(ind * labels, axis=1) == 0)
-            block = [block[i] for i in keep.tolist()]
-            ind = ind[keep]
-        if block:
-            yield block, ind
+
+def _findings(n: int, gens: np.ndarray, u: np.ndarray, delta: np.ndarray,
+              q: np.ndarray, dists: np.ndarray | None) -> _Findings:
+    """The ``_Findings`` of sets with padded labels ``gens`` that transfer
+    0 → δ at π/q; the audit adds ``dists`` from 0, -1 where unreached."""
+    found = dict(labels=gens, u=u, delta=delta, q=q)
+    if dists is not None:
+        found.update(connected=(dists >= 0).all(axis=1),
+                     diameter=dists.max(axis=1),
+                     distance=dists[np.arange(delta.size), delta])
+    return _Findings(n, **found)
 
 
 def enumerate_sets(n: int, *, d_min: int | None = None,
@@ -265,10 +484,13 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
     many distinct sets is produced.  Every argument is checked on the
     first ``next()``, before any set is produced.
     """
-    for block, _ in _blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
-                            sample=sample, seed=seed):
-        for mask in block:
-            yield ConnectionSet(n, tuple(_mask_labels(mask)))
+    masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                         sample=sample, seed=seed)
+    if n <= WORD_CAP:
+        masks = (mask for words in _word_blocks(n, masks, u_zero)
+                 for mask in words.tolist())
+    for mask in masks:
+        yield ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
 # ── per-set records ───────────────────────────────────────────────────────
@@ -432,7 +654,10 @@ class ScanReport:
     The survey hands over its findings as per-block columns (``blocks``):
     ``findings`` is built from them on first read, one record per set
     with the set's one transfer offset, and ``columnar_payload`` holds
-    them as ``Rows`` that render to the bytes of ``payload()``.
+    them as ``Rows`` that render to the bytes of ``payload()``.  ``path``
+    names the engine that served the survey, "word-table" or
+    "indicator-wht" (see the module docstring); like the wall time it
+    stays out of the payload.
     """
 
     kind: str
@@ -442,6 +667,7 @@ class ScanReport:
     summary: dict
     violations: int
     wall_time_s: float
+    path: str
     blocks: tuple[_Findings, ...] = field(repr=False)
 
     @cached_property
@@ -489,34 +715,33 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
             sample: int | None = None, seed: int = 0) -> ScanReport:
     """The one survey loop: block by block, columns only for findings.
 
-    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  Each
-    block of masks gets one spectrum pass and one transfer decision; the
-    audit adds one BFS over the block's findings.  The sets that transfer
-    are kept as one ``_Findings`` per block; no record is built here.
+    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  Every
+    argument is checked before anything is allocated.  Each block of
+    masks gets its spectra, from the word tables at n ≤ ``WORD_CAP`` or
+    the WHT of its indicator rows above, and one transfer decision; the
+    audit adds the distances from 0 of the block's findings.  The sets
+    that transfer are kept as one ``_Findings`` per block; no record is
+    built here.
     """
     started = _time.perf_counter()
     audit = kind == "antipodal-audit"
-    labels = np.arange(1 << n)
+    masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                         sample=sample, seed=seed)
+    if n <= WORD_CAP:
+        path = "word-table"
+        steps = ((words.size, _word_findings(n, words, audit))
+                 for words in _word_blocks(n, masks, u_zero))
+    else:
+        path = "indicator-wht"
+        rows = max(1, BLOCK_CELLS >> n)
+        steps = ((len(block), _indicator_findings(n, block, audit))
+                 for block in iter(lambda: list(islice(masks, rows)), []))
     scanned = 0
     blocks = []
-    for masks, ind in _blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
-                              sample=sample, seed=seed):
-        scanned += len(masks)
-        delta, g = _decide_rows(_wht_rows(ind))
-        hits = np.flatnonzero(delta)
-        if not hits.size:
-            continue
-        members = ind[hits] * labels  # each label in its own column, else 0
-        degree = int(np.count_nonzero(members, axis=1).max())
-        gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
-        found = dict(labels=gens, u=np.bitwise_xor.reduce(gens, axis=1),
-                     delta=delta[hits], q=g[hits])
-        if audit:
-            dists = _bfs_rows(gens, n)
-            found.update(connected=(dists >= 0).all(axis=1),
-                         diameter=dists.max(axis=1),
-                         distance=dists[np.arange(hits.size), delta[hits]])
-        blocks.append(_Findings(n, **found))
+    for count, found in steps:
+        scanned += count
+        if found is not None:
+            blocks.append(found)
     count = sum(len(block.u) for block in blocks)  # one offset per set
     note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
     if kind == "pst-scan":
@@ -550,7 +775,7 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
     return ScanReport(kind=kind, n=n, filters=filters, universe=scanned,
                       summary=summary, violations=violations,
                       wall_time_s=_time.perf_counter() - started,
-                      blocks=tuple(blocks))
+                      path=path, blocks=tuple(blocks))
 
 
 def scan_sets(n: int, *, d_min: int | None = None, d_max: int | None = None,

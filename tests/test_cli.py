@@ -257,15 +257,31 @@ def test_survey_violation_exit_code(capsys, monkeypatch):
 
 def test_scan_window_errors_exit_2(capsys, monkeypatch):
     # the window is checked before the walk, so no block of sets is ever
-    # built: every block a walk produces passes through _indicators
-    def walked(masks, n):
-        raise AssertionError(f"walked {len(masks)} sets at n = {n}")
+    # built: every block of the word path (n <= 5) comes from _word_blocks,
+    # and every block of the indicator path passes through _indicators
+    def walked(*args):
+        raise AssertionError("a block of sets was built")
 
+    monkeypatch.setattr(scanner, "_word_blocks", walked)
     monkeypatch.setattr(scanner, "_indicators", walked)
     for argv in (["--n", "5", "--d-min", "1"],
-                 ["--n", "3", "--d-min", "5", "--d-max", "2"]):
+                 ["--n", "3", "--d-min", "5", "--d-max", "2"],
+                 ["--n", "7", "--d-min", "9", "--d-max", "8",
+                  "--sample", "1"]):
         code, out, err = _run(capsys, ["scan", *argv])
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--n", "40", "--sample", "1"],
+                                  ["--u-zero", "--n", "64", "--sample", "1"]])
+def test_scan_refuses_a_large_dimension_before_allocating(capsys, argv):
+    # a 2^n-entry array at n = 40 would take 8 TiB; the dimension is
+    # checked before the survey allocates anything, so the refusal is the
+    # usage error, not a MemoryError
+    code, out, err = _run(capsys, ["scan", *argv])
+    n = argv[argv.index("--n") + 1]
+    assert code == 2 and out == ""
+    assert err == f"error: dimension must be in 1..24, got {n}\n"
 
 
 def test_scan_manifest_records_wall_time_not_payload(capsys):
@@ -280,16 +296,21 @@ def test_scan_manifest_records_wall_time_not_payload(capsys):
 
 
 def test_survey_manifest_reports_throughput_and_path(capsys):
-    for argv in (["scan", "--n", "3"], ["audit-antipodal", "--n", "3"]):
+    # the path names the engine: subset tables of mask words up to n = 5,
+    # indicator rows and their WHT above
+    for argv, path in ((["scan", "--n", "3"], "word-table"),
+                       (["audit-antipodal", "--n", "3"], "word-table"),
+                       (["scan", "--n", "7", "--sample", "5"],
+                        "indicator-wht")):
         code, out, err = _run(capsys, argv)
         assert code == 0
         doc, payload = _json_of(out)
         manifest = doc["manifest"]
-        assert manifest["path"] == "batched"
+        assert manifest["path"] == path
         rate = doc["report"]["universe"] / manifest["wall_time_s"]
         assert manifest["sets_per_s"] == pytest.approx(rate)
         assert "sets_per_s" not in json.dumps(payload)
-        assert "batched" not in json.dumps(payload)
+        assert path not in json.dumps(payload)
         assert " sets/s" in err.splitlines()[0]
 
 

@@ -18,8 +18,8 @@ from cubewalk.oracle import evolve_expm
 from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
                           folded_cube, plan_route, pst_at_half_pi,
                           pst_offsets)
-from cubewalk.scanner import enumerate_sets, scan_sets
-from cubewalk.spectral import classify_set, spectrum, wht
+from cubewalk.scanner import _indicators, enumerate_sets, scan_sets
+from cubewalk.spectral import _wht_rows, classify_set, spectrum, wht
 
 
 def _random_set(rng, n):
@@ -195,6 +195,65 @@ def test_cheung_godsil_xor_sum_zero_rule(seed):
         unitary = evolve_expm(omega, quarter.radians)
         assert abs(abs(unitary[delta, 0]) - 1.0) <= 1e-8
     assert findings > 0
+
+
+def _gcd_decision(values):
+    """The reference decision, with g the gcd of the gaps and a floor
+    division: δ and g per row."""
+    size = values.shape[1]
+    gaps = values[:, :1] - values
+    g = np.gcd.reduce(gaps, axis=1)
+    odd = (gaps // np.maximum(g, 1)[:, None]) & 1
+    basis = 1 << np.arange(size.bit_length() - 1)
+    delta = (odd[:, basis] * basis).sum(axis=1)
+    chars = np.bitwise_count(np.arange(size) & delta[:, None]) & 1
+    transfers = (g > 0) & (odd == chars).all(axis=1)
+    return np.where(transfers, delta, 0), g
+
+
+def _xor_sum_zero(rng, n):
+    """A random set with xor-sum 0, made by toggling label u."""
+    labels = set(rng.sample(range(1, 1 << n), rng.randint(2, (1 << n) - 1)))
+    u = 0
+    for w in labels:
+        u ^= w
+    return tuple(sorted(labels ^ {u} - {0}))
+
+
+def test_lowest_bit_g_is_the_gcd_of_the_gaps():
+    # for distinct labels the gcd of the gaps is a power of two (Ward), so
+    # the lowest set bit of their OR is the gcd, and the decision without
+    # division gives the gcd decision's δ and time: every set at n <= 4,
+    # random sets at n = 5..10 (the xor-sum-zero ones have 4 | g), and
+    # the two pi/4 fixtures
+    rng = random.Random(16)
+    batches = []
+    for n in range(1, 5):
+        batches.append((n, range(1, 1 << ((1 << n) - 1))))
+    for n in range(5, 11):
+        sets = [_random_set(rng, n).elements for _ in range(400)]
+        sets += [_xor_sum_zero(rng, n) for _ in range(400)]
+        batches.append((n, [sum(1 << (w - 1) for w in labels)
+                            for labels in sets]))
+    fixtures = [
+        ConnectionSet.parse("00001,00110,00111,01000,01001,01100,01101,"
+                            "10000,10001,10010,10011", 5),
+        ConnectionSet(6, tuple(1 << i for i in range(6))
+                      + tuple(63 ^ (1 << i) for i in range(6)))]
+    batches += [(omega.n, [sum(1 << (w - 1) for w in omega.elements)])
+                for omega in fixtures]
+    checked, transfers, times = 0, 0, set()
+    for n, masks in batches:
+        values = _wht_rows(_indicators(list(masks), n))
+        delta, g = pst._decide_rows(values)
+        want_delta, want_g = _gcd_decision(values)
+        assert np.array_equal(g, want_g), n
+        assert np.array_equal(delta, want_delta), n
+        checked += len(values)
+        transfers += int(np.count_nonzero(delta))
+        times |= set(g[delta != 0].tolist())
+    assert checked == 1 + 7 + 127 + 32767 + 6 * 800 + 2
+    assert transfers > 30720 and times == {2, 4}
 
 
 def test_decide_rejects_zero_offset():

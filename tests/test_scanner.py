@@ -7,9 +7,10 @@ import math
 import types
 from collections import deque
 
+import numpy as np
 import pytest
 
-from cubewalk import cli, jsontext, scanner
+from cubewalk import cli, graphwalk, jsontext, scanner, spectral
 from cubewalk.bitspace import ConnectionSet
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
@@ -373,6 +374,58 @@ def test_pinned_survey_digests(survey, n, kwargs, want):
     # payload bytes pinned from an earlier release; any drift is a change
     # in survey output, not in wall time
     assert survey(n, **kwargs).digest() == want
+
+
+def test_word_tables_match_the_indicator_path():
+    # the subset tables against the transform path they replace at n <= 5,
+    # which stays the engine above it: spectra against _wht_rows of the
+    # indicator rows, xor-sums against their xor-reduce, members against
+    # the sorted indicator columns, and distances against _bfs_rows; every
+    # mask at n <= 4 and 20,000 random masks at n = 5
+    rng = np.random.default_rng(16)
+    for n in range(1, 6):
+        width = (1 << n) - 1
+        words = (np.arange(1, 1 << width, dtype=np.int64) if n <= 4 else
+                 rng.integers(1, 1 << width, 20_000, dtype=np.int64))
+        tables = scanner._word_tables(n)
+        ind = scanner._indicators(words.tolist(), n)
+        members = ind * np.arange(1 << n)
+        degree = int(np.count_nonzero(members, axis=1).max())
+        gens = np.sort(members, axis=1)[:, (1 << n) - degree:]
+        assert np.array_equal(tables.spectra_of(words),
+                              scanner._wht_rows(ind)), n
+        assert np.array_equal(tables.xors_of(words),
+                              np.bitwise_xor.reduce(members, axis=1)), n
+        assert np.array_equal(tables.members_of(words), gens), n
+        assert np.array_equal(tables.distances_of(words),
+                              scanner._bfs_rows(gens, n)), n
+    # n = 5 splits the 31 mask bits over two tables of at most 2^16 rows
+    assert [len(t) for t in tables.spectra] == [1 << 16, 1 << 15]
+    assert all(not t.flags.writeable for t in tables.spectra)
+
+
+def test_surveys_up_to_n5_never_build_indicator_rows(monkeypatch):
+    # at n <= 5 every survey runs on the word tables: no indicator
+    # matrix, no WHT and no BFS, and the pinned digests still hold
+    def banned(*args):
+        raise AssertionError("the indicator path ran")
+
+    for module, name in ((scanner, "_indicators"), (scanner, "_wht_rows"),
+                         (scanner, "_bfs_rows"), (spectral, "_wht_rows"),
+                         (graphwalk, "_bfs_rows")):
+        monkeypatch.setattr(module, name, banned)
+    for survey, n, kwargs, want in PINNED_SURVEYS:
+        if n <= scanner.WORD_CAP:
+            report = survey(n, **kwargs)
+            assert report.path == "word-table"
+            assert report.digest() == want
+    audit = scanner._survey("antipodal-audit", 5, u_zero=True,
+                            sample=2000, seed=1)
+    assert audit.path == "word-table" and audit.violations > 0
+    assert len(list(enumerate_sets(5, d_max=3, u_zero=True))) == 155
+    # above n = 5 the same hooks fire: the indicator path is the engine
+    with pytest.raises(AssertionError, match="indicator path"):
+        scan_sets(6, sample=3, seed=1)
 
 
 def _larger_surveys():
