@@ -12,9 +12,10 @@ Conventions shared by all subcommands:
     on stdout with the run manifest as one JSON line on stderr,
   * there is one emit path, ``_emit``, surveys included.  A list with one
     row per vertex (2ⁿ rows) or per survey finding never becomes Python
-    dicts: the command hands it over as numpy-rendered columns of JSON
-    texts (``jsontext.Rows``), and ``_emit`` writes the indented document,
-    the canonical text behind the digest and the CSV rows from them, with
+    dicts or strings: the command hands it over as token columns, uint8
+    tables of JSON texts with a table row per list row (``jsontext.Rows``),
+    and ``_emit`` renders the indented document, the canonical text behind
+    the digest and the CSV rows from them through one byte kernel, with
     the bytes json.dumps would write for the full payload,
   * every JSON document embeds a run manifest: argv, tool version, the
     inputs, seed where one applies, start/finish timestamps, and a sha256
@@ -54,8 +55,8 @@ from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
                        measurement_distribution)
 from .graphwalk import (bfs_profile, bipartite_functional,
                         is_complete_bipartite)
-from .jsontext import (Rows, binary_texts, booleans, digest, dumps,
-                       joined_rows, numbers, pick, slot, slots)
+from .jsontext import (Rows, Tokens, binary_texts, booleans, digest, dumps,
+                       numbers, pick, rendered, slot, slots)
 from .oracle import OracleMismatchError, verify_equivalence
 from .pst import (CertificationError, certify, decide_pst_exact, plan_route,
                   pst_at_half_pi)
@@ -74,24 +75,29 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _csv_text(columns: dict[str, list[str]]) -> Iterator[str]:
+def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes]:
     """CSV with one column per header, as csv.writer writes the values.
 
-    String cells keep their JSON quotes until a piece of rows is joined,
-    and each piece drops them in one pass, so no cell is copied: the
-    string columns (binary labels and class names) never hold a quote.
+    Each column's table is rewritten once: a string column (binary labels
+    and class names, which never hold a quote) loses its quotes, and a
+    number column writes "null" as an empty cell.
     """
-    cells = [texts if texts[0].startswith('"')
-             else ["" if t == "null" else t for t in texts]
-             for texts in columns.values()]
-    yield ",".join(columns) + "\r\n"
-    for piece in joined_rows([""] + [","] * (len(cells) - 1) + ["\r\n"],
-                             cells, ""):
-        yield piece.replace('"', "")
+    cells = []
+    for tokens in columns.values():
+        table = tokens.table.copy()
+        if table[0, 0] == ord('"'):
+            table[table == ord('"')] = 0
+        else:
+            null = b"null".ljust(table.shape[1], b"\0")[:table.shape[1]]
+            table[(table == np.frombuffer(null, np.uint8)).all(axis=1)] = 0
+        cells.append(tokens._replace(table=table))
+    yield (",".join(columns) + "\r\n").encode()
+    yield from rendered([""] + [","] * (len(cells) - 1) + ["\r\n"], cells,
+                        "", "")
 
 
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
-          seed=None, csv: dict[str, list[str]] | None = None,
+          seed=None, csv: dict[str, Tokens] | None = None,
           env: dict | None = None, manifest_extra: dict | None = None
           ) -> dict:
     """Serialize one command result according to the output flags.
@@ -122,18 +128,22 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
               file=sys.stderr)
     else:
         pieces = chain(dumps({**payload, "manifest": manifest},
-                             indented=True), ["\n"])
+                             indented=True), [b"\n"])
     out = getattr(args, "out", None)
     if out:
         try:
-            with open(out, "w") as handle:
+            with open(out, "wb") as handle:
                 handle.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:  # a text stream, such as io.StringIO
+            stream, pieces = sys.stdout, (p.decode() for p in pieces)
         try:
-            sys.stdout.writelines(pieces)
             sys.stdout.flush()
+            stream.writelines(pieces)
+            stream.flush()
         except BrokenPipeError:
             # The reader stopped early.  What is still buffered goes to
             # devnull, so the flush at exit cannot fail a second time.
@@ -311,7 +321,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     }
     if profile.connected:
         far = np.flatnonzero(profile.dist == profile.diameter)
-        payload["antipodal"] = Rows(slot("v"), [{"v": pick(far, labels)}])
+        payload["antipodal"] = Rows(slot("v"),
+                                    [{"v": Tokens(labels.table, far)}])
     else:
         payload["antipodal"] = None
     _emit(args, payload, {"n": args.n, "omega": omega.format(),

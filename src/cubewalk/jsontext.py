@@ -1,26 +1,34 @@
 """JSON text from numpy columns, byte for byte what json.dumps writes.
 
 A payload may hold ``Rows`` as the value of a key at any depth: a list
-of rows of one shape, held as columns of JSON texts.  The shape is a
-skeleton, one row with a ``slot(name)`` marker at every leaf; json.dumps
-of it, cut at the markers, gives the text between the leaves.  ``dumps``
-splices each list in at its marker, at the depth the indentation of the
-marker's line shows.
+of rows of one shape, held as columns.  The shape is a skeleton, one row
+with a ``slot(name)`` marker at every leaf; json.dumps of it, cut at the
+markers, gives the text between the leaves.  ``dumps`` splices each list
+in at its marker, at the depth the indentation of the marker's line shows.
+
+A leaf column is a token column, ``Tokens``: a uint8 table of its distinct
+JSON texts, NUL-padded to one width, and a table row per list row; a list
+leaf is ``Members``, a table row per member.  Rows render as bytes,
+``CHUNK`` at a time, in one (rows × width) uint8 matrix: the skeleton's
+text is written by broadcast, each leaf's table rows are gathered into its
+columns, and the NULs are dropped.  NUL is safe as padding: JSON text
+never holds a raw NUL (json.dumps writes \\u0000), and ``table`` refuses one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import re
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# Rows joined per piece of output: bounds the text held at once.
-CHUNK = 1 << 16
-# A marker as json.dumps writes it; JSON text never holds a raw NUL.
+# Rows rendered per piece: bounds the bytes held at once.  Pieces of 2¹¹
+# rows stay in cache: at n = 16 they ran faster than pieces of 2¹⁶.
+CHUNK = 1 << 11
+# A marker as json.dumps writes it.
 _MARKER = re.compile(r'"\\u0000(\w+)\\u0000"')
 
 
@@ -39,29 +47,88 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def pick(index: np.ndarray, texts: Sequence[str]) -> list[str]:
-    """texts[index[v]] for every v, one shared string per distinct text."""
-    return np.array(texts, dtype=object)[index].tolist()
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint8)
 
 
-def booleans(values: np.ndarray) -> list[str]:
-    return pick(values.astype(np.intp), ["false", "true"])
+def table(texts: Sequence[str]) -> np.ndarray:
+    """The (ASCII) texts as uint8 rows, NUL-padded to the longest."""
+    if "\0" in "".join(texts):
+        raise ValueError("a JSON text cannot hold a raw NUL")
+    encoded = np.array(texts, dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(texts), encoded.itemsize)
+
+
+class Tokens(NamedTuple):
+    """A leaf column: row r is the text in row ``index[r]`` of ``table``
+    (in row r when ``index`` is None)."""
+
+    table: np.ndarray
+    index: np.ndarray | None = None
+
+    def width(self, indent: str | None) -> int:
+        return self.table.shape[1]
+
+    def fill(self, out: np.ndarray, start: int, stop: int, indent) -> None:
+        out[:] = self.table[start:stop] if self.index is None \
+            else self.table.take(self.index[start:stop], axis=0)
+
+
+class Members(NamedTuple):
+    """A list leaf: row r lists the texts in rows ``index[r, 0]``,
+    ``index[r, 1]``, ... of ``table``, 0 standing for no member."""
+
+    table: np.ndarray
+    index: np.ndarray
+
+    def width(self, indent: str | None) -> int:
+        _, sep, closing = brackets(indent)
+        return self.index.shape[1] * (len(sep) + self.table.shape[1]) \
+            + max(len(closing), 2)
+
+    def fill(self, out: np.ndarray, start: int, stop: int, indent) -> None:
+        """A member is its separator and text: the first one's comma turns
+        into the opening bracket; a list with no member is "[]"."""
+        _, sep, closing = brackets(indent)
+        cell = np.hstack([np.broadcast_to(_ascii(sep), (
+            len(self.table), len(sep))), self.table])
+        cell[0] = 0
+        index = self.index[start:stop]
+        rows, k = index.shape
+        cells = out[:, :k * cell.shape[1]].reshape(rows, k, -1)
+        cells[:] = cell.take(index, axis=0)
+        listed = index != 0
+        first = listed.argmax(axis=1)
+        some = listed[np.arange(rows), first]
+        cells[some, first[some], 0] = ord("[")
+        out[:, cells[0].size:] = table(["[]", closing]).take(
+            some.view(np.uint8), axis=0)
+
+
+def pick(index: np.ndarray, texts: Sequence[str]) -> Tokens:
+    """texts[index[r]] for every row r."""
+    return Tokens(table(texts), index)
+
+
+def booleans(values: np.ndarray) -> Tokens:
+    return pick(np.asarray(values, dtype=bool).view(np.uint8),
+                ["false", "true"])
 
 
 def numbers(values: np.ndarray, missing: np.ndarray | None = None
-            ) -> list[str]:
+            ) -> Tokens:
     """JSON texts of an int or float column, "null" where ``missing``.
-
     Each distinct value is rendered once; floats are told apart by bit
     pattern, so -0.0 keeps its sign.  A non-finite float raises
-    ValueError, as json.dumps(allow_nan=False) does.
-    """
-    keys = values
-    if values.dtype.kind == "f":
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant")
-        keys = values.view(np.int64)
+    ValueError, as json.dumps(allow_nan=False) does."""
+    if values.dtype.kind in "iu" and missing is None and values.size \
+            and 0 <= values.min() and values.max() < 256:  # no sort needed
+        return pick(values.astype(np.uint8),
+                    list(map(str, range(values.max() + 1))))
+    floats = values.dtype.kind == "f"
+    if floats and not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    keys = values.view(np.int64) if floats else values
     distinct, index = np.unique(keys, return_inverse=True)
     texts = list(map(repr, distinct.view(values.dtype).tolist()))
     if missing is not None:
@@ -70,21 +137,23 @@ def numbers(values: np.ndarray, missing: np.ndarray | None = None
     return pick(index, texts)
 
 
-def binary_texts(n: int, labels: np.ndarray | None = None) -> list[str]:
-    """JSON texts of n-bit labels, '"0101"': of ``labels`` (non-negative
-    ints below 2ⁿ), or of every label in order when None.
+# The eight binary digits of every byte value in ASCII, on first use.
+_digits = cache(lambda: ord("0") + np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1))
 
-    Each text joins one of 2^⌈n/2⌉ high-half texts to one of 2^⌊n/2⌋
-    low-half texts, so no label is formatted on its own.
-    """
-    half = n // 2
-    high = ['"' + format(x, f"0{n - half}b") for x in range(1 << (n - half))]
-    low = [format(x, f"0{half}b") + '"' for x in range(1 << half)] \
-        if half else ['"']
+
+def binary_texts(n: int, labels: np.ndarray | None = None) -> Tokens:
+    """JSON texts of n-bit labels, '"0101"', one row each: of ``labels``
+    (non-negative ints below 2ⁿ), or of every label when None.  Each byte
+    of a label is written through the 256-row table of binary digits."""
     if labels is None:
-        return [h + lo for h in high for lo in low]
-    return list(map(operator.add, pick(labels >> half, high),
-                    pick(labels & ((1 << half) - 1), low)))
+        labels = np.arange(1 << n)
+    size = (n + 7) // 8
+    raw = labels.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size:]
+    texts = np.empty((len(labels), n + 2), dtype=np.uint8)
+    texts[:, 0] = texts[:, -1] = ord('"')
+    texts[:, 1:-1] = _digits()[raw].reshape(len(labels), -1)[:, 8 * size - n:]
+    return Tokens(texts)
 
 
 def brackets(indent: str | None) -> tuple[str, str, str]:
@@ -96,21 +165,28 @@ def brackets(indent: str | None) -> tuple[str, str, str]:
     return "[" + inner, "," + inner, "\n" + indent + "]"
 
 
-def joined_rows(segments: Sequence[str], columns: Sequence[Sequence[str]],
-                sep: str) -> Iterator[str]:
-    """Every row, the segments around its column texts, rows joined by
-    ``sep``; yielded ``CHUNK`` rows at a time."""
-    k, size = len(columns), len(columns[0])
+def rendered(segments: Sequence[str], leaves: Sequence, first: str,
+             sep: str, indents: Sequence | None = None) -> Iterator[bytes]:
+    """Each row as ``sep`` (``first``, as long, on the first row),
+    segments[0], leaf 0, segments[1], ..., segments[-1], ``CHUNK`` rows a
+    piece; leaf i renders as on a line indented by indents[i] (None:
+    compact)."""
+    indents = indents or [None] * len(leaves)
+    parts = [_ascii(sep + segments[0])]
+    for leaf, indent, text in zip(leaves, indents, segments[1:]):
+        parts += [np.zeros(leaf.width(indent), np.uint8), _ascii(text)]
+    ends = np.cumsum([0, *map(len, parts)]).tolist()
+    size = len(leaves[0].table if leaves[0].index is None
+               else leaves[0].index)
+    matrix = np.empty((min(CHUNK, size), ends[-1]), dtype=np.uint8)
+    matrix[:] = np.concatenate(parts)  # the text between the leaves
     for start in range(0, size, CHUNK):
-        m = min(CHUNK, size - start)
-        parts = [segments[-1] + sep + segments[0]] * (2 * k * m + 1)
-        parts[0] = sep + segments[0] if start else segments[0]
-        parts[-1] = segments[-1]
-        for i, column in enumerate(columns):
-            parts[2 * i + 1::2 * k] = column[start:start + m]
-            if i:
-                parts[2 * i::2 * k] = [segments[i]] * m
-        yield "".join(parts)
+        rows = matrix[:min(CHUNK, size - start)]
+        for i, (leaf, indent) in enumerate(zip(leaves, indents)):
+            leaf.fill(rows[:, ends[2 * i + 1]:ends[2 * i + 2]], start,
+                      start + len(rows), indent)
+        rows[0, :len(sep)] = _ascii(sep if start else first)
+        yield rows[rows != 0].tobytes()
 
 
 def _indent_at(text: str, at: int) -> str:
@@ -119,20 +195,15 @@ def _indent_at(text: str, at: int) -> str:
     return line[:len(line) - len(line.lstrip(" "))]
 
 
-class Rows:
-    """A JSON list whose rows share the shape ``skeleton``, as columns.
+class Rows(NamedTuple):
+    """A JSON list whose rows share the shape ``skeleton``, as columns:
+    ``blocks`` holds the rows in non-empty runs, each a map from every
+    leaf name to its ``Tokens`` or ``Members`` column."""
 
-    ``blocks`` holds the rows in non-empty runs, each a map (or a function
-    returning it, called per rendering) from every leaf name to the texts
-    of that leaf, row by row.  A leaf whose value is a list may map to a
-    function of its line's indentation (None in compact text) giving them.
-    """
+    skeleton: object
+    blocks: Sequence[dict]
 
-    def __init__(self, skeleton, blocks: Sequence) -> None:
-        self.skeleton = skeleton
-        self.blocks = blocks
-
-    def text(self, indent: str | None) -> Iterator[str]:
+    def text(self, indent: str | None) -> Iterator[bytes]:
         """The list in pieces, compact with sorted keys when ``indent`` is
         None, else as json.dumps(indent=2) writes it under ``indent``."""
         opening, sep, closing = brackets(indent)
@@ -141,24 +212,21 @@ class Rows:
         else:  # every line indented, the first too, for _indent_at
             template = indent + "  " + json.dumps(
                 self.skeleton, indent=2).replace("\n", "\n" + indent + "  ")
-        leaves = [(match[1], None if indent is None
-                   else _indent_at(template, match.start()))
-                  for match in _MARKER.finditer(template)]
+        names = _MARKER.findall(template)
+        indents = [None if indent is None else _indent_at(template, m.start())
+                   for m in _MARKER.finditer(template)]
         segments = _MARKER.split(template)[0::2]
         segments[0] = segments[0].lstrip(" ")
-        for i, block in enumerate(self.blocks):
-            columns = block() if callable(block) else block
-            texts = [columns[name](at) if callable(columns[name])
-                     else columns[name] for name, at in leaves]
-            yield sep if i else opening
-            yield from joined_rows(segments, texts, sep)
-        yield closing if self.blocks else "[]"
+        for i, columns in enumerate(self.blocks):
+            yield from rendered(segments, [columns[name] for name in names],
+                                sep if i else opening, sep, indents)
+        yield (closing if self.blocks else "[]").encode()
 
 
-def dumps(obj, indented: bool) -> Iterator[str]:
-    """json.dumps of ``obj`` in pieces, each ``Rows`` spliced in as its list:
-    compact with sorted keys as ``canonical_dumps``, or indented by two
-    spaces with allow_nan=False."""
+def dumps(obj, indented: bool) -> Iterator[bytes]:
+    """json.dumps of ``obj`` as bytes in pieces, each ``Rows`` spliced in
+    as its list: compact with sorted keys as ``canonical_dumps``, or
+    indented by two spaces with allow_nan=False."""
     tables: list[Rows] = []
 
     def marked(value):
@@ -174,16 +242,16 @@ def dumps(obj, indented: bool) -> Iterator[str]:
         else canonical_dumps(value)
     done = 0
     for match in _MARKER.finditer(text):
-        yield text[done:match.start()]
+        yield text[done:match.start()].encode()
         indent = _indent_at(text, match.start()) if indented else None
         yield from tables[int(match[1])].text(indent)
         done = match.end()
-    yield text[done:]
+    yield text[done:].encode()
 
 
 def digest(obj) -> str:
     """sha256 of the canonical text of ``obj``, its ``Rows`` spliced in."""
     sha = hashlib.sha256()
     for piece in dumps(obj, indented=False):
-        sha.update(piece.encode())
+        sha.update(piece)
     return sha.hexdigest()

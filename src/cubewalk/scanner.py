@@ -13,47 +13,27 @@ refused before the first draw.  The antipodality audit takes neither a
 window nor a sample, so it stops at n = 4 (``EXHAUSTIVE_CAP``).
 
 Every argument is checked before anything is allocated.  The masks then
-stream through the survey in blocks, so a walk of 2²⁴ masks never holds
-more than one block, on one of two paths (``ScanReport.path``):
+stream through the survey in blocks, on one of two paths
+(``ScanReport.path``), each ending in one transfer decision per row
+(``pst._decide_rows``):
 
-  * "word-table" serves every survey at n ≤ 5 (``WORD_CAP``), where the
-    2ⁿ − 1 bits of a mask fit one int64 word.  A block holds
-    ``WORD_ROWS`` = 2¹¹ masks.  Read-only tables, built once per n by
-    doubling over the labels, replace the indicator matrix, the WHT and
-    the BFS: per subset of labels its int8 spectrum (adding label w adds
-    the character row χ_w), its uint8 xor-sum, its members and, for the
-    audit, its distances from 0 (D'(x) = min(D(x), D(x ⊕ w) + 1), since a
-    shortest walk in Z₂ⁿ uses each label at most once).  The mask bits
-    are split into chunks of at most 16 bits, one table row per subset
-    of a chunk: one chunk of 2¹⁵ rows at n ≤ 4, and two at n = 5, where
-    spectra add, xor-sums xor, members merge and distances join by
-    min-plus over xor.  The tables take 1 MB at n = 4 and 4.6 MB at
-    n = 5, and the distance tables add 0.5 MB and 3 MB when an audit
-    first asks for them.  Per block the layers are: gather and join the
-    rows of the tables, apply the xor-sum-zero filter, decide every row,
-    and read members, u and distances for the rows that transfer.
-  * "indicator-wht" serves the sampled surveys at n ≥ 6, where only
-    sampling reaches.  A block holds ``BLOCK_CELLS`` = 2¹³ indicator
-    entries, 2¹³⁻ⁿ sets (one set from n = 13 on): about 64 KB per int64
-    array below n = 14, and one 2ⁿ-entry row above.  Per block: the
-    indicator matrix, the Walsh-Hadamard butterfly along its rows, the
-    transfer decision, and, for the audit, one BFS from 0 over the rows
-    that transfer.  A sample is drawn with its filters applied, so this
-    path runs no xor-sum filter.
+  * "word-table" serves every survey at n ≤ 5 (``WORD_CAP``), where a
+    mask's 2ⁿ − 1 bits fit one int64.  Read-only subset tables, built once
+    per n by doubling over the labels (``_WordTables``), give each mask's
+    spectrum, xor-sum, members and, for the audit, distances from 0, in
+    place of the indicator matrix, the WHT and the BFS.
+  * "indicator-wht" serves the sampled surveys at n ≥ 6: per block the
+    indicator matrix, the Walsh-Hadamard butterfly along its rows and, for
+    the audit, one BFS from 0 over the rows that transfer.
 
-Both paths share one transfer decision per row (``pst._decide_rows``).
-The sets that transfer stay in per-block numpy columns: their members,
-sorted and padded to the block's largest degree, u, δ and q of the
-transfer time π/q, and for the audit the connectivity, diameter and
-distance(0, δ).  The summary counters are read off those columns, and
-the digest and the CLI's document render them as ``jsontext.Rows``, with
-no per-set dict.  Label handling is linear in the labels held: masks are
-read and written as binary digits, and each omega text is one join.
-``ScanReport.findings`` is built on first read, by the builder that
-``transfer_record`` and ``audit_record`` use for one set, so a line
-re-runs to the same dict.  A cubelike graph transfers from 0 to at most
-one offset (Cheung and Godsil, 2011), so a record carries the set's one
-offset, or none.
+The sets that transfer stay in per-block numpy columns (``_Findings``),
+and the summary counters are read off them.  A block's token columns are
+built once and index one table of label texts, so the digest and the
+CLI's document render the findings as ``jsontext.Rows`` bytes, with no
+per-set dict or string.  ``ScanReport.findings`` is built on first read,
+by the builder that ``transfer_record`` and ``audit_record`` use for one
+set.  A cubelike graph transfers from 0 to at most one offset (Cheung and
+Godsil, 2011), so a record carries the set's one offset, or none.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -78,12 +58,9 @@ in both senses the word "antipodal" gets used for these graphs:
     δ ≠ u are the audit's violations and drive the nonzero exit code.
 
 Every report carries empirical weight only: an exhaustive pass at small n
-proves nothing about larger n.
-
-Reports are split into a deterministic payload (findings, counters read
-off them, and a sha256 digest over the canonical JSON) and volatile run
-metadata (wall time), so byte-identical re-runs can be asserted
-digest-to-digest.
+proves nothing about larger n.  Reports split into a deterministic payload
+(findings, counters read off them, and a sha256 digest over the canonical
+JSON) and volatile run metadata, so re-runs compare digest to digest.
 """
 
 from __future__ import annotations
@@ -100,13 +77,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import jsontext
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .dynamics import RationalAngle
 from .graphwalk import _bfs_rows, bfs_profile
-from .jsontext import (Rows, binary_texts, booleans, brackets,
-                       numbers, pick, slots)
+from .jsontext import (Members, Rows, Tokens, binary_texts, booleans,
+                       digest, dumps, numbers, pick, slots)
 from .pst import _decide_rows, pst_offsets
 from .spectral import _wht_rows, character_bits
 
@@ -126,11 +102,15 @@ class EnumerationCapError(ValueError):
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
-def _xor_of_mask(mask: int) -> int:
-    acc = 0
-    for label in _mask_labels(mask):
-        acc ^= label
-    return acc
+@cache
+def _byte_xors() -> tuple[list[int], list[int]]:
+    """Per byte b: the xor of its set bits' positions, 8 if they are odd."""
+    xors, odd = [0] * 256, [0] * 256
+    for b in range(1, 256):
+        rest = b & (b - 1)  # b without its lowest set bit
+        xors[b] = xors[rest] ^ (b ^ rest).bit_length() - 1
+        odd[b] = odd[rest] ^ 8
+    return xors, odd
 
 
 def _weight_masks(width: int, weight: int) -> Iterator[int]:
@@ -198,6 +178,7 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
             f"cannot draw {sample} distinct sets from the {room} {kind} in "
             f"the degree window [{lo}, {hi}] at n = {n}")
     rng = random.Random(seed)
+    xors, odd = _byte_xors()
     chosen: set[int] = set()
     attempts = 0
     cap = 10_000 * max(1, sample)
@@ -212,7 +193,12 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
                 digits[-label] = ord("1")
             mask = int(digits, 2)
         if u_zero:
-            u = _xor_of_mask(mask)
+            # shifted left by one, bit p is label p: byte c holds labels
+            # 8c + j, which xor to the xor of the j, and 8c if they are odd
+            u = 0
+            for c, b in enumerate((mask << 1).to_bytes(width // 8 + 1,
+                                                       "little")):
+                u ^= xors[b] ^ odd[b] * c
             if u:
                 mask ^= 1 << (u - 1)  # toggling label u zeroes the xor-sum
             if not lo <= mask.bit_count() <= hi:
@@ -229,11 +215,8 @@ def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
                  u_zero: bool, sample: int | None, seed: int) -> Iterator[int]:
     """The masks a survey walks, ascending, after every argument is checked.
 
-    Nothing is allocated before the checks.  An exhaustive stream still
-    holds sets of any xor-sum (the word path filters it block by block);
-    a sample is drawn with the filters applied, so at n > ``WORD_CAP``,
-    where only sampling reaches, every mask already has xor-sum 0 under
-    ``u_zero``.
+    An exhaustive stream holds sets of any xor-sum (the word path filters
+    it block by block); a sample is drawn with the filters applied.
     """
     _check_dimension(n)
     for bound in (d_min, d_max):
@@ -255,20 +238,15 @@ def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
 WORD_CAP = FILTERED_CAP  # every mask an exhaustive walk reaches fits int64
 CHUNK_BITS = 16  # mask bits per subset table, 2¹⁶ rows at most
 # Masks per word-path block: an int8 spectrum block takes 32 KB at n = 4
-# and 64 KB at n = 5.  A block's findings render as one piece of text, so
-# the block also bounds the memory of rendering: blocks of 2¹³ masks ran
-# the surveys about 15 % faster, but raised the peak RSS of
-# ``audit-antipodal --n 4`` from 41 MB to 58 MB.
+# and 64 KB at n = 5.  A block's findings render through one uint8 matrix
+# of at most ``jsontext.CHUNK`` rows, so rendering holds a few hundred KB.
 WORD_ROWS = 1 << 11
 
 
 def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:
     """Row m holds the value of the subset of ``labels`` picked by the bits
-    of m, built by doubling.
-
-    Row 0 is ``first``; rows 2ʲ..2ʲ⁺¹−1 are rows 0..2ʲ−1 with label j
-    added, written in place by ``extend(rows, label, out)``.
-    """
+    of m: row 0 is ``first``, and rows 2ʲ..2ʲ⁺¹−1 are rows 0..2ʲ−1 with
+    label j added, written in place by ``extend(rows, label, out)``."""
     table = np.empty((1 << len(labels), *first.shape), dtype=first.dtype)
     table[0] = first
     for j, w in enumerate(labels):
@@ -281,12 +259,11 @@ def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:
 class _WordTables:
     """Read-only subset tables of the masks at one dimension n ≤ WORD_CAP.
 
-    The 2ⁿ − 1 mask bits are split into chunks of at most ``CHUNK_BITS``,
-    starting at ``shifts``: one chunk at n ≤ 4, two at n = 5.  Each table
-    holds one row per subset of a chunk's labels, built by doubling on
-    first use.  A mask's value is the join of its chunks' rows: spectra
-    add, xor-sums xor, members merge, and distances join by min-plus over
-    xor.
+    The mask bits are split into chunks of at most ``CHUNK_BITS`` at
+    ``shifts``, one at n ≤ 4 and two at n = 5, with one table row per
+    subset of a chunk's labels (1 MB at n = 4, 4.6 MB at n = 5, and 0.5
+    and 3 MB more of distances).  A mask joins its chunks' rows: spectra
+    add, xor-sums xor, members merge, distances join by min-plus over xor.
     """
 
     n: int
@@ -372,11 +349,8 @@ class _WordTables:
 
     def distances_of(self, words: np.ndarray) -> np.ndarray:
         """Distances from 0 for the sets of ``words``, -1 where unreached.
-
-        Chunks join by min-plus over xor: a walk to x splits into the
-        labels of the first chunk, summing to some y, and those of the
-        second, summing to x ⊕ y.
-        """
+        Chunks join by min-plus over xor: a walk to x splits into labels
+        of the first chunk, summing to some y, and of the second chunk."""
         # vertex-major (2ⁿ × rows), so the join moves whole rows
         first, *rest = (np.ascontiguousarray(part.T) for part in
                         self._gather(self.distances, words))
@@ -419,8 +393,7 @@ def _word_findings(n: int, words: np.ndarray,
     """The sets of one word block that transfer, from the subset tables."""
     tables = _word_tables(n)
     delta, g = _decide_rows(tables.spectra_of(words))
-    hits = np.flatnonzero(delta)
-    if not hits.size:
+    if not (hits := np.flatnonzero(delta)).size:
         return None
     words = words[hits]
     return _findings(n, tables.members_of(words), tables.xors_of(words),
@@ -449,8 +422,7 @@ def _indicator_findings(n: int, masks: list[int],
     indicator rows."""
     ind = _indicators(masks, n)
     delta, g = _decide_rows(_wht_rows(ind))
-    hits = np.flatnonzero(delta)
-    if not hits.size:
+    if not (hits := np.flatnonzero(delta)).size:
         return None
     members = ind[hits] * np.arange(1 << n)  # each label in its column
     degree = int(np.count_nonzero(members, axis=1).max())
@@ -464,12 +436,10 @@ def _findings(n: int, gens: np.ndarray, u: np.ndarray, delta: np.ndarray,
               q: np.ndarray, dists: np.ndarray | None) -> _Findings:
     """The ``_Findings`` of sets with padded labels ``gens`` that transfer
     0 → δ at π/q; the audit adds ``dists`` from 0, -1 where unreached."""
-    found = dict(labels=gens, u=u, delta=delta, q=q)
-    if dists is not None:
-        found.update(connected=(dists >= 0).all(axis=1),
-                     diameter=dists.max(axis=1),
-                     distance=dists[np.arange(delta.size), delta])
-    return _Findings(n, **found)
+    if dists is None:
+        return _Findings(n, gens, u, delta, q)
+    return _Findings(n, gens, u, delta, q, (dists >= 0).all(axis=1),
+                     dists.max(axis=1), dists[np.arange(delta.size), delta])
 
 
 def enumerate_sets(n: int, *, d_min: int | None = None,
@@ -479,10 +449,9 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
     """Connection sets at dimension n in canonical ascending-mask order.
 
     ``u_zero`` keeps only sets with xor-sum 0.  Without ``sample`` the
-    walk is exhaustive and subject to the caps described in the module
-    docstring; with it, a deterministic pseudo-random selection of that
-    many distinct sets is produced.  Every argument is checked on the
-    first ``next()``, before any set is produced.
+    walk is exhaustive, under the caps of the module docstring; with it,
+    that many distinct sets are drawn from ``seed``.  Every argument is
+    checked on the first ``next()``.
     """
     masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                          sample=sample, seed=seed)
@@ -529,13 +498,10 @@ def transfer_record(omega: ConnectionSet) -> dict:
 def audit_record(omega: ConnectionSet) -> dict:
     """The transfer offset of one set, if any, with its distance geometry.
 
-    For the offset: the graph distance from 0, whether that equals the
-    diameter (the metric antipodality flag), and whether the offset is
-    the xor-sum of the set (the structural one).  ``diameter`` is the
-    eccentricity of vertex 0 in its component, which equals the graph
-    diameter when the graph is connected; the transfer offset lies in
-    that component, so its distance is always defined.  ``violations``
-    lists the offset when it differs from the xor-sum.
+    For the offset: its distance from 0, whether that equals the diameter
+    (the metric antipodality flag), and whether it is the xor-sum (the
+    structural one), else it is listed in ``violations``.  ``diameter`` is
+    the eccentricity of 0 in its component, which holds the offset.
     """
     transfer = next(iter(pst_offsets(omega).items()), None)
     geometry = None
@@ -562,10 +528,9 @@ def _skeleton(audit: bool) -> dict:
 class _Findings:
     """The sets of one survey block at dimension ``n`` that transfer.
 
-    ``labels`` holds each set's members in ascending order, padded on the
-    left with label 0 up to the block's largest degree; the set transfers
-    0 → ``delta`` at π/``q``.  The audit adds the BFS geometry from 0:
-    ``connected``, ``diameter`` and ``distance`` to δ.
+    ``labels`` holds each set's members ascending, padded on the left with
+    0 to the block's largest degree; the set transfers 0 → ``delta`` at
+    π/``q``.  The audit adds ``connected``, ``diameter`` and ``distance``.
     """
 
     n: int
@@ -580,64 +545,50 @@ class _Findings:
     def records(self) -> Iterator[dict]:
         """The report lines, each as ``audit_record``/``transfer_record``
         gives it for that set."""
-        geometry = repeat(None)
-        if self.connected is not None:
-            geometry = zip(self.connected.tolist(), self.diameter.tolist(),
-                           self.distance.tolist())
-        for labels, u, db, q, geo in zip(self.labels.tolist(),
-                                         self.u.tolist(),
-                                         self.delta.tolist(),
-                                         self.q.tolist(), geometry):
+        geometry = repeat(None) if self.connected is None else zip(
+            self.connected.tolist(), self.diameter.tolist(),
+            self.distance.tolist())
+        for labels, u, db, q, geo in zip(
+                self.labels.tolist(), self.u.tolist(), self.delta.tolist(),
+                self.q.tolist(), geometry):
             yield _record(self.n, [x for x in labels if x], u,
                           (db, RationalAngle(1, q)), geo)
 
+    @cached_property
     def columns(self) -> dict:
-        """The JSON text of every field of every record, by field name.
-
-        Labels, small ints, booleans and times are picked from tables of
-        their distinct texts; omega joins each row's member texts and
-        violations wraps δ's.  Past the sort that builds the label table,
-        the work is linear in the labels held, not in 2ⁿ.
-        """
+        """The token column of every field, by name, built once.  Labels,
+        u and δ index one table of label texts: of every label when 2ⁿ is
+        no more than the labels held, else of the distinct ones and 0."""
         rows, k = self.labels.shape
-        distinct, index = np.unique(
-            np.column_stack([self.labels, self.u, self.delta]),
-            return_inverse=True)
-        index = index.reshape(rows, k + 2)
-        quoted = np.array(binary_texts(self.n, distinct), dtype=object)
-        degree = np.count_nonzero(self.labels, axis=1)
-
-        def omega(indent: str | None) -> list[str]:
-            opening, sep, closing = brackets(indent)
-            return [opening + sep.join(row[k - d:]) + closing  # past the padding
-                    for row, d in zip(quoted[index[:, :k]].tolist(),
-                                      degree.tolist())]
-
+        labels, u, delta = self.labels, self.u, self.delta
+        if 1 << self.n <= labels.size + 2 * rows:
+            texts = binary_texts(self.n)
+        else:
+            distinct, index = np.unique(np.column_stack(
+                [np.zeros_like(u), labels, u, delta]), return_inverse=True)
+            index = index.reshape(rows, k + 3)
+            labels, u, delta = index[:, 1:k + 1], index[:, -2], index[:, -1]
+            texts = binary_texts(self.n, distinct)
         times, at = np.unique(self.q, return_inverse=True)
         columns = {
-            "omega": omega,
-            "d": numbers(degree),
-            "u": quoted[index[:, k]].tolist(),
-            "delta": quoted[index[:, k + 1]].tolist(),
-            "time": pick(at, [json.dumps(str(RationalAngle(1, q)))
-                              for q in times.tolist()]),
+            "omega": Members(texts.table, labels),
+            "d": numbers(np.count_nonzero(labels, axis=1)),
+            "u": Tokens(texts.table, u),
+            "delta": Tokens(texts.table, delta),
+            "time": pick(at.astype(np.uint8),  # a few distinct times
+                         [json.dumps(str(RationalAngle(1, q)))
+                          for q in times.tolist()]),
         }
         if self.connected is not None:
             xor_sum = self.delta == self.u
-
-            def violations(indent: str | None) -> list[str]:
-                opening, _, closing = brackets(indent)
-                texts = (opening + quoted + closing)[index[:, k + 1]]
-                texts[xor_sum] = "[]"
-                return texts.tolist()
-
             columns.update(
                 connected=booleans(self.connected),
                 diameter=numbers(self.diameter),
                 distance=numbers(self.distance),
                 antipodal=booleans(self.distance == self.diameter),
                 is_xor_sum=booleans(xor_sum),
-                violations=violations)
+                violations=Members(texts.table, np.where(
+                    xor_sum, 0, delta).astype(labels.dtype)[:, None]))
         return columns
 
 
@@ -647,17 +598,12 @@ class _Findings:
 class ScanReport:
     """Survey result: deterministic payload plus volatile wall time.
 
-    ``payload`` (and therefore ``digest``) contains nothing that varies
-    between identical runs; two equal surveys must produce byte-identical
-    payload JSON regardless of the clock.
-
-    The survey hands over its findings as per-block columns (``blocks``):
-    ``findings`` is built from them on first read, one record per set
-    with the set's one transfer offset, and ``columnar_payload`` holds
-    them as ``Rows`` that render to the bytes of ``payload()``.  ``path``
-    names the engine that served the survey, "word-table" or
-    "indicator-wht" (see the module docstring); like the wall time it
-    stays out of the payload.
+    ``payload`` (and so ``digest``) holds nothing that varies between
+    identical runs.  The findings come as per-block columns (``blocks``):
+    ``findings`` builds one record per set on first read, and
+    ``columnar_payload`` holds them as ``Rows`` that render to the bytes
+    of ``payload()``.  ``path`` names the engine, "word-table" or
+    "indicator-wht"; like the wall time it stays out of the payload.
     """
 
     kind: str
@@ -699,11 +645,10 @@ class ScanReport:
         return self.universe / self.wall_time_s if self.wall_time_s else 0.0
 
     def canonical_json(self) -> str:
-        return "".join(jsontext.dumps(self.columnar_payload(),
-                                      indented=False))
+        return b"".join(dumps(self.columnar_payload(), False)).decode()
 
     def digest(self) -> str:
-        return jsontext.digest(self.columnar_payload())
+        return digest(self.columnar_payload())
 
 
 EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
@@ -715,13 +660,9 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
             sample: int | None = None, seed: int = 0) -> ScanReport:
     """The one survey loop: block by block, columns only for findings.
 
-    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  Every
-    argument is checked before anything is allocated.  Each block of
-    masks gets its spectra, from the word tables at n ≤ ``WORD_CAP`` or
-    the WHT of its indicator rows above, and one transfer decision; the
-    audit adds the distances from 0 of the block's findings.  The sets
-    that transfer are kept as one ``_Findings`` per block; no record is
-    built here.
+    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  The
+    sets that transfer are kept as one ``_Findings`` per block; no record
+    is built here.
     """
     started = _time.perf_counter()
     audit = kind == "antipodal-audit"
@@ -736,12 +677,9 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
         rows = max(1, BLOCK_CELLS >> n)
         steps = ((len(block), _indicator_findings(n, block, audit))
                  for block in iter(lambda: list(islice(masks, rows)), []))
-    scanned = 0
-    blocks = []
-    for count, found in steps:
-        scanned += count
-        if found is not None:
-            blocks.append(found)
+    steps = list(steps)
+    scanned = sum(count for count, _ in steps)
+    blocks = [found for _, found in steps if found is not None]
     count = sum(len(block.u) for block in blocks)  # one offset per set
     note = EVIDENCE_NOTE if sample is None else "sampled evidence only"
     if kind == "pst-scan":
@@ -758,17 +696,14 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
 
         violations = tally(lambda b: b.delta != b.u)
         summary = {
-            "sets_scanned": scanned,
-            "sets_with_pst": count,
-            "offsets_checked": count,
-            "violations": violations,
+            "sets_scanned": scanned, "sets_with_pst": count,
+            "offsets_checked": count, "violations": violations,
             "metric_non_antipodal": tally(lambda b: b.distance != b.diameter),
             "disconnected_with_pst": tally(lambda b: ~b.connected),
             "reading": ("violation = transfer offset differing from the "
                         "xor-sum; the distance-vs-diameter counts are "
                         "reported, not asserted"),
-            "note": note,
-        }
+            "note": note}
     filters = {"d_min": d_min, "d_max": d_max,
                "u": "zero" if u_zero else "any", "sample": sample,
                "seed": seed if sample is not None else None}
@@ -790,9 +725,8 @@ def conjecture_scan(n: int, *, d_min: int | None = None,
                     seed: int = 0) -> ScanReport:
     """Hunt for PST on xor-sum-zero sets; any finding is a counterexample.
 
-    There are none at n ≤ 4; transfer exists from n = 5 on (the π/4
-    fixture in the module docstring), so an exhaustive pass at one n says
-    nothing about larger n, and the report says so.
+    There are none at n ≤ 4 and some from n = 5 on (the π/4 fixture in
+    the module docstring).
     """
     return _survey("conjecture-scan", n, d_min=d_min, d_max=d_max,
                    u_zero=True, sample=sample, seed=seed)
@@ -801,16 +735,11 @@ def conjecture_scan(n: int, *, d_min: int | None = None,
 def antipodality_audit(n: int) -> ScanReport:
     """Check every transfer offset at dimension n for antipodality.
 
-    A violation is an offset that differs from the set's xor-sum, the
-    structural reading described in the module docstring; there are none
-    at n ≤ 4, the largest n this exhaustive audit reaches.  The metric
-    reading (distance equal to diameter) is tallied alongside as
-    ``metric_non_antipodal`` and is nonzero from n = 3 on, which is a
-    result, not a malfunction: transfer to a generator offset happens
-    whenever the xor-sum lies inside the set.  Findings are built by
-    ``audit_record``, which anyone can re-run on a single set to confirm a
-    report line independently.  The audit takes no window and no sample,
-    so n above ``EXHAUSTIVE_CAP`` is refused before anything is walked.
+    A violation is an offset other than the set's xor-sum (the structural
+    reading, module docstring); there are none at n ≤ 4.  The metric
+    reading is tallied as ``metric_non_antipodal``, nonzero from n = 3 on.
+    ``audit_record`` re-runs any report line on its own.  The audit takes
+    no window and no sample, so n above ``EXHAUSTIVE_CAP`` is refused.
     """
     _check_dimension(n)
     if n > EXHAUSTIVE_CAP:

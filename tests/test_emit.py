@@ -13,6 +13,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 
 from cubewalk import cli, jsontext
 from cubewalk.bitspace import ConnectionSet, GroupElement
@@ -252,15 +253,22 @@ def test_broken_spectrum_rows_are_byte_identical(capsys, monkeypatch):
         _assert_same_bytes(capsys, argv)
 
 
+def _texts(tokens):
+    """The text of every row of a token column."""
+    rows = tokens.table if tokens.index is None \
+        else tokens.table[tokens.index]
+    return [row.tobytes().rstrip(b"\0").decode() for row in rows]
+
+
 def test_number_texts_match_json():
     values = np.array([0.0, -0.0, 1.0, -1.0, 1e-05, 0.1, 1e16, 1e22,
                        5e-324, -2.5e-308, 1.7976931348623157e308, 0.0,
                        -0.0, 2.0 ** -40, 1 / 3])
-    assert jsontext.numbers(values) == [json.dumps(x)
-                                        for x in values.tolist()]
+    assert _texts(jsontext.numbers(values)) == [json.dumps(x)
+                                                for x in values.tolist()]
     ints = np.array([3, -1, 0, -7, 3, 2 ** 40], dtype=np.int64)
     missing = ints < 0
-    assert jsontext.numbers(ints, missing=missing) == [
+    assert _texts(jsontext.numbers(ints, missing=missing)) == [
         "null" if m else json.dumps(x)
         for x, m in zip(ints.tolist(), missing.tolist())]
 
@@ -274,22 +282,96 @@ def test_small_int_columns_match_str():
             top = rng.choice([1, 5, 127])
             values = rng.integers(0, top + 1, size).astype(dtype)
             values[0] = top
-            assert jsontext.numbers(values) == list(map(str,
-                                                        values.tolist()))
+            assert _texts(jsontext.numbers(values)) == list(
+                map(str, values.tolist()))
     sparse = np.array([524_287, 3, 524_287, 0])  # one d at n = 20
-    assert jsontext.numbers(sparse) == ["524287", "3", "524287", "0"]
+    assert _texts(jsontext.numbers(sparse)) == ["524287", "3", "524287",
+                                                "0"]
 
 
 def test_binary_label_texts_match_format():
     rng = np.random.default_rng(7)
-    for n in range(1, 21):
+    for n in range(1, 25):
         labels = rng.integers(0, 1 << n, 200)
         labels[:2] = 0, (1 << n) - 1
-        assert jsontext.binary_texts(n, labels) == [
+        assert _texts(jsontext.binary_texts(n, labels)) == [
             f'"{x:0{n}b}"' for x in labels.tolist()], n
         if n <= 12:
-            assert jsontext.binary_texts(n) == [
+            assert _texts(jsontext.binary_texts(n)) == [
                 f'"{x:0{n}b}"' for x in range(1 << n)], n
+
+
+# ── the byte kernel against json.dumps ────────────────────────────────────
+
+# JSON values whose texts run from 1 to 30 characters
+VALUES = [None, True, False, 0, 7, -1, -123456, 2 ** 40, -0.0, 0.5, 5e-324,
+          1e22, -2.5e-308, 1 / 3, "", "a", "0101", "x" * 28]
+
+
+def _random_block(rng, rows):
+    """Token columns of ``rows`` rows and the same rows as dicts."""
+    def _sample(k):
+        return [VALUES[i] for i in rng.integers(0, len(VALUES), k)]
+
+    def tokens(pool):
+        texts = [json.dumps(v) for v in pool]
+        index = rng.integers(0, len(pool), rows)
+        return jsontext.Tokens(jsontext.table(texts), index), \
+            [pool[i] for i in index.tolist()]
+
+    def members():
+        pool = ["skipped"] + _sample(5)
+        k = int(rng.integers(1, 4))
+        index = rng.integers(0, len(pool), (rows, k)) \
+            * (rng.random((rows, k)) < 0.6)  # some lists empty, some one
+        texts = jsontext.table([json.dumps(v) for v in pool])
+        return jsontext.Members(texts, index), \
+            [[pool[i] for i in row if i] for row in index.tolist()]
+
+    a, a_values = tokens(VALUES)
+    b, b_values = tokens(_sample(3))
+    m, m_values = members()
+    labels = jsontext.binary_texts(5, rng.integers(0, 32, rows))
+    label_values = [t.strip('"') for t in _texts(labels)]
+    bools = rng.random(rows) < 0.5
+    columns = {"a": a, "b": b, "m": m, "v": labels,
+               "t": jsontext.booleans(bools)}
+    dicts = [{"z": av, "nested": {"m": mv, "v": lv, "deep": [{"b": bv}]},
+              "t": tv}
+             for av, bv, mv, lv, tv in zip(a_values, b_values, m_values,
+                                           label_values, bools.tolist())]
+    return columns, dicts
+
+
+SKELETON = {"z": jsontext.slot("a"),
+            "nested": {"m": jsontext.slot("m"), "v": jsontext.slot("v"),
+                       "deep": [jsontext.slots("b")]},
+            "t": jsontext.slot("t")}
+
+
+def test_kernel_renders_random_token_columns_as_json(monkeypatch):
+    rng = np.random.default_rng(11)
+    for chunk in (1, 7, jsontext.CHUNK):
+        monkeypatch.setattr(jsontext, "CHUNK", chunk)
+        for _ in range(12):
+            blocks = [_random_block(rng, int(rng.integers(1, 40)))
+                      for _ in range(int(rng.integers(0, 4)))]
+            rows = jsontext.Rows(SKELETON, [c for c, _ in blocks])
+            doc = {"rows": rows, "after": [1, {"x": None}]}
+            want = {"rows": [d for _, ds in blocks for d in ds],
+                    "after": [1, {"x": None}]}
+            for indented, text in ((False, canonical_dumps(want)),
+                                   (True, json.dumps(want, indent=2))):
+                pieces = list(jsontext.dumps(doc, indented))
+                assert all(b"\0" not in piece for piece in pieces)
+                assert b"".join(pieces).decode() == text, (chunk, indented)
+            assert jsontext.digest(doc) == hashlib.sha256(
+                canonical_dumps(want).encode()).hexdigest()
+
+
+def test_a_nul_in_a_table_text_is_refused():
+    with pytest.raises(ValueError, match="NUL"):
+        jsontext.table(['"a\0b"', "1"])
 
 
 # ── no 2^n list reaches json.dumps ────────────────────────────────────────

@@ -1,9 +1,11 @@
 """Set enumeration, survey records, and report determinism."""
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+import random
 import types
 from collections import deque
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from cubewalk import cli, graphwalk, jsontext, scanner, spectral
-from cubewalk.bitspace import ConnectionSet
+from cubewalk.bitspace import ConnectionSet, _mask_labels
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
                               audit_record, conjecture_scan, enumerate_sets,
@@ -176,6 +178,49 @@ def test_xor_sum_zero_sample_refused_by_its_population(monkeypatch):
     monkeypatch.undo()
     assert len(list(enumerate_sets(4, u_zero=True, sample=35, d_min=3,
                                    d_max=3))) == 35
+
+
+def _xor_of_mask(mask):
+    """The xor of a mask's labels, one label at a time."""
+    acc = 0
+    for label in _mask_labels(mask):
+        acc ^= label
+    return acc
+
+
+def _reference_u_zero_draw(n, lo, hi, windowed, sample, seed):
+    """The xor-sum-zero sample as drawn with ``_xor_of_mask``: the same
+    RNG calls, and the toggle of label u."""
+    width = (1 << n) - 1
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < sample:
+        if not windowed:
+            mask = rng.randrange(1, 1 << width)
+        else:
+            d = rng.randint(lo, hi)
+            mask = sum(1 << (label - 1)
+                       for label in rng.sample(range(1, width + 1), d))
+        u = _xor_of_mask(mask)
+        if u:
+            mask ^= 1 << (u - 1)
+        if lo <= mask.bit_count() <= hi:
+            chosen.add(mask)
+    return sorted(chosen)
+
+
+def test_u_zero_draws_match_the_label_by_label_xor():
+    # the byte-table xor-sum leaves every sampled mask where it was
+    cases = [(5, 1, 31, False, 2000, seed) for seed in range(16)]
+    cases += [(5, 3, 9, True, 300, 4), (8, 1, 255, False, 300, 0),
+              (8, 1, 255, False, 300, 1), (8, 4, 40, True, 100, 2),
+              (12, 1, 4095, False, 30, 0), (12, 1, 4095, False, 30, 5),
+              (12, 10, 2000, True, 20, 3)]
+    for n, lo, hi, windowed, sample, seed in cases:
+        got = scanner._sampled_masks(n, lo, hi, windowed, True, sample, seed)
+        assert got == _reference_u_zero_draw(n, lo, hi, windowed, sample,
+                                              seed), (n, seed)
+        assert all(_xor_of_mask(mask) == 0 for mask in got)
 
 
 # ── per-set records ───────────────────────────────────────────────────────
@@ -452,9 +497,9 @@ def test_survey_digest_renders_from_columns():
     for report in reports + [violating, empty]:
         # rendered first, from the columns; the records are read after
         text, digest = report.canonical_json(), report.digest()
-        document = "".join(jsontext.dumps(
+        document = b"".join(jsontext.dumps(
             {"command": "scan", "report": report.columnar_payload()},
-            indented=True))
+            indented=True)).decode()
         want = jsontext.canonical_dumps(report.payload())
         assert text == want
         assert digest == hashlib.sha256(want.encode()).hexdigest()
@@ -466,6 +511,35 @@ def test_survey_digest_renders_from_columns():
     assert u_zero.universe == 2  # every toggled draw has xor-sum 0
     assert violating.violations == len(violating.findings) > 0
     assert empty.findings == []
+
+
+def test_each_block_builds_its_columns_once(monkeypatch, capsys):
+    # the CLI renders a survey twice, for its digest and its document,
+    # from one set of token columns per block
+    built = []
+    build = scanner._Findings.columns.func
+
+    def counting(block):
+        built.append(block)
+        return build(block)
+
+    columns = functools.cached_property(counting)
+    columns.__set_name__(scanner._Findings, "columns")
+    monkeypatch.setattr(scanner._Findings, "columns", columns)
+    for argv, survey in ((["scan", "--n", "4"], scan_sets),
+                         (["audit-antipodal", "--n", "4"],
+                          antipodality_audit)):
+        built.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        blocks = len(survey(4).blocks)
+        assert blocks > 1 and len(built) == blocks, argv
+        assert len({id(block) for block in built}) == blocks, argv
+    # and a report keeps them across renderings
+    built.clear()
+    report = antipodality_audit(4)
+    assert report.canonical_json() and report.digest() == PINNED_SURVEYS[4][3]
+    assert len(built) == len(report.blocks)
 
 
 def test_survey_builds_no_record_until_read(monkeypatch):
