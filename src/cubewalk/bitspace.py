@@ -103,7 +103,7 @@ def _parse_label(token: str, n: int, *, allow_zero: bool) -> int:
     else:
         if len(text) != n or any(c not in "01" for c in text):
             raise SetFormatError(
-                f"label {token!r} is not an {n}-character binary string")
+                f"label {token!r} is not a binary string of length {n}")
         value = int(text, 2)
     if value >= (1 << n):
         raise SetFormatError(f"label {token!r} out of range for n={n}")

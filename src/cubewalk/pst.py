@@ -48,9 +48,11 @@ Routing.  Removing one basis generator eᵢ from the folded-cube set leaves
 a set with xor-sum eᵢ, so any target is reached by chaining quarter-period
 hops along its set bits.  Removing a member w from a set takes the term
 (−1)^(wᵀv) out of every λ_v, so stage i's spectrum is λ_v − (−1)^(vᵢ) for
-λ the folded-cube spectrum: a plan runs one WHT, on the folded cube,
-derives each stage's spectrum from it, certifies the stage on it, and
-drops it.
+λ the folded-cube spectrum.  Plans run one WHT per dimension, on the
+folded cube: its spectrum is held read-only, in int8 (|λ| ≤ n + 1), for
+the most recent n only.  Each stage's spectrum is derived from it as a
+fresh array, the stage is certified on that array, and the array is
+dropped.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,9 +204,11 @@ def certify(omega: ConnectionSet, delta: GroupElement, time: RationalAngle,
 def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
                  time: RationalAngle, method: str) -> PstCertificate:
     """The check behind ``certify``, on the spectrum ``values`` of a set
-    of degree d in Z₂ⁿ."""
+    of degree d in Z₂ⁿ.  Its intermediates lie in [−m, 2d] and its
+    constants are at most 2m ≤ 4d + 2, so int8 ``values``, as a route
+    stage passes, stay exact for d ≤ 31."""
     q = time.q
-    m = min(q, 2 * d + 1)  # the same test for any q, in int64
+    m = min(q, 2 * d + 1)  # the same test for any q, in the dtype of values
     gaps = d - values  # Δ_v, in [0, 2d]; reduced in place below
     np.subtract(gaps, m, out=gaps, where=character_bits(n, delta.bits))
     if m & (m - 1):
@@ -241,8 +246,8 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     xor-sum is then eᵢ, so the stage teleports by eᵢ in time π/2.  One
     stage per set bit of the target, ascending.  Every stage certificate
     is verified exactly before the plan is returned, on a stage spectrum
-    derived from the one folded-cube WHT (see "Routing" in the module
-    docstring); no spectrum is stored on any set of the plan.
+    derived from the held folded-cube spectrum (see "Routing" in the
+    module docstring); no spectrum is stored on any set of the plan.
     """
     if isinstance(target, int):
         target = GroupElement(target, n)
@@ -252,10 +257,10 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     if target.bits == 0:
         raise ValueError("target must be nonzero; the empty route is trivial")
     base = folded_cube(n)
-    values = wht(base.indicator())
+    values = _folded_spectrum(n)
     if n == 1:
         # {1} already has xor-sum e₁; removing it would leave nothing.
-        stages = [_stage(base, values)]
+        stages = [_stage(base, values.copy())]
     else:
         stages = [
             _stage(ConnectionSet(n, tuple(e for e in base.elements
@@ -270,10 +275,21 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     return RoutingPlan(n=n, target=target, base=base, stages=tuple(stages))
 
 
+@lru_cache(maxsize=1)
+def _folded_spectrum(n: int) -> np.ndarray:
+    """The read-only int8 spectrum of ``folded_cube(n)``, |λ| ≤ n + 1,
+    held for the most recent n only."""
+    values = wht(folded_cube(n).indicator()).astype(np.int8)
+    values.setflags(write=False)
+    return values
+
+
 def _without_generator(values: np.ndarray, i: int) -> np.ndarray:
-    """λ_v − (−1)^(vᵢ): the spectrum once eᵢ leaves a set with spectrum λ."""
+    """λ_v − (−1)^(vᵢ): the spectrum once eᵢ leaves a set with spectrum λ,
+    as a fresh array in the dtype of λ."""
     halves = values.reshape(-1, 2, 1 << i)  # [:, b, :] holds the v with vᵢ = b
-    return (halves + np.array([[-1], [1]])).reshape(values.shape)
+    return (halves + np.array([[-1], [1]], dtype=values.dtype)).reshape(
+        values.shape)
 
 
 def _stage(omega: ConnectionSet, values: np.ndarray) -> RouteStage:

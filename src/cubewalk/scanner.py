@@ -237,10 +237,11 @@ def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
 
 WORD_CAP = FILTERED_CAP  # every mask an exhaustive walk reaches fits int64
 CHUNK_BITS = 16  # mask bits per subset table, 2¹⁶ rows at most
-# Masks per word-path block: an int8 spectrum block takes 32 KB at n = 4
-# and 64 KB at n = 5.  A block's findings render through one uint8 matrix
-# of at most ``jsontext.CHUNK`` rows, so rendering holds a few hundred KB.
-WORD_ROWS = 1 << 11
+# Masks per word-path block: an int8 spectrum block takes 128 KB at n = 4
+# and 256 KB at n = 5.  A block's findings render through one uint8 matrix
+# of at most ``jsontext.CHUNK`` rows, whatever the block size, so larger
+# blocks cost no rendering memory and cut the per-block numpy calls.
+WORD_ROWS = 1 << 13
 
 
 def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:

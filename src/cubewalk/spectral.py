@@ -20,6 +20,13 @@ radix-2 levels h and 2h compute, on the same operands in the same order,
 so int64, float64 and complex128 results keep every bit of the
 level-by-level butterfly, in two sweeps over the data per two levels.
 
+Integer input runs in the narrowest signed type that holds the row bound
+Σ|x|: int8, int16 or int32, and int64 once the bound reaches 2³¹.  Every
+intermediate is a signed subset sum of one row, so it stays within that
+bound and the narrow pass is exact; the result is widened to int64 once,
+at the end.  A 0/1 indicator of at most 127 labels thus runs in int8,
+on an eighth of the bytes of int64.
+
 Each eigenvalue is further pinned down modulo 4 by the xor-sum u of the
 connection set; ``classify_congruences`` checks the applicable congruence
 for every eigenvalue and reports the multiplicity index k it determines.
@@ -38,8 +45,10 @@ from .bitspace import DimensionMismatchError, ConnectionSet, GroupElement
 def wht(data) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a length-2ⁿ vector.
 
-    Integer input stays exact in int64; float and complex input go through
-    float64/complex128.  The input array is not modified.
+    Integer input is transformed exactly, in the narrowest integer type
+    that holds Σ|x| (see the module docstring), and returned as int64;
+    float and complex input go through float64/complex128.  The input
+    array is not modified.
     """
     arr = np.asarray(data)
     if arr.ndim != 1:
@@ -54,16 +63,19 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     """The butterfly along the last axis, one transform per row.
 
     The last axis must have power-of-two length; the result is a fresh
-    array, in the dtypes ``wht`` documents.  Levels are taken two at a
-    time (radix 4, see the module docstring), with one radix-2 level last
-    when the length is an odd power of two.
+    array, in the dtypes ``wht`` documents.  Integer input runs in the
+    narrowest type ``_exact_type`` picks and is widened to int64 once, at
+    the end.  Levels are taken two at a time (radix 4, see the module
+    docstring), with one radix-2 level last when the length is an odd
+    power of two.
     """
     if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
-        out = arr.astype(np.int64, order="C")
+        work, result = _exact_type(arr), np.int64
     elif np.issubdtype(arr.dtype, np.complexfloating):
-        out = arr.astype(np.complex128, order="C")
+        work = result = np.complex128
     else:
-        out = arr.astype(np.float64, order="C")
+        work = result = np.float64
+    out = arr.astype(work, order="C")
     size = out.shape[-1]
     if size >= 4:
         buf = np.empty((4, out.size // 4), dtype=out.dtype)
@@ -85,7 +97,27 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
         first = top.copy()
         np.add(first, bottom, out=top)
         np.subtract(first, bottom, out=bottom)
-    return out
+    return out.astype(result, copy=False)
+
+
+def _exact_type(arr: np.ndarray) -> type:
+    """The narrowest of int8, int16, int32 and int64 that holds Σ|x| of
+    every row of the integer array ``arr``, and so every intermediate of
+    its transform (see the module docstring).  The bound is taken in
+    Python ints, or in int64 once every |x| is known to be below 2³¹."""
+    if arr.size == 0:
+        return np.int8
+    if arr.dtype == bool:
+        bound = int(np.count_nonzero(arr, axis=-1).max())
+    elif max(int(arr.max()), -int(arr.min())) >= 1 << 31:
+        return np.int64
+    else:  # each row holds fewer than 2³² entries, so the sum stays exact
+        bound = int(np.abs(arr.astype(np.int64, copy=False))
+                    .sum(axis=-1).max())
+    for kind in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(kind).max:
+            return kind
+    return np.int64
 
 
 def character_bits(n: int, w: int) -> np.ndarray:

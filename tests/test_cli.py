@@ -385,6 +385,16 @@ def test_oracle_verify_non_finite_deviation_exits_1(capsys, monkeypatch):
     assert err.startswith("verification failed:") and "closed-form" in err
 
 
+def test_bad_binary_label_names_the_length_it_needs(capsys):
+    # the wording reads right for any n, 3 and 8 alike
+    for n, token in (("3", "12"), ("8", "0101")):
+        code, out, err = _run(capsys, ["spectrum", "--n", n,
+                                       "--omega", token])
+        assert code == 2 and out == ""
+        assert err == (f"error: label '{token}' is not a binary string "
+                       f"of length {n}\n")
+
+
 def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert _run(capsys, ["spectrum", "--n", "3", "--omega", "000"])[0] == 2
     assert _run(capsys, ["spectrum", "--n", "3", "--omega", "01"])[0] == 2

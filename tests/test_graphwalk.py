@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from cubewalk import graphwalk
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube, spans
 from cubewalk.graphwalk import (DisconnectedGraphError, _bfs_rows,
                                 antipodal_pairs, bfs_profile,
@@ -93,6 +94,83 @@ def test_block_bfs_matches_oracle_row_by_row():
             assert profile.dist.tolist() == [oracle.get(v, -1)
                                              for v in range(1 << n)]
             assert profile.diameter == max(oracle.values())
+
+
+@pytest.fixture
+def directions(monkeypatch):
+    """The direction of every BFS level run during the test, in order."""
+    ran = []
+    for name in ("_top_down", "_bottom_up"):
+        inner = getattr(graphwalk, name)
+
+        def counting(*args, inner=inner, name=name):
+            ran.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(graphwalk, name, counting)
+    return ran
+
+
+def _oracle_rows(sets, n):
+    rows = []
+    for labels in sets:
+        oracle = _bfs_oracle(ConnectionSet(n, labels), 0)
+        rows.append([oracle.get(v, -1) for v in range(1 << n)])
+    return rows
+
+
+def test_two_direction_bfs_matches_oracle_on_dense_sets(directions):
+    rng = random.Random(21)
+    for n in range(8, 13):
+        for d in (n + 1, 2 * n, 5 * n, 1 << (n - 2)):
+            labels = tuple(rng.sample(range(1, 1 << n), d))
+            directions.clear()
+            dist = _bfs_rows(np.array([labels], dtype=np.int64), n)
+            assert dist.dtype == np.int32
+            assert dist.tolist() == _oracle_rows([labels], n)
+            if d >= 5 * n:  # a dense set ends bottom-up
+                assert directions[0] == "_top_down"
+                assert directions[-1] == "_bottom_up", (n, d)
+
+
+def test_two_direction_bfs_on_disconnected_sets(directions):
+    # labels inside a proper subspace: the other cosets stay unvisited
+    # through every bottom-up level, and the walk still ends
+    rng = random.Random(22)
+    for n, k in ((8, 7), (10, 8), (12, 11)):
+        labels = tuple(rng.sample(range(1, 1 << k), (2 << k) // 3))
+        directions.clear()
+        dist = _bfs_rows(np.array([labels], dtype=np.int64), n)
+        assert dist.tolist() == _oracle_rows([labels], n)
+        assert "_bottom_up" in directions
+        assert (dist[0] >= 0).sum() == 1 << k
+        profile = bfs_profile(ConnectionSet(n, labels), GroupElement(5, n))
+        assert not profile.connected and (profile.dist < 0).sum() == \
+            (1 << n) - (1 << k)
+
+
+def test_bfs_of_the_empty_set():
+    for n in (1, 4, 10):
+        dist = _bfs_rows(np.zeros((1, 0), dtype=np.int64), n)
+        assert dist.tolist() == [[0] + [-1] * ((1 << n) - 1)]
+        profile = bfs_profile(ConnectionSet(n, ()), GroupElement.zero(n))
+        assert profile.diameter == 0 and not profile.connected
+
+
+def test_two_direction_bfs_on_padded_blocks(directions):
+    # dense, sparse, empty and disconnected rows walk together, padded
+    # with label 0, and every row matches its own oracle
+    rng = random.Random(23)
+    for n in (8, 10):
+        sets = [tuple(rng.sample(range(1, 1 << n), d))
+                for d in (n, 3 * n, 1 << (n - 2))]
+        sets += [(), tuple(rng.sample(range(1, 1 << (n - 1)), 4 * n))]
+        width = max(len(labels) for labels in sets)
+        gens = np.array([labels + (0,) * (width - len(labels))
+                         for labels in sets], dtype=np.int64)
+        directions.clear()
+        assert _bfs_rows(gens, n).tolist() == _oracle_rows(sets, n)
+        assert {"_top_down", "_bottom_up"} <= set(directions)
 
 
 def test_hypercube_profile():

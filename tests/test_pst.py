@@ -508,15 +508,26 @@ def test_one_transfer_decision_per_set(monkeypatch):
 
 
 def test_plan_route_runs_one_transform(integer_transforms):
-    for n in range(2, 13):
+    # one folded-cube WHT per dimension: the spectrum is held, read-only
+    # and in int8, for the most recent n only
+    pst._folded_spectrum.cache_clear()
+    for n in [*range(2, 13), 5]:
         integer_transforms.clear()
         plan = plan_route(n, (1 << n) - 1)
         assert len(plan.stages) == n
         assert integer_transforms == [(1 << n,)]
+        assert plan_route(n, 1).stages[0].hop.bits == 1
+        assert integer_transforms == [(1 << n,)]
+        held = pst._folded_spectrum(n)
+        assert pst._folded_spectrum.cache_info().currsize == 1
+        assert held.dtype == np.int8 and not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0
         # no stage set carries a spectrum, so a re-check runs its own WHT
         for stage in plan.stages:
             certify(stage.omega, stage.hop, stage.time)
         assert len(integer_transforms) == 1 + n
+        assert held.tolist() == wht(folded_cube(n).indicator()).tolist()
 
 
 def test_stage_spectra_are_the_folded_cube_spectrum_less_one_generator(
@@ -556,3 +567,9 @@ def test_plan_route_rejects_a_tampered_stage_spectrum(monkeypatch):
     monkeypatch.setattr(pst, "_without_generator", tampered)
     with pytest.raises(CertificationError):
         plan_route(5, 0b10110)
+    # the tampering touched a derived stage array, never the held spectrum
+    monkeypatch.undo()
+    plan = plan_route(5, 0b10110)
+    assert [stage.hop.bits for stage in plan.stages] == [0b10, 0b100, 0b10000]
+    with pytest.raises(ValueError):
+        pst._folded_spectrum(5)[-1] += 2

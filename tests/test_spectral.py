@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from cubewalk import spectral
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
 from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
                                CASE_SUM_ZERO, CongruenceEntry, Spectrum,
@@ -115,6 +116,79 @@ def test_radix4_butterfly_on_strided_and_empty_input():
     assert wht(block[::-1, 0]).tobytes() == \
         _wht_by_levels(block[::-1, 0].copy()).tobytes()
     assert _wht_rows(np.zeros((0, 16), dtype=bool)).shape == (0, 16)
+
+
+def _narrowest(arr):
+    """The narrowest signed type holding Σ|x| of every row, in Python ints."""
+    bound = max((sum(abs(int(v)) for v in row)
+                 for row in arr.reshape(-1, arr.shape[-1])), default=0)
+    for kind in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(kind).max:
+            return kind
+    return np.int64
+
+
+@pytest.mark.parametrize("bound, kind", [
+    (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+    ((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
+def test_narrow_butterfly_at_the_edge_of_each_type(bound, kind):
+    # Σ|x| = bound on one row of a block, with the signs of a character so
+    # that the transform reaches ±bound at it; the other rows stay small
+    rng = np.random.default_rng(bound % 1009)
+    for w in (0, 5, 7):
+        signs = 1 - 2 * character_bits(3, w).astype(np.int64)
+        parts = np.array([bound // 2, bound // 4, bound // 8])
+        row = np.zeros(8, dtype=np.int64)
+        row[[1, 4, 6]] = parts
+        row[0] = bound - parts.sum()
+        for sign in (1, -1):
+            block = rng.integers(-3, 4, size=(3, 8))
+            block[1] = sign * signs * row
+            assert int(np.abs(block[1]).sum()) == bound
+            assert spectral._exact_type(block) is kind
+            got = _wht_rows(block)
+            assert got.dtype == np.int64
+            assert got.tobytes() == _wht_by_levels(block).tobytes()
+            assert abs(int(got[1, w])) == bound
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.int32,
+                                   np.int64])
+def test_narrow_butterfly_on_every_integer_dtype(dtype):
+    rng = np.random.default_rng(np.dtype(dtype).num)
+    info = np.iinfo(np.int64 if dtype is bool else dtype)
+    # small entries, then the dtype's full range (int64 is kept to ±2⁴⁰)
+    for top in (3, 1 << 40):
+        lo = max(info.min, -top, 0 if dtype is bool else info.min)
+        hi = 1 if dtype is bool else min(info.max, top)
+        for n in (0, 1, 2, 3, 6, 9):
+            big = rng.integers(lo, hi, size=(6, 2 << n),
+                               endpoint=True).astype(dtype)
+            block = big[:, ::2]  # strided along the transform axis
+            for x in (block, block[::2], block[:, ::-1], block[3],
+                      np.asfortranarray(block), np.ascontiguousarray(
+                          block.T).T):
+                before = x.copy()
+                kind = spectral._exact_type(x)
+                assert kind is _narrowest(x)
+                got = _wht_rows(x)
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert got.tobytes() == _wht_by_levels(x).tobytes()
+                assert x.tobytes() == before.tobytes()
+    # |int64 min| does not fit int64 itself; the bound is a Python int
+    extreme = np.array([np.iinfo(np.int64).min, 0, 1, 0])
+    assert spectral._exact_type(extreme) is np.int64
+    assert _wht_rows(extreme).tobytes() == _wht_by_levels(extreme).tobytes()
+
+
+def test_narrow_butterfly_is_one_integer_transform(integer_transforms):
+    # the narrow pass runs inside the one call; it does not go back through
+    # the module's _wht_rows, which the fixture counts
+    for x in (np.array([1, 0, 1, 1]), np.full(4, 1 << 20),
+              np.full(4, 1 << 40), np.zeros((3, 8), dtype=bool)):
+        integer_transforms.clear()
+        spectral._wht_rows(x)
+        assert integer_transforms == [x.shape]
 
 
 def test_character_bits_are_the_parities_of_w_and_v():
