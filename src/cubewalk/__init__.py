@@ -7,53 +7,56 @@ exactly on the quarter-period grid, decides perfect state transfer with
 integer congruences, plans transfer routes, and surveys whole families of
 connection sets, with an independent dense-matrix oracle to check it all
 against.
+
+Public names resolve from their submodule on first use, so
+``import cubewalk`` loads no submodule and no numpy.  A name is looked
+up in its submodule on every access and never stored here, so
+``cubewalk.spectrum`` is always what ``cubewalk.spectral.spectrum`` holds
+at that moment, patched or not.
 """
 
-from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       MAX_DIMENSION, SetFormatError, dot_parity, gf2_rank,
-                       hypercube, odd_parity_functional, spans)
-from .dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
-                       UnsupportedAngleError, all_amplitudes,
-                       all_amplitudes_exact, all_fidelities, amplitude,
-                       amplitude_exact, gaussian_unit,
-                       measurement_distribution)
-from .graphwalk import (DisconnectedGraphError, DistanceProfile,
-                        antipodal_pairs, bfs_profile, bipartite_functional,
-                        is_complete_bipartite, neighbors)
-from .oracle import (DENSE_CAP, DenseCapError, OracleMismatchError,
-                     adjacency_dense, commutation_check, evolve_dense,
-                     evolve_expm, regular_rep, verify_equivalence)
-from .pst import (CertificationError, PstCertificate, RoutingPlan,
-                  RouteStage, certify, decide_pst_exact, folded_cube,
-                  plan_route, pst_at_half_pi, pst_offsets)
-from .scanner import (EnumerationCapError, ScanReport, antipodality_audit,
-                      audit_record, conjecture_scan, enumerate_sets,
-                      scan_sets, transfer_record)
-from .spectral import (CongruenceEntry, CongruenceReport, Spectrum,
-                       classify_congruences, classify_set, spectrum, wht)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConnectionSet", "DimensionMismatchError", "GroupElement",
-    "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
-    "hypercube", "odd_parity_functional", "spans",
-    "HALF_PI", "PI", "GaussianInteger", "RationalAngle",
-    "UnsupportedAngleError", "all_amplitudes", "all_amplitudes_exact",
-    "all_fidelities", "amplitude", "amplitude_exact", "gaussian_unit",
-    "measurement_distribution",
-    "DisconnectedGraphError", "DistanceProfile", "antipodal_pairs",
-    "bfs_profile", "bipartite_functional", "is_complete_bipartite",
-    "neighbors",
-    "DENSE_CAP", "DenseCapError", "OracleMismatchError", "adjacency_dense",
-    "commutation_check", "evolve_dense", "evolve_expm", "regular_rep",
-    "verify_equivalence",
-    "CertificationError", "PstCertificate", "RoutingPlan", "RouteStage",
-    "certify", "decide_pst_exact", "folded_cube", "plan_route",
-    "pst_at_half_pi", "pst_offsets",
-    "EnumerationCapError", "ScanReport", "antipodality_audit",
-    "audit_record", "conjecture_scan", "enumerate_sets", "scan_sets",
-    "transfer_record",
-    "CongruenceEntry", "CongruenceReport", "Spectrum",
-    "classify_congruences", "classify_set", "spectrum", "wht",
-]
+# Each public name and the submodule that defines it.
+_ORIGIN = {name: module for module, names in {
+    "bitspace": ["ConnectionSet", "DimensionMismatchError", "GroupElement",
+                 "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
+                 "hypercube", "odd_parity_functional", "spans"],
+    "dynamics": ["HALF_PI", "PI", "GaussianInteger", "RationalAngle",
+                 "UnsupportedAngleError", "all_amplitudes",
+                 "all_amplitudes_exact", "all_fidelities", "amplitude",
+                 "amplitude_exact", "gaussian_unit",
+                 "measurement_distribution"],
+    "graphwalk": ["DisconnectedGraphError", "DistanceProfile",
+                  "antipodal_pairs", "bfs_profile", "bipartite_functional",
+                  "is_complete_bipartite", "neighbors"],
+    "oracle": ["DENSE_CAP", "DenseCapError", "OracleMismatchError",
+               "adjacency_dense", "commutation_check", "evolve_dense",
+               "evolve_expm", "regular_rep", "verify_equivalence"],
+    "pst": ["CertificationError", "PstCertificate", "RoutingPlan",
+            "RouteStage", "certify", "decide_pst_exact", "folded_cube",
+            "plan_route", "pst_at_half_pi", "pst_offsets"],
+    "scanner": ["EnumerationCapError", "ScanReport", "antipodality_audit",
+                "audit_record", "conjecture_scan", "enumerate_sets",
+                "scan_sets", "transfer_record"],
+    "spectral": ["CongruenceEntry", "CongruenceReport", "Spectrum",
+                 "classify_congruences", "classify_set", "spectrum", "wht"],
+}.items() for name in names}
+
+_SUBMODULES = frozenset({*_ORIGIN.values(), "cli", "jsontext"})
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        return getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

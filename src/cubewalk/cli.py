@@ -28,7 +28,11 @@ Conventions shared by all subcommands:
     certificate check did not hold), 2 usage or input errors, 3 a survey
     found a violation, 141 stdout closed before the document was written
     (a reader such as ``head`` stopped early; nothing goes to stderr, and
-    141 is what a shell reports for a process ended by SIGPIPE).
+    141 is what a shell reports for a process ended by SIGPIPE),
+  * each subcommand imports the modules it runs when it runs, and this
+    module imports only the standard library, so --version, --help and
+    usage errors answer before numpy loads and ``spectrum`` never loads
+    the survey, transfer, oracle or BFS modules.
 
 Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 """
@@ -46,23 +50,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import __version__
-from .bitspace import ConnectionSet, GroupElement, SetFormatError
-from .dynamics import (GaussianInteger, RationalAngle, all_amplitudes,
-                       all_fidelities, amplitude_exact, exact_components,
-                       measurement_distribution)
-from .graphwalk import (bfs_profile, bipartite_functional,
-                        is_complete_bipartite)
-from .jsontext import (Rows, Tokens, binary_texts, booleans, digest, dumps,
-                       numbers, pick, rendered, slot, slots)
-from .oracle import OracleMismatchError, verify_equivalence
-from .pst import (CertificationError, certify, decide_pst_exact, plan_route,
-                  pst_at_half_pi)
-from .scanner import (ScanReport, antipodality_audit, conjecture_scan,
-                      scan_sets)
-from .spectral import classify_set
 
 
 # The exit code when the reader closes stdout early: 128 + SIGPIPE.
@@ -82,6 +70,10 @@ def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes]:
     and class names, which never hold a quote) loses its quotes, and a
     number column writes "null" as an empty cell.
     """
+    import numpy as np
+
+    from .jsontext import rendered
+
     cells = []
     for tokens in columns.values():
         table = tokens.table.copy()
@@ -109,6 +101,10 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
     ``env`` adds to the Python and numpy versions in ``manifest.env``.
     Returns the manifest.
     """
+    import numpy as np
+
+    from .jsontext import digest, dumps
+
     manifest = {
         "tool": "cubewalk",
         "version": __version__,
@@ -154,6 +150,9 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
 
 def _angle_of(args: argparse.Namespace):
     """The time argument as a RationalAngle (--t-pi) or float (--t-real)."""
+    from .bitspace import SetFormatError
+    from .dynamics import RationalAngle
+
     if args.t_pi is not None:
         try:
             return RationalAngle.parse(args.t_pi)
@@ -165,6 +164,8 @@ def _angle_of(args: argparse.Namespace):
 
 
 def _complex_json(z: GaussianInteger | complex) -> dict:
+    from .dynamics import GaussianInteger
+
     if isinstance(z, GaussianInteger):
         return {"re": z.re, "im": z.im}
     return {"re": float(z.real), "im": float(z.imag)}
@@ -173,6 +174,12 @@ def _complex_json(z: GaussianInteger | complex) -> dict:
 # ── subcommands ───────────────────────────────────────────────────────────
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .bitspace import ConnectionSet
+    from .jsontext import Rows, binary_texts, booleans, numbers, pick, slots
+    from .spectral import classify_set
+
     omega = ConnectionSet.parse(args.omega, args.n)
     report = classify_set(omega)
     columns = {
@@ -202,6 +209,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .bitspace import ConnectionSet
+    from .dynamics import RationalAngle, all_amplitudes, exact_components
+    from .jsontext import Rows, binary_texts, numbers, slot, slots
+
     omega = ConnectionSet.parse(args.omega, args.n)
     t = _angle_of(args)
     size = 1 << args.n
@@ -239,6 +252,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    from .bitspace import ConnectionSet, GroupElement
+    from .dynamics import RationalAngle, all_fidelities, amplitude_exact
+
     omega = ConnectionSet.parse(args.omega, args.n)
     delta = GroupElement.parse(args.delta, args.n)
     t = _angle_of(args)
@@ -262,6 +278,10 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from .bitspace import ConnectionSet, GroupElement
+    from .dynamics import RationalAngle, measurement_distribution
+    from .jsontext import Rows, binary_texts, numbers, slots
+
     omega = ConnectionSet.parse(args.omega, args.n)
     start = GroupElement.parse(args.a, args.n) if args.a \
         else GroupElement.zero(args.n)
@@ -296,6 +316,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .bitspace import ConnectionSet, GroupElement
+    from .graphwalk import (bfs_profile, bipartite_functional,
+                            is_complete_bipartite)
+    from .jsontext import Rows, Tokens, binary_texts, numbers, slot, slots
+
     omega = ConnectionSet.parse(args.omega, args.n)
     source = GroupElement.parse(args.source, args.n) if args.source \
         else GroupElement.zero(args.n)
@@ -331,6 +358,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_pst_check(args: argparse.Namespace) -> int:
+    from .bitspace import ConnectionSet
+    from .pst import pst_at_half_pi
+
     omega = ConnectionSet.parse(args.omega, args.n)
     cert = pst_at_half_pi(omega)
     payload = {
@@ -353,6 +383,9 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 
 
 def cmd_pst_search(args: argparse.Namespace) -> int:
+    from .bitspace import ConnectionSet, GroupElement
+    from .pst import certify, decide_pst_exact
+
     omega = ConnectionSet.parse(args.omega, args.n)
     delta = GroupElement.parse(args.delta, args.n)
     found = decide_pst_exact(omega, delta)
@@ -374,6 +407,9 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    from .bitspace import GroupElement
+    from .pst import plan_route
+
     target = GroupElement.parse(args.target, args.n)
     plan = plan_route(args.n, target)
     payload = {
@@ -413,6 +449,8 @@ def _emit_survey(args: argparse.Namespace, report: ScanReport,
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .scanner import conjecture_scan, scan_sets
+
     survey = conjecture_scan if args.u_zero else scan_sets
     report = survey(args.n, d_min=args.d_min, d_max=args.d_max,
                     sample=args.sample, seed=args.seed)
@@ -421,6 +459,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .scanner import antipodality_audit
+
     return _emit_survey(args, antipodality_audit(args.n), {"n": args.n})
 
 
@@ -452,6 +492,8 @@ def _load_scipy() -> dict:
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify_equivalence
+
     # only the trials call scipy's expm
     env = _load_scipy() if args.trials > 0 else None
     result = verify_equivalence(trials=args.trials, pair_trials=args.pairs,
@@ -551,6 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verification_errors() -> tuple[type[Exception], ...]:
+    """The certificate and oracle failure types of the modules loaded.
+
+    Only a module that was loaded can have raised one, so none is imported
+    here; ``main`` evaluates this as the handler's exception propagates.
+    """
+    return tuple(getattr(sys.modules[module], name) for module, name in
+                 (("cubewalk.pst", "CertificationError"),
+                  ("cubewalk.oracle", "OracleMismatchError"))
+                 if module in sys.modules)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -559,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.started_at = _utc_now()
     try:
         return args.handler(args)
-    except (CertificationError, OracleMismatchError) as exc:
+    except _verification_errors() as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:

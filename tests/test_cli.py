@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -99,14 +100,13 @@ def test_evolve_exact_mode(capsys):
 
 def test_evolve_evaluates_the_exact_transform_once(capsys, monkeypatch):
     calls = []
-    exact = cli.exact_components
+    exact = dynamics.exact_components
 
     def counted(omega, t):
         calls.append(t)
         return exact(omega, t)
 
-    monkeypatch.setattr(cli, "exact_components", counted)
-    monkeypatch.setattr("cubewalk.dynamics.exact_components", counted)
+    monkeypatch.setattr(dynamics, "exact_components", counted)
     code, _, _ = _run(capsys, ["evolve", "--n", "3", "--omega", "001,110",
                                "--t-pi", "1"])
     assert code == 0 and len(calls) == 1
@@ -115,14 +115,13 @@ def test_evolve_evaluates_the_exact_transform_once(capsys, monkeypatch):
 def test_fidelity_evaluates_the_exact_components_at_most_once(
         capsys, monkeypatch):
     calls = []
-    exact = cli.exact_components
+    exact = dynamics.exact_components
 
     def counted(omega, t):
         calls.append(t)
         return exact(omega, t)
 
-    monkeypatch.setattr(cli, "exact_components", counted)
-    monkeypatch.setattr("cubewalk.dynamics.exact_components", counted)
+    monkeypatch.setattr(dynamics, "exact_components", counted)
     code, _, _ = _run(capsys, ["fidelity", "--n", "3", "--omega",
                                "001,010,111", "--delta", "100",
                                "--t-pi", "1/2"])
@@ -245,7 +244,7 @@ def test_survey_violation_exit_code(capsys, monkeypatch):
     # wiring check: a nonzero violation count must map to exit 3; this
     # sample holds exactly one counterexample
     report = conjecture_scan(5, sample=2000, seed=11)
-    monkeypatch.setattr(cli, "conjecture_scan", lambda n, **kw: report)
+    monkeypatch.setattr(scanner, "conjecture_scan", lambda n, **kw: report)
     code, out, err = _run(capsys, ["scan", "--n", "5", "--u-zero",
                                    "--sample", "2000", "--seed", "11"])
     assert code == 3
@@ -472,13 +471,48 @@ def _child_env(**extra):
     return env
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy backs only the dense oracle, so CLI start-up must not pay for it
-    probe = "import sys, cubewalk.cli; print('scipy' in sys.modules)"
+SUBMODULES = {f"cubewalk.{m.name}"
+              for m in pkgutil.iter_modules(cubewalk.__path__)}
+HEAVY = {"numpy", "scipy"}
+
+
+def _running(argv):
+    """Probe lines that run the CLI in process on argv, keeping its code."""
+    return ("from cubewalk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n")
+
+
+@pytest.mark.parametrize("lines, code, unloaded", [
+    pytest.param("import cubewalk\ncode = None\n", None,
+                 HEAVY | SUBMODULES, id="import-package"),
+    pytest.param("import cubewalk.cli\ncode = None\n", None,
+                 HEAVY | SUBMODULES - {"cubewalk.cli"}, id="import-cli"),
+    pytest.param(_running(["--version"]), 0,
+                 HEAVY | SUBMODULES - {"cubewalk.cli"}, id="version"),
+    pytest.param(_running(["spectrum", "--n", "3"]), 2,
+                 HEAVY | SUBMODULES - {"cubewalk.cli"}, id="usage-error"),
+    pytest.param(_running(["spectrum", "--n", "3", "--omega", "001,010"]), 0,
+                 {"scipy", "cubewalk.scanner", "cubewalk.pst",
+                  "cubewalk.oracle", "cubewalk.graphwalk"}, id="spectrum"),
+    pytest.param(_running(["scan", "--n", "2"]), 0,
+                 {"scipy", "cubewalk.oracle"}, id="scan"),
+])
+def test_start_up_loads_only_what_the_command_runs(lines, code, unloaded):
+    # start-up is part of every CLI answer: a command loads the modules it
+    # runs and no others, scipy (the dense oracle's) included
+    probe = ("import contextlib, io, json, sys\n" + lines
+             + "print(json.dumps([code, sorted(sys.modules)]))")
     done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert done.stdout.strip() == "False"
+    exit_code, loaded = json.loads(done.stdout)
+    assert exit_code == code
+    assert sorted(unloaded.intersection(loaded)) == []
 
 
 ORACLE_ARGV = ["oracle-verify", "--trials", "5", "--pairs", "2",

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from cubewalk import cli, jsontext
+from cubewalk import cli, dynamics, jsontext, spectral
 from cubewalk.bitspace import ConnectionSet, GroupElement
 from cubewalk.dynamics import (RationalAngle, all_amplitudes,
                                exact_components, measurement_distribution)
@@ -29,7 +29,7 @@ from cubewalk.spectral import Spectrum, classify_congruences, spectrum
 
 def _ref_spectrum(args):
     omega = ConnectionSet.parse(args.omega, args.n)
-    report = cli.classify_set(omega)  # the CLI's binding: tests patch it
+    report = spectral.classify_set(omega)  # read at call time: tests patch it
     entries = [{
         "v": format(e.v, f"0{args.n}b"),
         "lambda": e.eigenvalue,
@@ -247,7 +247,7 @@ def test_broken_spectrum_rows_are_byte_identical(capsys, monkeypatch):
         bad = Spectrum(n=omega.n, d=omega.d, values=values)
         return classify_congruences(bad, omega.u, omega.u in omega)
 
-    monkeypatch.setattr(cli, "classify_set", tampered)
+    monkeypatch.setattr(spectral, "classify_set", tampered)
     for argv in (["spectrum", "--n", "3", "--omega", "001,010,111"],
                  ["spectrum", "--n", "5", "--omega", "00011,01100,10101"]):
         _assert_same_bytes(capsys, argv)
@@ -417,7 +417,7 @@ def test_non_finite_column_exits_2_with_nothing_on_stdout(capsys,
         amp[1] = complex(float("nan"), 0.0)
         return amp
 
-    monkeypatch.setattr(cli, "all_amplitudes", poisoned)
+    monkeypatch.setattr(dynamics, "all_amplitudes", poisoned)
     for tail in ([], ["--csv"]):
         code = cli.main(["evolve", "--n", "3", "--omega", "001,010",
                          "--t-real", "0.7", *tail])
