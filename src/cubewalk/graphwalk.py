@@ -11,14 +11,16 @@ neighbour in the frontier, once the frontier's edges far outnumber the
 unvisited vertices, as in the widest levels of a dense set.
 
 Connectivity is a rank condition: the graph is connected iff Ω spans Z₂ⁿ
-over GF(2), which ``bitspace.spans`` tests.  Bipartiteness is a linear condition: the graph is bipartite
-iff some functional c has cᵀw = 1 for every generator, and it is complete
-bipartite exactly when such a c exists and d = 2^(n−1).
+over GF(2), which ``bitspace.spans`` tests.  Bipartiteness is a linear
+condition: the graph is bipartite iff some functional c has cᵀw = 1 for
+every generator, and it is complete bipartite exactly when such a c
+exists and d = 2^(n−1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +67,7 @@ def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
         raise DimensionMismatchError(
             f"source of Z2^{source.n} against a set on Z2^{omega.n}")
     size = 1 << omega.n
-    gens = np.array([omega.elements], dtype=np.int64)
-    dist = _bfs_rows(gens, omega.n)[0]
+    dist = _bfs(omega.elements, omega.n)
     if source.bits:
         dist = dist[np.arange(size) ^ source.bits]
     reached = dist[dist >= 0]
@@ -87,63 +88,50 @@ def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
 BOTTOM_UP_RATIO = 32
 
 
-def _bfs_rows(gens: np.ndarray, n: int) -> np.ndarray:
-    """Distances from 0 for each row of generator labels, -1 if unreached.
+def _bfs(labels: Sequence[int], n: int) -> np.ndarray:
+    """int32 distances from 0 over the generator ``labels``, -1 if unreached.
 
-    ``gens`` is (rows × k); a row with fewer than k generators is padded
-    with label 0, which maps every vertex to itself and so adds nothing.
-    All rows walk together on one flat array, where vertex x of row r sits
-    at r·2ⁿ + x; xor with a label touches only the low n bits, so it stays
-    inside its row.  Each level runs top-down (``_top_down``) while the
-    frontier is small and bottom-up (``_bottom_up``) once its edges
-    outnumber the unvisited vertices ``BOTTOM_UP_RATIO`` times over
-    (Beamer, Asanović and Patterson, "Direction-optimizing breadth-first
-    search", SC 2012); both directions find the same level.
+    Each level runs top-down (``_top_down``) while the frontier is small
+    and bottom-up (``_bottom_up``) once its edges outnumber the unvisited
+    vertices ``BOTTOM_UP_RATIO`` times over (Beamer, Asanović and
+    Patterson, "Direction-optimizing breadth-first search", SC 2012); both
+    directions find the same level.
     """
-    rows, width = gens.shape
-    dist = np.full((rows, 1 << n), -1, dtype=np.int32)
-    dist[:, 0] = 0
-    flat = dist.reshape(-1)
-    frontier = np.arange(rows, dtype=np.int64) << n
-    unvisited = flat.size - rows
+    dist = np.full(1 << n, -1, dtype=np.int32)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    unvisited = dist.size - 1
     pending = None  # a superset of the unvisited vertices, once listed
     level = 0
     while frontier.size:
         level += 1
-        if frontier.size * width > BOTTOM_UP_RATIO * unvisited:
-            pending = np.flatnonzero(flat < 0) if pending is None \
-                else pending[flat[pending] < 0]
-            frontier, pending = _bottom_up(gens, n, flat, frontier, pending)
+        if frontier.size * len(labels) > BOTTOM_UP_RATIO * unvisited:
+            pending = np.flatnonzero(dist < 0) if pending is None \
+                else pending[dist[pending] < 0]
+            frontier, pending = _bottom_up(labels, dist, frontier, pending)
         else:
-            frontier = _top_down(gens, n, flat, frontier)
-        flat[frontier] = level
+            frontier = _top_down(labels, dist, frontier)
+        dist[frontier] = level
         unvisited -= frontier.size
     return dist
 
 
-def _top_down(gens: np.ndarray, n: int, flat: np.ndarray,
+def _top_down(labels: Sequence[int], dist: np.ndarray,
               frontier: np.ndarray) -> np.ndarray:
     """The next level, from the neighbours of the frontier.
 
-    The neighbours are marked in a boolean array and the unvisited ones
-    read back with ``flatnonzero``, which dedupes them without a sort.
-    The generators are gathered one column at a time, so no level holds
-    more than a few frontier-sized arrays; a single row xors its label
-    scalars directly.
+    The neighbours are marked in a boolean array, one label at a time, so
+    no level holds more than a few frontier-sized arrays, and the
+    unvisited ones read back with ``flatnonzero``, which dedupes them
+    without a sort.
     """
-    marked = np.zeros(flat.size, dtype=bool)
-    if gens.shape[0] == 1:
-        for label in gens[0].tolist():
-            marked[frontier ^ label] = True
-    else:
-        owner = frontier >> n
-        for column in gens.T:
-            marked[frontier ^ column[owner]] = True
-    return np.flatnonzero(marked & (flat < 0))
+    marked = np.zeros(dist.size, dtype=bool)
+    for label in labels:
+        marked[frontier ^ label] = True
+    return np.flatnonzero(marked & (dist < 0))
 
 
-def _bottom_up(gens: np.ndarray, n: int, flat: np.ndarray,
-               frontier: np.ndarray,
+def _bottom_up(labels: Sequence[int], dist: np.ndarray, frontier: np.ndarray,
                pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The next level, from the unvisited vertices ``pending``.
 
@@ -151,11 +139,10 @@ def _bottom_up(gens: np.ndarray, n: int, flat: np.ndarray,
     drops out at its first hit.  Returns the vertices that hit, the next
     frontier, and those that never did, which are still unvisited.
     """
-    infront = np.zeros(flat.size, dtype=bool)
+    infront = np.zeros(dist.size, dtype=bool)
     infront[frontier] = True
     found = []
-    for j in range(gens.shape[1]):
-        label = gens[0, j] if gens.shape[0] == 1 else gens[pending >> n, j]
+    for label in labels:
         hit = infront[pending ^ label]
         found.append(pending[hit])
         pending = pending[~hit]

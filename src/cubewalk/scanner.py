@@ -17,14 +17,14 @@ stream through the survey in blocks, on one of two paths
 (``ScanReport.path``), each ending in one transfer decision per row
 (``pst._decide_rows``):
 
-  * "word-table" serves every survey at n ≤ 5 (``WORD_CAP``), where a
-    mask's 2ⁿ − 1 bits fit one int64.  Read-only subset tables, built once
-    per n by doubling over the labels (``_WordTables``), give each mask's
-    spectrum, xor-sum, members and, for the audit, distances from 0, in
-    place of the indicator matrix, the WHT and the BFS.
-  * "indicator-wht" serves the sampled surveys at n ≥ 6: per block the
-    indicator matrix, the Walsh-Hadamard butterfly along its rows and, for
-    the audit, one BFS from 0 over the rows that transfer.
+  * "word-table" serves every survey at n ≤ 5 (``FILTERED_CAP``), where
+    a mask's 2ⁿ − 1 bits fit one int64.  Read-only subset tables, built
+    once per n by doubling over the labels (``_WordTables``), give each
+    mask's spectrum, xor-sum, members and, for the audit, distances from
+    0, in place of the indicator matrix, the WHT and the BFS.
+  * "indicator-wht" serves the sampled surveys at n ≥ 6, past the audit's
+    reach: per block the indicator matrix and the Walsh-Hadamard
+    butterfly along its rows.
 
 The sets that transfer stay in per-block numpy columns (``_Findings``),
 and the summary counters are read off them.  A block's token columns are
@@ -80,7 +80,7 @@ import numpy as np
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .dynamics import RationalAngle
-from .graphwalk import _bfs_rows, bfs_profile
+from .graphwalk import bfs_profile
 from .jsontext import (Members, Rows, Tokens, binary_texts, booleans,
                        digest, dumps, numbers, pick, slots)
 from .pst import _decide_rows, pst_offsets
@@ -233,9 +233,9 @@ def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
     return iter(_sampled_masks(n, lo, hi, windowed, u_zero, sample, seed))
 
 
-# ── the word path: subset tables at n ≤ WORD_CAP ─────────────────────────
+# ── the word path: subset tables at n ≤ FILTERED_CAP ─────────────────────
+# Every mask an exhaustive walk reaches fits one int64.
 
-WORD_CAP = FILTERED_CAP  # every mask an exhaustive walk reaches fits int64
 CHUNK_BITS = 16  # mask bits per subset table, 2¹⁶ rows at most
 # Masks per word-path block: an int8 spectrum block takes 128 KB at n = 4
 # and 256 KB at n = 5.  A block's findings render through one uint8 matrix
@@ -258,13 +258,14 @@ def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _WordTables:
-    """Read-only subset tables of the masks at one dimension n ≤ WORD_CAP.
+    """Read-only subset tables of the masks at one dimension n ≤ FILTERED_CAP.
 
     The mask bits are split into chunks of at most ``CHUNK_BITS`` at
     ``shifts``, one at n ≤ 4 and two at n = 5, with one table row per
-    subset of a chunk's labels (1 MB at n = 4, 4.6 MB at n = 5, and 0.5
-    and 3 MB more of distances).  A mask joins its chunks' rows: spectra
-    add, xor-sums xor, members merge, distances join by min-plus over xor.
+    subset of a chunk's labels (1 MB at n = 4, 4.6 MB at n = 5).  A mask
+    joins its chunks' rows: spectra add, xor-sums xor, members merge.  The
+    audit's distances, 0.5 MB more at n = 4, are one table: the audit
+    stops at ``EXHAUSTIVE_CAP``, where a mask is one chunk.
     """
 
     n: int
@@ -308,15 +309,17 @@ class _WordTables:
         return self._tables(np.zeros(CHUNK_BITS, dtype=np.uint8), extend)
 
     @cached_property
-    def distances(self) -> tuple[np.ndarray, ...]:
-        """int8 distances from 0, n + 1 where unreached.  A shortest walk
-        in Z₂ⁿ uses each label at most once, so adding label w gives
-        D'(x) = min(D(x), D(x ⊕ w) + 1)."""
+    def distances(self) -> np.ndarray:
+        """int8 distances from 0, n + 1 where unreached, one row per mask
+        at n ≤ ``EXHAUSTIVE_CAP``.  A shortest walk in Z₂ⁿ uses each label
+        at most once, so adding label w gives D'(x) = min(D(x), D(x ⊕ w)
+        + 1)."""
         first = np.full(1 << self.n, self.n + 1, dtype=np.int8)
         first[0] = 0
         flips = _flips(self.n)
-        return self._tables(first, lambda rows, w, out: np.minimum(
+        (table,) = self._tables(first, lambda rows, w, out: np.minimum(
             rows, rows[:, flips[w]] + 1, out=out))
+        return table
 
     def _gather(self, tables: tuple[np.ndarray, ...],
                 words: np.ndarray) -> list[np.ndarray]:
@@ -349,19 +352,13 @@ class _WordTables:
         return gens[:, gens.shape[1] - int(np.bitwise_count(words).max()):]
 
     def distances_of(self, words: np.ndarray) -> np.ndarray:
-        """Distances from 0 for the sets of ``words``, -1 where unreached.
-        Chunks join by min-plus over xor: a walk to x splits into labels
-        of the first chunk, summing to some y, and of the second chunk."""
-        # vertex-major (2ⁿ × rows), so the join moves whole rows
-        first, *rest = (np.ascontiguousarray(part.T) for part in
-                        self._gather(self.distances, words))
-        for more in rest:
-            joined = np.full_like(first, self.n + 1)
-            for y, flip in enumerate(_flips(self.n)):
-                np.minimum(joined, first[y] + more[flip], out=joined)
-            first = joined
-        np.copyto(first, -1, where=first > self.n)
-        return first.T
+        """The (rows × 2ⁿ) distances from 0 of the sets of ``words``, -1
+        where unreached, in Fortran order: the audit reduces each set's
+        2ⁿ distances, and each reduction step then runs along one
+        contiguous column of all the sets."""
+        dists = np.ascontiguousarray(self.distances.take(words, axis=0).T)
+        np.copyto(dists, -1, where=dists > self.n)
+        return dists.T
 
 
 @cache
@@ -391,18 +388,23 @@ def _word_blocks(n: int, masks: Iterator[int],
 
 def _word_findings(n: int, words: np.ndarray,
                    audit: bool) -> _Findings | None:
-    """The sets of one word block that transfer, from the subset tables."""
+    """The sets of one word block that transfer, from the subset tables;
+    the audit adds their distance geometry."""
     tables = _word_tables(n)
     delta, g = _decide_rows(tables.spectra_of(words))
     if not (hits := np.flatnonzero(delta)).size:
         return None
-    words = words[hits]
-    return _findings(n, tables.members_of(words), tables.xors_of(words),
-                     delta[hits], g[hits],
-                     tables.distances_of(words) if audit else None)
+    words, delta = words[hits], delta[hits]
+    geometry = ()
+    if audit:
+        dists = tables.distances_of(words)
+        geometry = ((dists >= 0).all(axis=1), dists.max(axis=1),
+                    dists[np.arange(delta.size), delta])
+    return _Findings(n, tables.members_of(words), tables.xors_of(words),
+                     delta, g[hits], *geometry)
 
 
-# ── the indicator path: sampled surveys at n > WORD_CAP ──────────────────
+# ── the indicator path: sampled surveys at n > FILTERED_CAP ──────────────
 
 def _indicators(masks: list[int], n: int) -> np.ndarray:
     """The (rows × 2ⁿ) 0/1 indicator matrix of a list of masks."""
@@ -417,8 +419,7 @@ def _indicators(masks: list[int], n: int) -> np.ndarray:
     return ind
 
 
-def _indicator_findings(n: int, masks: list[int],
-                        audit: bool) -> _Findings | None:
+def _indicator_findings(n: int, masks: list[int]) -> _Findings | None:
     """The sets of one block of masks that transfer, from the WHT of their
     indicator rows."""
     ind = _indicators(masks, n)
@@ -428,19 +429,8 @@ def _indicator_findings(n: int, masks: list[int],
     members = ind[hits] * np.arange(1 << n)  # each label in its column
     degree = int(np.count_nonzero(members, axis=1).max())
     gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
-    return _findings(n, gens, np.bitwise_xor.reduce(gens, axis=1),
-                     delta[hits], g[hits],
-                     _bfs_rows(gens, n) if audit else None)
-
-
-def _findings(n: int, gens: np.ndarray, u: np.ndarray, delta: np.ndarray,
-              q: np.ndarray, dists: np.ndarray | None) -> _Findings:
-    """The ``_Findings`` of sets with padded labels ``gens`` that transfer
-    0 → δ at π/q; the audit adds ``dists`` from 0, -1 where unreached."""
-    if dists is None:
-        return _Findings(n, gens, u, delta, q)
-    return _Findings(n, gens, u, delta, q, (dists >= 0).all(axis=1),
-                     dists.max(axis=1), dists[np.arange(delta.size), delta])
+    return _Findings(n, gens, np.bitwise_xor.reduce(gens, axis=1),
+                     delta[hits], g[hits])
 
 
 def enumerate_sets(n: int, *, d_min: int | None = None,
@@ -456,7 +446,7 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
     """
     masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                          sample=sample, seed=seed)
-    if n <= WORD_CAP:
+    if n <= FILTERED_CAP:
         masks = (mask for words in _word_blocks(n, masks, u_zero)
                  for mask in words.tolist())
     for mask in masks:
@@ -657,26 +647,33 @@ EVIDENCE_NOTE = ("empirical evidence only: exhaustive at this n, silent "
 
 
 def _survey(kind: str, n: int, *, d_min: int | None = None,
-            d_max: int | None = None, u_zero: bool = False,
-            sample: int | None = None, seed: int = 0) -> ScanReport:
+            d_max: int | None = None, sample: int | None = None,
+            seed: int = 0) -> ScanReport:
     """The one survey loop: block by block, columns only for findings.
 
-    ``kind`` is "pst-scan", "conjecture-scan" or "antipodal-audit".  The
-    sets that transfer are kept as one ``_Findings`` per block; no record
-    is built here.
+    ``kind`` is "pst-scan", "conjecture-scan" (xor-sum-zero sets) or
+    "antipodal-audit", which takes no window and no sample, so n above
+    ``EXHAUSTIVE_CAP`` is refused.  The sets that transfer are kept as one
+    ``_Findings`` per block; no record is built here.
     """
     started = _time.perf_counter()
     audit = kind == "antipodal-audit"
+    u_zero = kind == "conjecture-scan"
+    _check_dimension(n)
+    if audit and n > EXHAUSTIVE_CAP:
+        raise EnumerationCapError(
+            f"the antipodality audit is exhaustive and reaches n = "
+            f"{EXHAUSTIVE_CAP}; got n = {n}")
     masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                          sample=sample, seed=seed)
-    if n <= WORD_CAP:
+    if n <= FILTERED_CAP:
         path = "word-table"
         steps = ((words.size, _word_findings(n, words, audit))
                  for words in _word_blocks(n, masks, u_zero))
     else:
         path = "indicator-wht"
         rows = max(1, BLOCK_CELLS >> n)
-        steps = ((len(block), _indicator_findings(n, block, audit))
+        steps = ((len(block), _indicator_findings(n, block))
                  for block in iter(lambda: list(islice(masks, rows)), []))
     steps = list(steps)
     scanned = sum(count for count, _ in steps)
@@ -730,7 +727,7 @@ def conjecture_scan(n: int, *, d_min: int | None = None,
     the module docstring).
     """
     return _survey("conjecture-scan", n, d_min=d_min, d_max=d_max,
-                   u_zero=True, sample=sample, seed=seed)
+                   sample=sample, seed=seed)
 
 
 def antipodality_audit(n: int) -> ScanReport:
@@ -742,9 +739,4 @@ def antipodality_audit(n: int) -> ScanReport:
     ``audit_record`` re-runs any report line on its own.  The audit takes
     no window and no sample, so n above ``EXHAUSTIVE_CAP`` is refused.
     """
-    _check_dimension(n)
-    if n > EXHAUSTIVE_CAP:
-        raise EnumerationCapError(
-            f"the antipodality audit is exhaustive and reaches n = "
-            f"{EXHAUSTIVE_CAP}; got n = {n}")
     return _survey("antipodal-audit", n)

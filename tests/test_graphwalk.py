@@ -9,7 +9,7 @@ import pytest
 
 from cubewalk import graphwalk
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube, spans
-from cubewalk.graphwalk import (DisconnectedGraphError, _bfs_rows,
+from cubewalk.graphwalk import (DisconnectedGraphError, _bfs,
                                 antipodal_pairs, bfs_profile,
                                 bipartite_functional, is_complete_bipartite,
                                 neighbors)
@@ -73,21 +73,15 @@ def test_bfs_matches_oracle():
         assert profile.diameter == max(oracle.values())
 
 
-def test_block_bfs_matches_oracle_row_by_row():
-    # one block mixing the empty set, a disconnected set, the complete set
-    # and uneven degrees, so short rows are padded with label 0
+def test_bfs_matches_oracle_set_by_set():
+    # the empty set, a disconnected set, the complete set and uneven
+    # degrees, from 0 and from every source
     n = 4
     sets = [(), (1, 2, 3), tuple(range(1, 16)), (8,), (1, 6, 10, 12, 15),
             (3, 5), (7, 9, 14)]
-    width = max(len(labels) for labels in sets)
-    gens = np.array([labels + (0,) * (width - len(labels))
-                     for labels in sets], dtype=np.int64)
-    dists = _bfs_rows(gens, n)
-    assert dists.shape == (len(sets), 1 << n)
-    for labels, row in zip(sets, dists):
+    for labels in sets:
         omega = ConnectionSet(n, labels)
-        oracle = _bfs_oracle(omega, 0)
-        assert row.tolist() == [oracle.get(v, -1) for v in range(1 << n)]
+        assert _bfs(labels, n).tolist() == _oracle_dist(labels, n)
         for source in range(1 << n):
             oracle = _bfs_oracle(omega, source)
             profile = bfs_profile(omega, GroupElement(source, n))
@@ -111,12 +105,9 @@ def directions(monkeypatch):
     return ran
 
 
-def _oracle_rows(sets, n):
-    rows = []
-    for labels in sets:
-        oracle = _bfs_oracle(ConnectionSet(n, labels), 0)
-        rows.append([oracle.get(v, -1) for v in range(1 << n)])
-    return rows
+def _oracle_dist(labels, n):
+    oracle = _bfs_oracle(ConnectionSet(n, labels), 0)
+    return [oracle.get(v, -1) for v in range(1 << n)]
 
 
 def test_two_direction_bfs_matches_oracle_on_dense_sets(directions):
@@ -125,9 +116,9 @@ def test_two_direction_bfs_matches_oracle_on_dense_sets(directions):
         for d in (n + 1, 2 * n, 5 * n, 1 << (n - 2)):
             labels = tuple(rng.sample(range(1, 1 << n), d))
             directions.clear()
-            dist = _bfs_rows(np.array([labels], dtype=np.int64), n)
+            dist = _bfs(labels, n)
             assert dist.dtype == np.int32
-            assert dist.tolist() == _oracle_rows([labels], n)
+            assert dist.tolist() == _oracle_dist(labels, n)
             if d >= 5 * n:  # a dense set ends bottom-up
                 assert directions[0] == "_top_down"
                 assert directions[-1] == "_bottom_up", (n, d)
@@ -140,10 +131,10 @@ def test_two_direction_bfs_on_disconnected_sets(directions):
     for n, k in ((8, 7), (10, 8), (12, 11)):
         labels = tuple(rng.sample(range(1, 1 << k), (2 << k) // 3))
         directions.clear()
-        dist = _bfs_rows(np.array([labels], dtype=np.int64), n)
-        assert dist.tolist() == _oracle_rows([labels], n)
+        dist = _bfs(labels, n)
+        assert dist.tolist() == _oracle_dist(labels, n)
         assert "_bottom_up" in directions
-        assert (dist[0] >= 0).sum() == 1 << k
+        assert (dist >= 0).sum() == 1 << k
         profile = bfs_profile(ConnectionSet(n, labels), GroupElement(5, n))
         assert not profile.connected and (profile.dist < 0).sum() == \
             (1 << n) - (1 << k)
@@ -151,26 +142,9 @@ def test_two_direction_bfs_on_disconnected_sets(directions):
 
 def test_bfs_of_the_empty_set():
     for n in (1, 4, 10):
-        dist = _bfs_rows(np.zeros((1, 0), dtype=np.int64), n)
-        assert dist.tolist() == [[0] + [-1] * ((1 << n) - 1)]
+        assert _bfs((), n).tolist() == [0] + [-1] * ((1 << n) - 1)
         profile = bfs_profile(ConnectionSet(n, ()), GroupElement.zero(n))
         assert profile.diameter == 0 and not profile.connected
-
-
-def test_two_direction_bfs_on_padded_blocks(directions):
-    # dense, sparse, empty and disconnected rows walk together, padded
-    # with label 0, and every row matches its own oracle
-    rng = random.Random(23)
-    for n in (8, 10):
-        sets = [tuple(rng.sample(range(1, 1 << n), d))
-                for d in (n, 3 * n, 1 << (n - 2))]
-        sets += [(), tuple(rng.sample(range(1, 1 << (n - 1)), 4 * n))]
-        width = max(len(labels) for labels in sets)
-        gens = np.array([labels + (0,) * (width - len(labels))
-                         for labels in sets], dtype=np.int64)
-        directions.clear()
-        assert _bfs_rows(gens, n).tolist() == _oracle_rows(sets, n)
-        assert {"_top_down", "_bottom_up"} <= set(directions)
 
 
 def test_hypercube_profile():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cubewalk import cli, graphwalk, jsontext, scanner, spectral
-from cubewalk.bitspace import ConnectionSet, _mask_labels
+from cubewalk.bitspace import ConnectionSet, GroupElement, _mask_labels
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
                               audit_record, conjecture_scan, enumerate_sets,
@@ -76,6 +76,12 @@ def test_enumeration_caps():
         list(enumerate_sets(EXHAUSTIVE_CAP + 1, u_zero=True))
     with pytest.raises(EnumerationCapError):
         list(enumerate_sets(FILTERED_CAP + 1, d_max=2))
+    # the audit takes no window and no sample, so the survey loop itself
+    # refuses it past EXHAUSTIVE_CAP, with the message the CLI prints
+    for n in (EXHAUSTIVE_CAP + 1, FILTERED_CAP + 1):
+        with pytest.raises(EnumerationCapError,
+                           match=f"reaches n = {EXHAUSTIVE_CAP}; got n = {n}"):
+            scanner._survey("antipodal-audit", n)
     # a degree window lifts the n=5 cap
     got = list(enumerate_sets(5, d_max=2))
     assert len(got) == 31 + math.comb(31, 2)
@@ -425,8 +431,9 @@ def test_word_tables_match_the_indicator_path():
     # the subset tables against the transform path they replace at n <= 5,
     # which stays the engine above it: spectra against _wht_rows of the
     # indicator rows, xor-sums against their xor-reduce, members against
-    # the sorted indicator columns, and distances against _bfs_rows; every
-    # mask at n <= 4 and 20,000 random masks at n = 5
+    # the sorted indicator columns, and, where the audit reaches (n <= 4),
+    # distances against the one-set BFS; every mask at n <= 4 (every fifth
+    # for the distances at n = 4) and 20,000 random masks at n = 5
     rng = np.random.default_rng(16)
     for n in range(1, 6):
         width = (1 << n) - 1
@@ -442,8 +449,11 @@ def test_word_tables_match_the_indicator_path():
         assert np.array_equal(tables.xors_of(words),
                               np.bitwise_xor.reduce(members, axis=1)), n
         assert np.array_equal(tables.members_of(words), gens), n
-        assert np.array_equal(tables.distances_of(words),
-                              scanner._bfs_rows(gens, n)), n
+        if n <= EXHAUSTIVE_CAP:
+            some = words if n <= 3 else words[::5]
+            want = [graphwalk._bfs(_mask_labels(mask), n)
+                    for mask in some.tolist()]
+            assert np.array_equal(tables.distances_of(some), want), n
     # n = 5 splits the 31 mask bits over two tables of at most 2^16 rows
     assert [len(t) for t in tables.spectra] == [1 << 16, 1 << 15]
     assert all(not t.flags.writeable for t in tables.spectra)
@@ -456,17 +466,13 @@ def test_surveys_up_to_n5_never_build_indicator_rows(monkeypatch):
         raise AssertionError("the indicator path ran")
 
     for module, name in ((scanner, "_indicators"), (scanner, "_wht_rows"),
-                         (scanner, "_bfs_rows"), (spectral, "_wht_rows"),
-                         (graphwalk, "_bfs_rows")):
+                         (spectral, "_wht_rows"), (graphwalk, "_bfs")):
         monkeypatch.setattr(module, name, banned)
     for survey, n, kwargs, want in PINNED_SURVEYS:
-        if n <= scanner.WORD_CAP:
+        if n <= FILTERED_CAP:
             report = survey(n, **kwargs)
             assert report.path == "word-table"
             assert report.digest() == want
-    audit = scanner._survey("antipodal-audit", 5, u_zero=True,
-                            sample=2000, seed=1)
-    assert audit.path == "word-table" and audit.violations > 0
     assert len(list(enumerate_sets(5, d_max=3, u_zero=True))) == 155
     # above n = 5 the same hooks fire: the indicator path is the engine
     with pytest.raises(AssertionError, match="indicator path"):
@@ -479,8 +485,8 @@ def _larger_surveys():
     for n in range(6, 11):
         yield scan_sets(n, sample=24, seed=n)
         yield scan_sets(n, d_min=2, d_max=n + 1, sample=24, seed=n)
+        yield scan_sets(n, d_min=n + 2, d_max=4 * n, sample=24, seed=n)
         yield conjecture_scan(n, sample=24, seed=n)
-        yield scanner._survey("antipodal-audit", n, sample=24, seed=n)
     # one set per block: findings with thousands of labels each
     yield scan_sets(14, sample=2, seed=14)
     yield scan_sets(14, d_max=12000, sample=2, seed=14)
@@ -490,11 +496,8 @@ def _larger_surveys():
 def test_survey_digest_renders_from_columns():
     reports = [survey(n, **kwargs) for survey, n, kwargs, _ in PINNED_SURVEYS]
     reports += _larger_surveys()
-    # an audit of xor-sum-zero sets: its transfer offsets are violations
-    violating = scanner._survey("antipodal-audit", 5, u_zero=True,
-                                sample=20000, seed=1)
     empty = conjecture_scan(3)
-    for report in reports + [violating, empty]:
+    for report in reports + [empty]:
         # rendered first, from the columns; the records are read after
         text, digest = report.canonical_json(), report.digest()
         document = b"".join(jsontext.dumps(
@@ -509,8 +512,31 @@ def test_survey_digest_renders_from_columns():
     plain, windowed, u_zero = reports[-3:]
     assert min(f["d"] for r in (plain, windowed) for f in r.findings) > 1000
     assert u_zero.universe == 2  # every toggled draw has xor-sum 0
-    assert violating.violations == len(violating.findings) > 0
     assert empty.findings == []
+
+
+def test_audit_columns_render_a_violation():
+    # one audit row whose offset is not its xor-sum: the n = 5 set with
+    # xor-sum 0 that transfers 0 -> 00001 at pi/4 (tests/test_pst.py),
+    # past the audit's reach, with its geometry from bfs_profile
+    omega = ConnectionSet.parse("00001,00110,00111,01000,01001,01100,"
+                                "01101,10000,10001,10010,10011", 5)
+    profile = graphwalk.bfs_profile(omega, GroupElement.zero(5))
+    block = scanner._Findings(
+        5, np.array([omega.elements]), np.array([0]), np.array([1]),
+        np.array([4]), np.array([profile.connected]),
+        np.array([profile.diameter]), np.array([profile.dist[1]]))
+    records = list(block.records())
+    assert records == [audit_record(omega)]
+    assert records[0]["pst"][0]["distance"] == 1
+    assert records[0]["diameter"] == 2
+    assert records[0]["violations"] == ["00001"]
+    rows = jsontext.Rows(scanner._skeleton(True), [block.columns])
+    for indented in (False, True):
+        got = b"".join(jsontext.dumps({"findings": rows}, indented))
+        want = json.dumps({"findings": records}, indent=2) if indented \
+            else jsontext.canonical_dumps({"findings": records})
+        assert got.decode() == want, indented
 
 
 def test_each_block_builds_its_columns_once(monkeypatch, capsys):
