@@ -47,12 +47,18 @@ complex number otherwise, exact whenever it is a power of i.
 Routing.  Removing one basis generator eᵢ from the folded-cube set leaves
 a set with xor-sum eᵢ, so any target is reached by chaining quarter-period
 hops along its set bits.  Removing a member w from a set takes the term
-(−1)^(wᵀv) out of every λ_v, so stage i's spectrum is λ_v − (−1)^(vᵢ) for
-λ the folded-cube spectrum.  Plans run one WHT per dimension, on the
-folded cube: its spectrum is held read-only, in int8 (|λ| ≤ n + 1), for
-the most recent n only.  Each stage's spectrum is derived from it as a
-fresh array, the stage is certified on that array, and the array is
-dropped.
+(−1)^(wᵀv) out of every λ_v and one from d, so stage i's gaps are
+
+    Δ'_v = Δ_v − 2vᵢ,    Δ the gaps of the folded cube,
+
+and its π/2 congruences Δ'_v ≡ 2vᵢ (mod 4) all read Δ_v ≡ 0 (mod 4),
+whatever i: the folded cube's own revival at π/2, its certificate at
+δ = 0.  Plans run one WHT per dimension, on the folded cube: its spectrum
+is held read-only, in int8 (|λ| ≤ n + 1), for the most recent n only.
+One pass over it certifies every stage of a plan, and each stage
+certificate (δ = eᵢ, time π/2, phase i^(−n)) follows with no stage
+spectrum built.  At n = 1 the folded cube is {1}, the plan's one stage,
+and it is certified on its own.
 """
 
 from __future__ import annotations
@@ -205,8 +211,9 @@ def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
                  time: RationalAngle, method: str) -> PstCertificate:
     """The check behind ``certify``, on the spectrum ``values`` of a set
     of degree d in Z₂ⁿ.  Its intermediates lie in [−m, 2d] and its
-    constants are at most 2m ≤ 4d + 2, so int8 ``values``, as a route
-    stage passes, stay exact for d ≤ 31."""
+    constants are at most 2m ≤ 4d + 2, so int8 ``values``, as
+    ``plan_route`` passes for the folded cube (d = n + 1) and for the one
+    stage at n = 1, stay exact for d ≤ 31."""
     q = time.q
     m = min(q, 2 * d + 1)  # the same test for any q, in the dtype of values
     gaps = d - values  # Δ_v, in [0, 2d]; reduced in place below
@@ -218,12 +225,18 @@ def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
     if gaps.any():
         raise CertificationError(
             f"fidelity at {time} for delta={delta} is not 1")
+    return PstCertificate(n=n, delta=delta, time=time, method=method,
+                          phase=_phase(d, time))
+
+
+def _phase(d: int, time: RationalAngle) -> GaussianInteger | complex:
+    """e^(−idt), the phase of a transfer at ``time`` on a set of degree d:
+    exact when it is a power of i on the quarter grid, complex otherwise."""
+    q = time.q
     e0 = -time.p * d % (2 * q)
     k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
     phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
-    return PstCertificate(
-        n=n, delta=delta, time=time, method=method,
-        phase=phase if time.is_quarter_exact else complex(phase))
+    return phase if time.is_quarter_exact else complex(phase)
 
 
 # ── routing ───────────────────────────────────────────────────────────────
@@ -245,9 +258,11 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     Stage i uses the folded-cube set with basis generator eᵢ removed; its
     xor-sum is then eᵢ, so the stage teleports by eᵢ in time π/2.  One
     stage per set bit of the target, ascending.  Every stage certificate
-    is verified exactly before the plan is returned, on a stage spectrum
-    derived from the held folded-cube spectrum (see "Routing" in the
-    module docstring); no spectrum is stored on any set of the plan.
+    is verified exactly before the plan is returned, by one pass over the
+    held folded-cube spectrum: stage i's gaps are Δ_v − 2vᵢ, so all of
+    its congruences hold iff the folded cube revives at π/2 (see "Routing"
+    in the module docstring).  No stage spectrum is built, and no
+    spectrum is stored on any set of the plan.
     """
     if isinstance(target, int):
         target = GroupElement(target, n)
@@ -260,19 +275,28 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     values = _folded_spectrum(n)
     if n == 1:
         # {1} already has xor-sum e₁; removing it would leave nothing.
-        stages = [_stage(base, values.copy())]
+        stage_sets = [base]
+        certs = [_certificate(1, 1, values, base.u, HALF_PI, "closed-form")]
     else:
-        stages = [
-            _stage(ConnectionSet(n, tuple(e for e in base.elements
-                                          if e != 1 << i)),
-                   _without_generator(values, i))
-            for i in range(n) if (target.bits >> i) & 1]
+        stage_sets = [ConnectionSet(n, tuple(e for e in base.elements
+                                             if e != 1 << i))
+                      for i in range(n) if (target.bits >> i) & 1]
+        # the folded cube's revival at π/2 is every stage's transfer check
+        _certificate(n, n + 1, values, GroupElement.zero(n), HALF_PI,
+                     "closed-form")
+        phase = _phase(n, HALF_PI)  # every stage has degree d = n
+        certs = [PstCertificate(n=n, delta=omega.u, time=HALF_PI,
+                                phase=phase, method="closed-form")
+                 for omega in stage_sets]
+    stages = tuple(RouteStage(omega=omega, hop=cert.delta, time=cert.time,
+                              certificate=cert)
+                   for omega, cert in zip(stage_sets, certs))
     acc = 0
     for stage in stages:
         acc ^= stage.hop.bits
     if acc != target.bits:
         raise RuntimeError("internal: route hops do not reach the target")
-    return RoutingPlan(n=n, target=target, base=base, stages=tuple(stages))
+    return RoutingPlan(n=n, target=target, base=base, stages=stages)
 
 
 @lru_cache(maxsize=1)
@@ -282,20 +306,3 @@ def _folded_spectrum(n: int) -> np.ndarray:
     values = wht(folded_cube(n).indicator()).astype(np.int8)
     values.setflags(write=False)
     return values
-
-
-def _without_generator(values: np.ndarray, i: int) -> np.ndarray:
-    """λ_v − (−1)^(vᵢ): the spectrum once eᵢ leaves a set with spectrum λ,
-    as a fresh array in the dtype of λ."""
-    halves = values.reshape(-1, 2, 1 << i)  # [:, b, :] holds the v with vᵢ = b
-    return (halves + np.array([[-1], [1]], dtype=values.dtype)).reshape(
-        values.shape)
-
-
-def _stage(omega: ConnectionSet, values: np.ndarray) -> RouteStage:
-    """The certified π/2 hop by the xor-sum of ``omega``, whose spectrum is
-    ``values``."""
-    cert = _certificate(omega.n, omega.d, values, omega.u, HALF_PI,
-                        "closed-form")
-    return RouteStage(omega=omega, hop=cert.delta, time=cert.time,
-                      certificate=cert)

@@ -27,6 +27,16 @@ bound and the narrow pass is exact; the result is widened to int64 once,
 at the end.  A 0/1 indicator of at most 127 labels thus runs in int8,
 on an eighth of the bytes of int64.
 
+Rows longer than 64 entries run their six lowest levels on a transposed
+copy, held in the scratch array.  The work array is read as tiles of up
+to 256 runs of 64 consecutive entries, and each tile is copied as
+64 × tile.  In place, the radix-4 passes at strides 1, 4 and 16 run inner
+loops of that many entries; on the copy they run along its leading axis,
+with inner loops over whole tile rows, and the work array serves as
+their scratch.  The copy is written back into the work array, and the
+remaining levels run in place.  The levels run in the same order on the
+same operands, so the result is that of the in-place butterfly.
+
 Each eigenvalue is further pinned down modulo 4 by the xor-sum u of the
 connection set; ``classify_congruences`` checks the applicable congruence
 for every eigenvalue and reports the multiplicity index k it determines.
@@ -59,6 +69,14 @@ def wht(data) -> np.ndarray:
     return _wht_rows(arr)
 
 
+# The low levels of long rows run transposed (see the module docstring).
+# A tile of 256 runs keeps its source lines in cache while it is gathered:
+# the untiled transpose of an int32 row of 2²⁰ entries took 4.5 ms, longer
+# than the six levels it serves.
+_LOW = 64
+_TILE = 256
+
+
 def _wht_rows(arr: np.ndarray) -> np.ndarray:
     """The butterfly along the last axis, one transform per row.
 
@@ -67,7 +85,9 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     narrowest type ``_exact_type`` picks and is widened to int64 once, at
     the end.  Levels are taken two at a time (radix 4, see the module
     docstring), with one radix-2 level last when the length is an odd
-    power of two.
+    power of two.  A row longer than ``_LOW`` runs its six lowest levels
+    on a tiled transposed copy, written back before the other levels run
+    in place (see the module docstring).
     """
     if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
         work, result = _exact_type(arr), np.int64
@@ -77,11 +97,31 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
         work = result = np.float64
     out = arr.astype(work, order="C")
     size = out.shape[-1]
-    if size >= 4:
-        buf = np.empty((4, out.size // 4), dtype=out.dtype)
+    buf = np.empty((4, out.size // 4), dtype=out.dtype)
     h = 1
-    while 4 * h <= size:
-        x0, x1, x2, x3 = out.reshape(-1, 4, h).transpose(1, 0, 2)
+    if size > _LOW:
+        tile = min(size // _LOW, _TILE)
+        low = out.reshape(-1, tile, _LOW)
+        turned = buf.reshape(-1, _LOW, tile)
+        np.copyto(turned, low.transpose(0, 2, 1))
+        _radix4_levels(turned, out, tile, _LOW * tile)  # out's entries are in turned
+        low[...] = turned.transpose(0, 2, 1)
+        h = _LOW
+    h = _radix4_levels(out, buf, h, size)
+    if h < size:
+        top, bottom = out.reshape(-1, 2, h).transpose(1, 0, 2)
+        first = top.copy()
+        np.add(first, bottom, out=top)
+        np.subtract(first, bottom, out=bottom)
+    return out.astype(result, copy=False)
+
+
+def _radix4_levels(x: np.ndarray, buf: np.ndarray, h: int, top: int) -> int:
+    """Radix-4 levels on the C-contiguous ``x`` in place, from stride h
+    while 4h ≤ top, with the C-contiguous ``buf`` of x.size entries as
+    scratch; returns the stride of the first level not run."""
+    while 4 * h <= top:
+        x0, x1, x2, x3 = x.reshape(-1, 4, h).transpose(1, 0, 2)
         s01, d01, s23, d23 = buf.reshape(4, -1, h)
         np.add(x0, x1, out=s01)
         np.subtract(x0, x1, out=d01)
@@ -92,12 +132,7 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
         np.subtract(s01, s23, out=x2)
         np.subtract(d01, d23, out=x3)
         h <<= 2
-    if h < size:
-        top, bottom = out.reshape(-1, 2, h).transpose(1, 0, 2)
-        first = top.copy()
-        np.add(first, bottom, out=top)
-        np.subtract(first, bottom, out=bottom)
-    return out.astype(result, copy=False)
+    return h
 
 
 def _exact_type(arr: np.ndarray) -> type:

@@ -530,46 +530,94 @@ def test_plan_route_runs_one_transform(integer_transforms):
         assert held.tolist() == wht(folded_cube(n).indicator()).tolist()
 
 
-def test_stage_spectra_are_the_folded_cube_spectrum_less_one_generator(
-        monkeypatch):
-    certified = []
-    inner = pst._certificate
+def _stage_spectrum(folded, i):
+    """λ_v − (−1)^(vᵢ): the folded-cube spectrum once eᵢ leaves the set."""
+    v = np.arange(folded.size)
+    return folded - (1 - 2 * ((v >> i) & 1))
 
-    def recording(n, d, values, delta, time, method):
-        certified.append(values.copy())
-        return inner(n, d, values, delta, time, method)
 
-    monkeypatch.setattr(pst, "_certificate", recording)
-    for n in range(2, 9):
+def test_stage_spectra_are_the_folded_cube_spectrum_less_one_generator():
+    for n in range(2, 11):
         folded = wht(folded_cube(n).indicator())
-        v = np.arange(1 << n)
-        for target in range(1, 1 << n):
-            certified.clear()
-            plan = plan_route(n, target)
-            assert len(certified) == len(plan.stages)
-            for stage, values in zip(plan.stages, certified):
-                i = stage.hop.bits.bit_length() - 1
-                assert values.tolist() == wht(stage.omega.indicator()).tolist()
-                assert values.tolist() == (
-                    folded - (1 - 2 * ((v >> i) & 1))).tolist()
-                assert "_spectrum" not in vars(stage.omega)
+        plan = plan_route(n, (1 << n) - 1)
+        for i, stage in enumerate(plan.stages):
+            assert stage.hop.bits == 1 << i
+            assert _stage_spectrum(folded, i).tolist() == \
+                wht(stage.omega.indicator()).tolist()
+            assert "_spectrum" not in vars(stage.omega)
     assert "_spectrum" not in vars(plan_route(1, 1).stages[0].omega)
 
 
-def test_plan_route_rejects_a_tampered_stage_spectrum(monkeypatch):
-    inner = pst._without_generator
+def test_one_revival_pass_decides_as_every_stage_check(monkeypatch):
+    # plan_route's one pass over the folded-cube spectrum accepts exactly
+    # when each stage's own certificate, on its own spectrum, would: on the
+    # true spectrum, and at n <= 5 on copies with one entry moved
+    checks = []
+    inner = pst._certificate
 
-    def tampered(values, i):
-        out = inner(values, i)
-        out[-1] += 2
-        return out
+    def counting(*args):
+        checks.append(args[3])
+        return inner(*args)
 
-    monkeypatch.setattr(pst, "_without_generator", tampered)
-    with pytest.raises(CertificationError):
-        plan_route(5, 0b10110)
-    # the tampering touched a derived stage array, never the held spectrum
+    def stage_verdicts(n, folded):
+        verdicts = set()
+        for i in range(n):
+            try:
+                inner(n, n, _stage_spectrum(folded, i), GroupElement(1 << i, n),
+                      HALF_PI, "closed-form")
+            except CertificationError:
+                verdicts.add(False)
+            else:
+                verdicts.add(True)
+        return verdicts
+
+    def route(n, folded):
+        monkeypatch.setattr(pst, "_folded_spectrum", lambda m: folded)
+        try:
+            return plan_route(n, (1 << n) - 1)
+        except CertificationError:
+            return None
+        finally:
+            monkeypatch.setattr(pst, "_folded_spectrum", held)
+
+    held = pst._folded_spectrum
+    monkeypatch.setattr(pst, "_certificate", counting)
+    seen = set()
+    for n in range(2, 11):
+        folded = held(n)
+        checks.clear()
+        assert stage_verdicts(n, folded) == {True}
+        plan = route(n, folded)
+        assert checks == [GroupElement.zero(n)]  # one pass for all n stages
+        for stage in plan.stages:  # each certificate is the stage's own
+            assert stage.certificate == certify(stage.omega, stage.hop,
+                                                HALF_PI, "closed-form")
+        if n > 5:
+            continue
+        for v in range(1 << n):
+            for shift in (1, -1, 2, -2, 4, -4):
+                tampered = folded.copy()
+                tampered[v] += shift
+                verdicts = stage_verdicts(n, tampered)
+                assert verdicts == {route(n, tampered) is not None}
+                seen |= verdicts
+    assert seen == {True, False}
+
+
+def test_plan_route_rejects_a_tampered_folded_spectrum(monkeypatch):
+    n = 5
+    held = pst._folded_spectrum(n)
+    for v in range(1 << n):
+        tampered = held.copy()
+        tampered[v] += 2  # the gap Δ_v moves by 2 and leaves 0 mod 4
+        monkeypatch.setattr(pst, "_folded_spectrum", lambda m: tampered)
+        for target in range(1, 1 << n):
+            with pytest.raises(CertificationError):
+                plan_route(n, target)
+    # the tampering touched copies, never the held spectrum
     monkeypatch.undo()
-    plan = plan_route(5, 0b10110)
+    assert pst._folded_spectrum(n) is held
+    plan = plan_route(n, 0b10110)
     assert [stage.hop.bits for stage in plan.stages] == [0b10, 0b100, 0b10000]
     with pytest.raises(ValueError):
-        pst._folded_spectrum(5)[-1] += 2
+        held[-1] += 2

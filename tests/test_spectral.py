@@ -86,10 +86,35 @@ def _wht_inputs(rng, shape):
     yield rng.random(shape) < 0.5
     yield rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
     yield rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for kind in (np.int8, np.int16, np.int32, np.int64):
+        yield _block_of_type(rng, shape, kind)
 
 
-@pytest.mark.parametrize("n", range(13))
+def _block_of_type(rng, shape, kind):
+    """Integers whose transform runs in ``kind``: each row of 2ⁿ entries
+    has K nonzero entries of magnitude at most c, with K·c ≤ the type's
+    maximum, or one entry of 2³¹ and up for int64."""
+    size = shape[-1]
+    if kind is np.int64:
+        block = rng.integers(-(1 << 40), 1 << 40, size=shape)
+        block.reshape(-1, size)[-1, -1] = (1 << 31) + 7
+    else:
+        top = np.iinfo(kind).max
+        c = max(1, top // size)
+        k = min(size, top // c)
+        block = np.zeros(shape, dtype=np.int64)
+        for row in block.reshape(-1, size):
+            where = rng.choice(size, size=k, replace=False)
+            row[where] = rng.integers(1, c, size=k, endpoint=True) \
+                * rng.choice([-1, 1], size=k)
+    assert spectral._exact_type(block) is kind
+    return block
+
+
+@pytest.mark.parametrize("n", range(17))
 def test_radix4_butterfly_keeps_every_bit_of_the_radix2_levels(n):
+    # past 64 entries a row runs its six lowest levels on a tiled
+    # transposed copy (tiles of 256 runs from n = 14), in every work type
     rng = np.random.default_rng(100 + n)
     for shape in ((1 << n,), (5, 1 << n)):
         for x in _wht_inputs(rng, shape):
@@ -115,6 +140,9 @@ def test_radix4_butterfly_on_strided_and_empty_input():
         _wht_by_levels(block.T.copy()).tobytes()
     assert wht(block[::-1, 0]).tobytes() == \
         _wht_by_levels(block[::-1, 0].copy()).tobytes()
+    long = rng.integers(-9, 9, size=(256, 3))  # past the transposed levels
+    for x in (long.T, np.asfortranarray(long.T), long[::-1, 0]):
+        assert _wht_rows(x).tobytes() == _wht_by_levels(x.copy()).tobytes()
     assert _wht_rows(np.zeros((0, 16), dtype=bool)).shape == (0, 16)
 
 
