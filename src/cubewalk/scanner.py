@@ -3,19 +3,21 @@
 Sets are enumerated as bitmasks over the 2ⁿ−1 nonzero labels: bit j of a
 mask means label j+1 is a member, and masks run in ascending numeric
 order, so every survey visits sets in one canonical order.  An exhaustive
-walk is allowed up to n = 5 when its degree window holds at most
-``MASK_CAP`` = 2²⁴ masks: every window at n ≤ 4 (32767 sets unfiltered),
-and windows such as d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 masks.
-The window is counted before anything is walked.  Beyond that only
-sampling is offered; a sample larger than the number of sets its filters
-admit (xor-sum-zero sets are counted exactly, by a character sum) is
-refused before the first draw.  The antipodality audit takes neither a
-window nor a sample, so it stops at n = 4 (``EXHAUSTIVE_CAP``).
+walk is allowed up to n = 5 when it visits at most ``MASK_CAP`` = 2²⁴
+sets.  The walk makes only the sets its filters admit, so the cap counts
+those: every window at n ≤ 4 (32767 sets unfiltered), windows such as
+d ≤ 8 at n = 5, whose raw space holds 2³¹ − 1 sets, and xor-sum-zero
+windows such as d ≤ 9 there (xor-sum-zero sets are counted exactly, by a
+character sum).  The sets are counted before anything is walked.  Beyond
+that only sampling is offered; a sample larger than the number of sets
+its filters admit is refused before the first draw.  The antipodality
+audit takes neither a window nor a sample, so it stops at n = 4
+(``EXHAUSTIVE_CAP``).
 
 Every argument is checked before anything is allocated.  The masks then
-stream through the survey in blocks, on one of two paths
-(``ScanReport.path``), each ending in one transfer decision per row
-(``pst._decide_rows``):
+come in blocks, from one walk (``_walk``) or from the sorted sample, and
+go through the survey on one of two paths (``ScanReport.path``), each
+ending in one transfer decision per row (``pst._decide_rows``):
 
   * "word-table" serves every survey at n ≤ 5 (``FILTERED_CAP``), where
     a mask's 2ⁿ − 1 bits fit one int64.  Read-only subset tables, built
@@ -65,14 +67,13 @@ JSON) and volatile run metadata, so re-runs compare digest to digest.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
 import time as _time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import islice, repeat
+from functools import cache, cached_property, partial
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -111,36 +112,6 @@ def _byte_xors() -> tuple[list[int], list[int]]:
         xors[b] = xors[rest] ^ (b ^ rest).bit_length() - 1
         odd[b] = odd[rest] ^ 8
     return xors, odd
-
-
-def _weight_masks(width: int, weight: int) -> Iterator[int]:
-    """All width-bit masks of the given popcount, ascending (Gosper)."""
-    if weight == 0 or weight > width:
-        return
-    v = (1 << weight) - 1
-    limit = 1 << width
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
-
-
-def _exhaustive_masks(n: int, lo: int, hi: int) -> Iterable[int]:
-    """Every mask of popcount in [lo, hi], ascending, after the caps."""
-    width = (1 << n) - 1
-    if n > FILTERED_CAP:
-        raise EnumerationCapError(
-            f"exhaustive enumeration stops at n = {FILTERED_CAP}; "
-            f"use sampling for n = {n}")
-    count = sum(math.comb(width, d) for d in range(lo, hi + 1))
-    if count > MASK_CAP:
-        raise EnumerationCapError(
-            f"degree window [{lo}, {hi}] at n = {n} spans {count} masks, "
-            f"over the 2^24 cap; narrow the window or sample")
-    if lo == 1 and hi == width:
-        return range(1, 1 << width)
-    return heapq.merge(*(_weight_masks(width, d) for d in range(lo, hi + 1)))
 
 
 def _xor_sum_zero_count(n: int, d: int) -> int:
@@ -211,12 +182,15 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     return sorted(chosen)
 
 
-def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
-                 u_zero: bool, sample: int | None, seed: int) -> Iterator[int]:
-    """The masks a survey walks, ascending, after every argument is checked.
+def _mask_blocks(n: int, *, d_min: int | None, d_max: int | None,
+                 u_zero: bool, sample: int | None,
+                 seed: int) -> Iterator[np.ndarray | list[int]]:
+    """The masks a survey walks, ascending, in blocks of its path's rows,
+    after every argument is checked: int64 arrays at n ≤ ``FILTERED_CAP``,
+    lists of ints above.
 
-    An exhaustive stream holds sets of any xor-sum (the word path filters
-    it block by block); a sample is drawn with the filters applied.
+    An exhaustive survey walks the sets its filters admit (``_walk``); a
+    sample is drawn with the filters applied.
     """
     _check_dimension(n)
     for bound in (d_min, d_max):
@@ -228,9 +202,24 @@ def _mask_stream(n: int, *, d_min: int | None, d_max: int | None,
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}] at n = {n}")
     if sample is None:
-        return iter(_exhaustive_masks(n, lo, hi))
+        if n > FILTERED_CAP:
+            raise EnumerationCapError(
+                f"exhaustive enumeration stops at n = {FILTERED_CAP}; "
+                f"use sampling for n = {n}")
+        count = sum(_xor_sum_zero_count(n, d) if u_zero else
+                    math.comb(width, d) for d in range(lo, hi + 1))
+        if count > MASK_CAP:
+            kind = "xor-sum-zero sets" if u_zero else "sets"
+            raise EnumerationCapError(
+                f"degree window [{lo}, {hi}] at n = {n} holds {count} "
+                f"{kind}, over the 2^24 cap; narrow the window or sample")
+        return _walk(n, lo, hi, u_zero)
     windowed = d_min is not None or d_max is not None
-    return iter(_sampled_masks(n, lo, hi, windowed, u_zero, sample, seed))
+    masks = _sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
+    if n <= FILTERED_CAP:
+        masks = np.array(masks, dtype=np.int64)
+    rows = WORD_ROWS if n <= FILTERED_CAP else max(1, BLOCK_CELLS >> n)
+    return (masks[at:at + rows] for at in range(0, len(masks), rows))
 
 
 # ── the word path: subset tables at n ≤ FILTERED_CAP ─────────────────────
@@ -373,17 +362,47 @@ def _flips(n: int) -> np.ndarray:
 _word_tables = cache(_WordTables)  # one read-only set per n = 1..5
 
 
-def _word_blocks(n: int, masks: Iterator[int],
-                 u_zero: bool) -> Iterator[np.ndarray]:
-    """The mask stream as int64 blocks of at most ``WORD_ROWS`` masks, in
-    canonical order; ``u_zero`` keeps the xor-sum-zero ones."""
-    tables = _word_tables(n)
-    while (words := np.fromiter(islice(masks, WORD_ROWS),
-                                dtype=np.int64)).size:
-        if u_zero:
-            words = words[tables.xors_of(words) == 0]
-        if words.size:
-            yield words
+def _walk(n: int, lo: int, hi: int, u_zero: bool) -> Iterator[np.ndarray]:
+    """Every mask at n ≤ ``FILTERED_CAP`` of popcount in [lo, hi], and of
+    xor-sum 0 under ``u_zero``, ascending, in int64 blocks of ``WORD_ROWS``
+    masks, the last one possibly short.
+
+    A mask is a high chunk h (labels 17–31, none at n ≤ 4) over a low
+    chunk.  For each h of popcount at most hi, ascending, the low chunks
+    that complete it are one table entry, keyed by h's popcount and, under
+    ``u_zero``, its xor-sum, and built on first use.  So no mask outside
+    the filters is ever made, and none is merged, filtered or sorted.
+    """
+    low_xors, *high_xors = _word_tables(n).xors
+    high_xors = high_xors[0] if high_xors else np.zeros(1, dtype=np.uint8)
+    highs = np.flatnonzero(np.bitwise_count(np.arange(high_xors.size)) <= hi)
+    lows = np.arange(low_xors.size, dtype=np.int64)
+    weights = np.bitwise_count(lows).astype(np.int8)  # lo − k may be < 0
+
+    @cache  # per walk: a window's table dies with its walk
+    def completion(k: int, u: int) -> np.ndarray:
+        fits = (lo - k <= weights) & (weights <= hi - k)
+        return lows[fits & (low_xors == u) if u_zero else fits]
+
+    tops, pending, held = [], [], 0
+    for h in highs.tolist():
+        low = completion(h.bit_count(), int(high_xors[h]) if u_zero else 0)
+        tops.append(h << CHUNK_BITS)
+        pending.append(low)
+        held += low.size
+        if held >= WORD_ROWS:
+            # one repeat adds the held high chunks: a numpy call per h
+            # would cost more than the rest of the walk
+            words = np.concatenate(pending)
+            words |= np.repeat(tops, [low.size for low in pending])
+            cut = held - held % WORD_ROWS
+            yield from np.split(words[:cut], cut // WORD_ROWS)
+            # the rest already carries its high chunks
+            tops, pending, held = [0], [words[cut:]], held - cut
+    if held:
+        words = np.concatenate(pending)
+        words |= np.repeat(tops, [low.size for low in pending])
+        yield words
 
 
 def _word_findings(n: int, words: np.ndarray,
@@ -437,20 +456,19 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
                    d_max: int | None = None, u_zero: bool = False,
                    sample: int | None = None,
                    seed: int = 0) -> Iterator[ConnectionSet]:
-    """Connection sets at dimension n in canonical ascending-mask order.
+    """Connection sets at dimension n in canonical ascending-mask order,
+    read off the blocks a survey walks.
 
     ``u_zero`` keeps only sets with xor-sum 0.  Without ``sample`` the
-    walk is exhaustive, under the caps of the module docstring; with it,
-    that many distinct sets are drawn from ``seed``.  Every argument is
-    checked on the first ``next()``.
+    walk is exhaustive and makes only the sets the filters admit, under
+    the caps of the module docstring; with it, that many distinct sets are
+    drawn from ``seed``.  Every argument is checked on the first
+    ``next()``.
     """
-    masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
-                         sample=sample, seed=seed)
-    if n <= FILTERED_CAP:
-        masks = (mask for words in _word_blocks(n, masks, u_zero)
-                 for mask in words.tolist())
-    for mask in masks:
-        yield ConnectionSet(n, tuple(_mask_labels(mask)))
+    for block in _mask_blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+                              sample=sample, seed=seed):
+        for mask in map(int, block):
+            yield ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
 # ── per-set records ───────────────────────────────────────────────────────
@@ -664,18 +682,12 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
         raise EnumerationCapError(
             f"the antipodality audit is exhaustive and reaches n = "
             f"{EXHAUSTIVE_CAP}; got n = {n}")
-    masks = _mask_stream(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
+    masks = _mask_blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                          sample=sample, seed=seed)
-    if n <= FILTERED_CAP:
-        path = "word-table"
-        steps = ((words.size, _word_findings(n, words, audit))
-                 for words in _word_blocks(n, masks, u_zero))
-    else:
-        path = "indicator-wht"
-        rows = max(1, BLOCK_CELLS >> n)
-        steps = ((len(block), _indicator_findings(n, block))
-                 for block in iter(lambda: list(islice(masks, rows)), []))
-    steps = list(steps)
+    path, find = (("word-table", partial(_word_findings, n, audit=audit))
+                  if n <= FILTERED_CAP else
+                  ("indicator-wht", partial(_indicator_findings, n)))
+    steps = [(len(block), find(block)) for block in masks]
     scanned = sum(count for count, _ in steps)
     blocks = [found for _, found in steps if found is not None]
     count = sum(len(block.u) for block in blocks)  # one offset per set

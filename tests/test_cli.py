@@ -256,12 +256,13 @@ def test_survey_violation_exit_code(capsys, monkeypatch):
 
 def test_scan_window_errors_exit_2(capsys, monkeypatch):
     # the window is checked before the walk, so no block of sets is ever
-    # built: every block of the word path (n <= 5) comes from _word_blocks,
-    # and every block of the indicator path passes through _indicators
+    # built: every exhaustive block of the word path (n <= 5) comes from
+    # _walk, and every block of the indicator path passes through
+    # _indicators
     def walked(*args):
         raise AssertionError("a block of sets was built")
 
-    monkeypatch.setattr(scanner, "_word_blocks", walked)
+    monkeypatch.setattr(scanner, "_walk", walked)
     monkeypatch.setattr(scanner, "_indicators", walked)
     for argv in (["--n", "5", "--d-min", "1"],
                  ["--n", "3", "--d-min", "5", "--d-max", "2"],
@@ -269,6 +270,15 @@ def test_scan_window_errors_exit_2(capsys, monkeypatch):
                   "--sample", "1"]):
         code, out, err = _run(capsys, ["scan", *argv])
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_scan_refuses_the_whole_n5_xor_sum_zero_space(capsys):
+    # the cap counts the xor-sum-zero sets the walk would visit, exactly
+    code, out, err = _run(capsys, ["scan", "--n", "5", "--u-zero"])
+    assert code == 2 and out == ""
+    assert err == ("error: degree window [1, 31] at n = 5 holds 67108863 "
+                   "xor-sum-zero sets, over the 2^24 cap; narrow the window "
+                   "or sample\n")
 
 
 @pytest.mark.parametrize("argv", [["--n", "40", "--sample", "1"],

@@ -7,7 +7,7 @@ import json
 import math
 import random
 import types
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -71,8 +71,10 @@ def test_enumeration_combined_filters():
 def test_enumeration_caps():
     with pytest.raises(EnumerationCapError):
         list(enumerate_sets(EXHAUSTIVE_CAP + 1))
-    with pytest.raises(EnumerationCapError):
-        # a u filter alone cannot prune the mask walk
+    with pytest.raises(EnumerationCapError,
+                       match="holds 67108863 xor-sum-zero sets"):
+        # the cap counts the sets the walk visits: a u filter prunes the
+        # walk, but 2^26 - 1 xor-sum-zero sets at n = 5 are still too many
         list(enumerate_sets(EXHAUSTIVE_CAP + 1, u_zero=True))
     with pytest.raises(EnumerationCapError):
         list(enumerate_sets(FILTERED_CAP + 1, d_max=2))
@@ -85,6 +87,80 @@ def test_enumeration_caps():
     # a degree window lifts the n=5 cap
     got = list(enumerate_sets(5, d_max=2))
     assert len(got) == 31 + math.comb(31, 2)
+
+
+def test_cap_counts_the_sets_a_u_filter_keeps():
+    # d <= 9 at n = 5 holds 31,621,023 sets, over the cap, but only
+    # 988,156 of them have xor-sum 0, and the conjecture scan walks those
+    with pytest.raises(EnumerationCapError, match="holds 31621023 sets,"):
+        scan_sets(5, d_max=9)
+    assert sum(scanner._xor_sum_zero_count(5, d)
+               for d in range(1, 10)) == 988_156 <= MASK_CAP
+    report = conjecture_scan(5, d_max=9)
+    assert report.universe == 988_156 and report.violations == 0
+    assert report.digest() == (
+        "2cadb6feec6f234623186291a9ad6bed58c96cfcf1cbb84de83fd450ad11410c")
+
+
+def _walked(n, lo, hi, u_zero):
+    """The masks of ``_walk``, after checking its blocks: ascending, and
+    ``WORD_ROWS`` masks in each but a shorter, nonempty last one."""
+    blocks = list(scanner._walk(n, lo, hi, u_zero))
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert [b.size for b in blocks[:-1]] == [scanner.WORD_ROWS] * (
+        len(blocks) - 1)
+    masks = np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
+    assert not blocks or 0 < blocks[-1].size <= scanner.WORD_ROWS
+    assert (np.diff(masks) > 0).all()
+    return masks.tolist()
+
+
+def test_walk_matches_brute_force_up_to_n4():
+    # every mask of the space, filtered by popcount and xor-sum
+    for n in range(1, 5):
+        width = (1 << n) - 1
+        space = [(m, m.bit_count(), _xor_of_mask(m))
+                 for m in range(1, 1 << width)]
+        for lo, hi in {(1, width), (1, 1), (width, width), (2, 3),
+                       (max(1, width // 2), width // 2 + 2)}:
+            if lo > hi:
+                continue
+            for u_zero in (False, True):
+                want = [m for m, d, u in space
+                        if lo <= d <= hi and not (u_zero and u)]
+                assert _walked(n, lo, hi, u_zero) == want, (n, lo, hi)
+
+
+def test_walk_matches_combinations_at_n5():
+    # the thin windows at both ends of the n = 5 space, where the walk
+    # runs over every high chunk
+    for lo, hi in ((1, 3), (2, 2), (28, 31), (30, 31)):
+        combos = [c for d in range(lo, hi + 1)
+                  for c in itertools.combinations(range(1, 32), d)]
+        for u_zero in (False, True):
+            want = sorted(sum(1 << (x - 1) for x in c) for c in combos
+                          if not (u_zero and _xor(c)))
+            assert _walked(5, lo, hi, u_zero) == want, (lo, hi, u_zero)
+
+
+def test_walk_pins_the_n5_xor_sum_zero_slice_below_2_26():
+    # labels 1..26 only: the first 1,024 high chunks of the full n = 5
+    # xor-sum-zero walk, 2^21 - 1 sets.  1,680 of them transfer, all at
+    # pi/4, at d = 11, 12, 15, 16, 19 and 20 only
+    scanned, degrees, times = 0, Counter(), set()
+    for words in scanner._walk(5, 1, 31, True):
+        if not (words := words[words < 1 << 26]).size:
+            break
+        scanned += words.size
+        found = scanner._word_findings(5, words, False)
+        if found is not None:
+            degrees.update(np.count_nonzero(found.labels, axis=1).tolist())
+            times.update(found.q.tolist())
+            assert not found.u.any()
+    assert scanned == 2_097_151
+    assert times == {4}
+    assert dict(degrees) == {11: 468, 12: 588, 15: 336, 16: 240, 19: 36,
+                             20: 12}
 
 
 def test_enumeration_bad_arguments():
