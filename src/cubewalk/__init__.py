@@ -25,9 +25,8 @@ _ORIGIN = {name: module for module, names in {
                  "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
                  "hypercube", "odd_parity_functional", "spans"],
     "dynamics": ["HALF_PI", "PI", "GaussianInteger", "RationalAngle",
-                 "UnsupportedAngleError", "all_amplitudes",
-                 "all_amplitudes_exact", "all_fidelities", "amplitude",
-                 "amplitude_exact", "gaussian_unit",
+                 "UnsupportedAngleError", "all_amplitudes", "all_fidelities",
+                 "amplitude", "amplitude_exact", "gaussian_unit",
                  "measurement_distribution"],
     "graphwalk": ["DisconnectedGraphError", "DistanceProfile",
                   "antipodal_pairs", "bfs_profile", "bipartite_functional",

@@ -5,22 +5,25 @@ library, and serializes the result.  No math lives here.
 
 Conventions shared by all subcommands:
 
-  * the primary document goes to stdout as indented JSON, or to the file
-    named by --out; surveys additionally print a short aligned summary to
-    stderr so long runs stay legible,
+  * the primary document goes to stdout as compact JSON, or to the file
+    named by --out (``python -m json.tool`` pretty-prints it); surveys
+    additionally print a short aligned summary to stderr so long runs stay
+    legible,
   * --csv switches tabular subcommands (spectrum, evolve, measure) to CSV
     on stdout with the run manifest as one JSON line on stderr,
   * there is one emit path, ``_emit``, surveys included.  A list with one
     row per vertex (2ⁿ rows) or per survey finding never becomes Python
     dicts or strings: the command hands it over as token columns, uint8
     tables of JSON texts with a table row per list row (``jsontext.Rows``),
-    and ``_emit`` renders the indented document, the canonical text behind
-    the digest and the CSV rows from them through one byte kernel, with
-    the bytes json.dumps would write for the full payload,
-  * every JSON document embeds a run manifest: argv, tool version, the
-    inputs, seed where one applies, start/finish timestamps, and a sha256
-    digest of the canonical payload so re-runs can be compared byte for
-    byte,
+    and ``_emit`` renders the document and the CSV rows from them through
+    one byte kernel, with the bytes json.dumps would write for the full
+    payload,
+  * a JSON document is the payload's canonical text (sorted keys, no
+    whitespace) with its closing brace moved after a last key, the run
+    manifest: argv, tool version, the inputs, seed where one applies,
+    start/finish timestamps, and last the sha256 digest of that canonical
+    text, so re-runs can be compared byte for byte and the digest checked
+    by hashing the bytes before ``,"manifest":`` and a closing brace,
   * the manifest's ``env`` names the Python and numpy versions, and for
     oracle-verify the scipy version and the OPENBLAS_NUM_THREADS value
     scipy's BLAS loaded with, with who set it (see ``_load_scipy``),
@@ -46,7 +49,6 @@ import os
 import platform
 import sys
 from datetime import datetime, timezone
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
@@ -88,6 +90,29 @@ def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes]:
                         "", "")
 
 
+def _document(payload: dict, manifest: dict) -> Iterator[bytes]:
+    """The payload's canonical text with ``,"manifest":{...}`` spliced in
+    before its closing brace, then a newline.  The manifest's last keys,
+    ``finished`` and ``payload_sha256`` (of the canonical text, brace
+    included), are filled in once the payload is out."""
+    import hashlib
+
+    from .jsontext import dumps
+
+    sha = hashlib.sha256()
+    pieces = dumps(payload)
+    held = next(pieces)
+    for piece in pieces:
+        sha.update(held)
+        yield held
+        held = piece
+    sha.update(held)
+    yield held[:-1]
+    manifest.update(finished=_utc_now(), payload_sha256=sha.hexdigest())
+    yield b',"manifest":' + json.dumps(
+        manifest, separators=(",", ":"), allow_nan=False).encode() + b"}\n"
+
+
 def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
           seed=None, csv: dict[str, Tokens] | None = None,
           env: dict | None = None, manifest_extra: dict | None = None
@@ -95,15 +120,14 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
     """Serialize one command result according to the output flags.
 
     ``Rows`` in the payload are spliced in as lists; ``csv`` maps each
-    CSV header to one of their columns.  Documents are dumped with
-    allow_nan=False, so a non-finite float raises ValueError (exit 2)
-    before anything is written: ``numbers`` checks its columns alike.
+    CSV header to one of their columns.  The JSON document is rendered
+    once, as ``_document`` writes it.  A non-finite float raises
+    ValueError (exit 2) before anything is written: ``canonical_dumps``
+    refuses one in the payload's text, ``numbers`` in its columns.
     ``env`` adds to the Python and numpy versions in ``manifest.env``.
     Returns the manifest.
     """
     import numpy as np
-
-    from .jsontext import digest, dumps
 
     manifest = {
         "tool": "cubewalk",
@@ -114,17 +138,17 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
         "inputs": inputs,
         "seed": seed,
         "started": args.started_at,
-        "finished": _utc_now(),
-        "payload_sha256": digest(payload),
+        **(manifest_extra or {}),
     }
-    manifest.update(manifest_extra or {})
     if getattr(args, "csv", False) and csv is not None:
+        from .jsontext import digest
+
+        manifest.update(finished=_utc_now(), payload_sha256=digest(payload))
         pieces = _csv_text(csv)
         print(json.dumps({"manifest": manifest}, allow_nan=False),
               file=sys.stderr)
     else:
-        pieces = chain(dumps({**payload, "manifest": manifest},
-                             indented=True), [b"\n"])
+        pieces = _document(payload, manifest)
     out = getattr(args, "out", None)
     if out:
         try:

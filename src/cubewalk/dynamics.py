@@ -18,6 +18,7 @@ Every fidelity on the grid is thus exactly 0 or 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -144,6 +145,16 @@ _UNITS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
           GaussianInteger(-1, 0), GaussianInteger(0, -1))
 
 
+def _phase(d: int, time: RationalAngle) -> GaussianInteger | complex:
+    """e^(−idt), the phase of a transfer at ``time`` on a set of degree d:
+    exact when it is a power of i on the quarter grid, complex otherwise."""
+    q = time.q
+    e0 = -time.p * d % (2 * q)
+    k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
+    phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
+    return phase if time.is_quarter_exact else complex(phase)
+
+
 # ── float path ────────────────────────────────────────────────────────────
 
 def all_amplitudes(omega: ConnectionSet, t: float) -> np.ndarray:
@@ -190,7 +201,7 @@ def _point_mass(omega: ConnectionSet,
             f"exact amplitudes need a multiple of pi/2, got {t}")
     m = t.p * (2 // t.q)
     return (omega.u.bits if m % 2 else 0,
-            gaussian_unit(-m * omega.d) * (1 << omega.n))
+            _phase(omega.d, t) * (1 << omega.n))
 
 
 def _grid_fidelities(omega: ConnectionSet, t: RationalAngle,
@@ -211,12 +222,6 @@ def exact_components(omega: ConnectionSet,
     re, im = np.zeros((2, 1 << omega.n), dtype=np.int64)
     re[mu], im[mu] = amp.re, amp.im
     return re, im
-
-
-def all_amplitudes_exact(omega: ConnectionSet,
-                         t: RationalAngle) -> list[GaussianInteger]:
-    re, im = exact_components(omega, t)
-    return [GaussianInteger(int(r), int(i)) for r, i in zip(re, im)]
 
 
 def amplitude_exact(omega: ConnectionSet, delta: GroupElement,

@@ -4,7 +4,7 @@ A payload may hold ``Rows`` as the value of a key at any depth: a list
 of rows of one shape, held as columns.  The shape is a skeleton, one row
 with a ``slot(name)`` marker at every leaf; json.dumps of it, cut at the
 markers, gives the text between the leaves.  ``dumps`` splices each list
-in at its marker, at the depth the indentation of the marker's line shows.
+in at its marker.
 
 A leaf column is a token column, ``Tokens``: a uint8 table of its distinct
 JSON texts, NUL-padded to one width, and a table row per list row; a list
@@ -43,8 +43,10 @@ def slots(*names: str) -> dict:
 
 
 def canonical_dumps(obj) -> str:
-    """Sorted keys, no whitespace: the bytes every payload digest covers."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace: the bytes every payload digest covers.
+    A non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def _ascii(text: str) -> np.ndarray:
@@ -66,10 +68,10 @@ class Tokens(NamedTuple):
     table: np.ndarray
     index: np.ndarray | None = None
 
-    def width(self, indent: str | None) -> int:
+    def width(self) -> int:
         return self.table.shape[1]
 
-    def fill(self, out: np.ndarray, start: int, stop: int, indent) -> None:
+    def fill(self, out: np.ndarray, start: int, stop: int) -> None:
         out[:] = self.table[start:stop] if self.index is None \
             else self.table.take(self.index[start:stop], axis=0)
 
@@ -81,17 +83,14 @@ class Members(NamedTuple):
     table: np.ndarray
     index: np.ndarray
 
-    def width(self, indent: str | None) -> int:
-        _, sep, closing = brackets(indent)
-        return self.index.shape[1] * (len(sep) + self.table.shape[1]) \
-            + max(len(closing), 2)
+    def width(self) -> int:
+        return self.index.shape[1] * (1 + self.table.shape[1]) + 2
 
-    def fill(self, out: np.ndarray, start: int, stop: int, indent) -> None:
-        """A member is its separator and text: the first one's comma turns
+    def fill(self, out: np.ndarray, start: int, stop: int) -> None:
+        """A member is a comma and its text: the first one's comma turns
         into the opening bracket; a list with no member is "[]"."""
-        _, sep, closing = brackets(indent)
-        cell = np.hstack([np.broadcast_to(_ascii(sep), (
-            len(self.table), len(sep))), self.table])
+        cell = np.hstack([np.full((len(self.table), 1), ord(","), np.uint8),
+                          self.table])
         cell[0] = 0
         index = self.index[start:stop]
         rows, k = index.shape
@@ -101,7 +100,7 @@ class Members(NamedTuple):
         first = listed.argmax(axis=1)
         some = listed[np.arange(rows), first]
         cells[some, first[some], 0] = ord("[")
-        out[:, cells[0].size:] = table(["[]", closing]).take(
+        out[:, cells[0].size:] = table(["[]", "]"]).take(
             some.view(np.uint8), axis=0)
 
 
@@ -156,25 +155,14 @@ def binary_texts(n: int, labels: np.ndarray | None = None) -> Tokens:
     return Tokens(texts)
 
 
-def brackets(indent: str | None) -> tuple[str, str, str]:
-    """Opening, separator and closing text of a non-empty list that is the
-    value on a line indented by ``indent``; None gives compact text."""
-    if indent is None:
-        return "[", ",", "]"
-    inner = "\n" + indent + "  "
-    return "[" + inner, "," + inner, "\n" + indent + "]"
-
-
 def rendered(segments: Sequence[str], leaves: Sequence, first: str,
-             sep: str, indents: Sequence | None = None) -> Iterator[bytes]:
+             sep: str) -> Iterator[bytes]:
     """Each row as ``sep`` (``first``, as long, on the first row),
     segments[0], leaf 0, segments[1], ..., segments[-1], ``CHUNK`` rows a
-    piece; leaf i renders as on a line indented by indents[i] (None:
-    compact)."""
-    indents = indents or [None] * len(leaves)
+    piece."""
     parts = [_ascii(sep + segments[0])]
-    for leaf, indent, text in zip(leaves, indents, segments[1:]):
-        parts += [np.zeros(leaf.width(indent), np.uint8), _ascii(text)]
+    for leaf, text in zip(leaves, segments[1:]):
+        parts += [np.zeros(leaf.width(), np.uint8), _ascii(text)]
     ends = np.cumsum([0, *map(len, parts)]).tolist()
     size = len(leaves[0].table if leaves[0].index is None
                else leaves[0].index)
@@ -182,17 +170,11 @@ def rendered(segments: Sequence[str], leaves: Sequence, first: str,
     matrix[:] = np.concatenate(parts)  # the text between the leaves
     for start in range(0, size, CHUNK):
         rows = matrix[:min(CHUNK, size - start)]
-        for i, (leaf, indent) in enumerate(zip(leaves, indents)):
+        for i, leaf in enumerate(leaves):
             leaf.fill(rows[:, ends[2 * i + 1]:ends[2 * i + 2]], start,
-                      start + len(rows), indent)
+                      start + len(rows))
         rows[0, :len(sep)] = _ascii(sep if start else first)
         yield rows[rows != 0].tobytes()
-
-
-def _indent_at(text: str, at: int) -> str:
-    """The spaces that open the line of ``text`` holding position ``at``."""
-    line = text[text.rfind("\n", 0, at) + 1:at]
-    return line[:len(line) - len(line.lstrip(" "))]
 
 
 class Rows(NamedTuple):
@@ -203,30 +185,20 @@ class Rows(NamedTuple):
     skeleton: object
     blocks: Sequence[dict]
 
-    def text(self, indent: str | None) -> Iterator[bytes]:
-        """The list in pieces, compact with sorted keys when ``indent`` is
-        None, else as json.dumps(indent=2) writes it under ``indent``."""
-        opening, sep, closing = brackets(indent)
-        if indent is None:
-            template = canonical_dumps(self.skeleton)
-        else:  # every line indented, the first too, for _indent_at
-            template = indent + "  " + json.dumps(
-                self.skeleton, indent=2).replace("\n", "\n" + indent + "  ")
+    def text(self) -> Iterator[bytes]:
+        """The list in pieces, compact with sorted keys."""
+        template = canonical_dumps(self.skeleton)
         names = _MARKER.findall(template)
-        indents = [None if indent is None else _indent_at(template, m.start())
-                   for m in _MARKER.finditer(template)]
         segments = _MARKER.split(template)[0::2]
-        segments[0] = segments[0].lstrip(" ")
         for i, columns in enumerate(self.blocks):
             yield from rendered(segments, [columns[name] for name in names],
-                                sep if i else opening, sep, indents)
-        yield (closing if self.blocks else "[]").encode()
+                                "," if i else "[", ",")
+        yield b"]" if self.blocks else b"[]"
 
 
-def dumps(obj, indented: bool) -> Iterator[bytes]:
-    """json.dumps of ``obj`` as bytes in pieces, each ``Rows`` spliced in
-    as its list: compact with sorted keys as ``canonical_dumps``, or
-    indented by two spaces with allow_nan=False."""
+def dumps(obj) -> Iterator[bytes]:
+    """``canonical_dumps`` of ``obj`` as bytes in pieces, each ``Rows``
+    spliced in as its list."""
     tables: list[Rows] = []
 
     def marked(value):
@@ -237,14 +209,11 @@ def dumps(obj, indented: bool) -> Iterator[bytes]:
             return {key: marked(item) for key, item in value.items()}
         return value
 
-    value = marked(obj)
-    text = json.dumps(value, indent=2, allow_nan=False) if indented \
-        else canonical_dumps(value)
+    text = canonical_dumps(marked(obj))
     done = 0
     for match in _MARKER.finditer(text):
         yield text[done:match.start()].encode()
-        indent = _indent_at(text, match.start()) if indented else None
-        yield from tables[int(match[1])].text(indent)
+        yield from tables[int(match[1])].text()
         done = match.end()
     yield text[done:].encode()
 
@@ -252,6 +221,6 @@ def dumps(obj, indented: bool) -> Iterator[bytes]:
 def digest(obj) -> str:
     """sha256 of the canonical text of ``obj``, its ``Rows`` spliced in."""
     sha = hashlib.sha256()
-    for piece in dumps(obj, indented=False):
+    for piece in dumps(obj):
         sha.update(piece)
     return sha.hexdigest()

@@ -63,15 +63,13 @@ and it is certified on its own.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
-from .dynamics import HALF_PI, GaussianInteger, RationalAngle, gaussian_unit
+from .dynamics import HALF_PI, GaussianInteger, RationalAngle, _phase
 from .spectral import character_bits, spectrum, wht
 
 
@@ -227,16 +225,6 @@ def _certificate(n: int, d: int, values: np.ndarray, delta: GroupElement,
             f"fidelity at {time} for delta={delta} is not 1")
     return PstCertificate(n=n, delta=delta, time=time, method=method,
                           phase=_phase(d, time))
-
-
-def _phase(d: int, time: RationalAngle) -> GaussianInteger | complex:
-    """e^(−idt), the phase of a transfer at ``time`` on a set of degree d:
-    exact when it is a power of i on the quarter grid, complex otherwise."""
-    q = time.q
-    e0 = -time.p * d % (2 * q)
-    k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
-    phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
-    return phase if time.is_quarter_exact else complex(phase)
 
 
 # ── routing ───────────────────────────────────────────────────────────────

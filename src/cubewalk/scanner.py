@@ -654,7 +654,7 @@ class ScanReport:
         return self.universe / self.wall_time_s if self.wall_time_s else 0.0
 
     def canonical_json(self) -> str:
-        return b"".join(dumps(self.columnar_payload(), False)).decode()
+        return b"".join(dumps(self.columnar_payload())).decode()
 
     def digest(self) -> str:
         return digest(self.columnar_payload())

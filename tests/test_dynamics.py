@@ -11,9 +11,9 @@ import pytest
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
 from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
                                UnsupportedAngleError, all_amplitudes,
-                               all_amplitudes_exact, all_fidelities,
-                               amplitude, amplitude_exact, exact_components,
-                               gaussian_unit, measurement_distribution)
+                               all_fidelities, amplitude, amplitude_exact,
+                               exact_components, gaussian_unit,
+                               measurement_distribution)
 from cubewalk.spectral import spectrum, wht
 
 # how far the float fidelities may stray from the exact ones on the grid
@@ -244,8 +244,8 @@ def test_grid_path_computes_no_spectrum_and_no_transform(monkeypatch):
         assert amplitude_exact(big, GroupElement(mu, 20), t).abs2() == 1 << 40
         assert amplitude_exact(big, GroupElement(mu ^ 1, 20), t) == \
             GaussianInteger(0, 0)
-        table = all_amplitudes_exact(small, t)
-        assert [b for b, z in enumerate(table) if z.abs2()] == \
+        re, im = exact_components(small, t)
+        assert list(np.flatnonzero(re * re + im * im)) == \
             [small.u.bits * odd]
         assert list(np.flatnonzero(all_fidelities(big, t))) == [mu]
         dist = measurement_distribution(big, a, t)
@@ -255,8 +255,9 @@ def test_grid_path_computes_no_spectrum_and_no_transform(monkeypatch):
 
 def test_exact_amplitude_objects():
     omega = hypercube(3)
-    table = all_amplitudes_exact(omega, HALF_PI)
-    assert all(isinstance(z, GaussianInteger) for z in table)
+    assert all(isinstance(amplitude_exact(omega, GroupElement(b, 3),
+                                          HALF_PI), GaussianInteger)
+               for b in range(8))
     top = amplitude_exact(omega, GroupElement.all_ones(3), HALF_PI)
     assert top.abs2() == 64  # unit magnitude after the 1/2^n scale
     zero = amplitude_exact(omega, GroupElement.zero(3), HALF_PI)

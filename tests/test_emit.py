@@ -2,8 +2,9 @@
 
 The reference commands below build every per-vertex list as Python dicts
 and render them with json.dumps and csv.writer, as the CLI once did.  The
-CLI must print the same bytes: the indented document up to its manifest,
-the payload digest and the CSV rows.
+CLI must print the same bytes: the payload's canonical text up to its
+closing brace, where the manifest follows, the payload digest and the CSV
+rows.
 """
 
 import csv
@@ -22,6 +23,7 @@ from cubewalk.dynamics import (RationalAngle, all_amplitudes,
 from cubewalk.graphwalk import (bfs_profile, bipartite_functional,
                                 is_complete_bipartite)
 from cubewalk.jsontext import canonical_dumps
+from cubewalk.scanner import antipodality_audit, scan_sets
 from cubewalk.spectral import Spectrum, classify_congruences, spectrum
 
 
@@ -166,10 +168,10 @@ def _assert_same_bytes(capsys, argv, tmp_path=None):
     payload, header, rows = REFERENCE[argv[0]](PARSER.parse_args(argv))
     assert _handle(argv) == 0
     out = capsys.readouterr().out
-    body = json.dumps(payload, indent=2, allow_nan=False)
-    head, sep, _ = out.partition(',\n  "manifest": ')
-    assert sep and head == body[:-2], argv
-    digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+    text = canonical_dumps(payload)
+    head, sep, _ = out.partition(',"manifest":')
+    assert sep and head == text[:-1], argv
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert json.loads(out)["manifest"]["payload_sha256"] == digest, argv
     if header is not None:
         assert _handle(argv + ["--csv"]) == 0
@@ -186,7 +188,9 @@ def _assert_same_bytes(capsys, argv, tmp_path=None):
         assert _handle(argv + ["--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         written = target.read_text()
-        assert written.partition(',\n  "manifest": ')[0] == head, argv
+        assert written.partition(',"manifest":')[0] == head, argv
+        manifest = json.loads(written)["manifest"]
+        assert manifest["payload_sha256"] == digest, argv
 
 
 def _argvs(n, labels, rng):
@@ -360,11 +364,9 @@ def test_kernel_renders_random_token_columns_as_json(monkeypatch):
             doc = {"rows": rows, "after": [1, {"x": None}]}
             want = {"rows": [d for _, ds in blocks for d in ds],
                     "after": [1, {"x": None}]}
-            for indented, text in ((False, canonical_dumps(want)),
-                                   (True, json.dumps(want, indent=2))):
-                pieces = list(jsontext.dumps(doc, indented))
-                assert all(b"\0" not in piece for piece in pieces)
-                assert b"".join(pieces).decode() == text, (chunk, indented)
+            pieces = list(jsontext.dumps(doc))
+            assert all(b"\0" not in piece for piece in pieces)
+            assert b"".join(pieces).decode() == canonical_dumps(want), chunk
             assert jsontext.digest(doc) == hashlib.sha256(
                 canonical_dumps(want).encode()).hexdigest()
 
@@ -425,3 +427,53 @@ def test_non_finite_column_exits_2_with_nothing_on_stdout(capsys,
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")
 
+
+
+# ── the document: the canonical payload, then its manifest ────────────────
+
+def _assert_document(text, payload, extra=()):
+    """``text`` is the payload's canonical text without its closing brace,
+    the manifest as the last key, then one newline; the payload text and
+    its brace hash to the digest, and it parses back to the payload."""
+    head, sep, tail = text.partition(',"manifest":')
+    assert sep and head == canonical_dumps(payload)[:-1]
+    doc = json.loads(text)
+    manifest = doc.pop("manifest")
+    assert list(manifest) == ["tool", "version", "env", "argv", "inputs",
+                              "seed", "started", *extra, "finished",
+                              "payload_sha256"]
+    assert tail == json.dumps(manifest, separators=(",", ":")) + "}\n"
+    assert manifest["payload_sha256"] == hashlib.sha256(
+        (head + "}").encode()).hexdigest()
+    assert doc == payload
+
+
+def test_document_is_the_canonical_payload_then_its_manifest(capsys,
+                                                             tmp_path):
+    argv = ["evolve", "--n", "3", "--omega", "001,110", "--t-pi", "1/2"]
+    payload, _, _ = _ref_evolve(PARSER.parse_args(argv))
+    assert _handle(argv) == 0
+    _assert_document(capsys.readouterr().out, payload)
+    survey = ("wall_time_s", "sets_per_s", "path")
+    assert _handle(["audit-antipodal", "--n", "3"]) == 0
+    _assert_document(capsys.readouterr().out, {
+        "command": "audit-antipodal",
+        "report": antipodality_audit(3).payload()}, survey)
+    target = tmp_path / "scan.json"
+    assert _handle(["scan", "--n", "3", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    _assert_document(target.read_text(), {
+        "command": "scan", "report": scan_sets(3).payload()}, survey)
+
+
+def test_non_finite_scalar_exits_2_with_nothing_on_stdout(capsys,
+                                                          monkeypatch):
+    def poisoned(omega, t):
+        return np.full(1 << omega.n, complex(float("nan"), 0.0))
+
+    monkeypatch.setattr(dynamics, "all_amplitudes", poisoned)
+    code = cli.main(["fidelity", "--n", "3", "--omega", "001,010",
+                     "--delta", "011", "--t-real", "0.7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

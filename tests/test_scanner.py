@@ -576,14 +576,9 @@ def test_survey_digest_renders_from_columns():
     for report in reports + [empty]:
         # rendered first, from the columns; the records are read after
         text, digest = report.canonical_json(), report.digest()
-        document = b"".join(jsontext.dumps(
-            {"command": "scan", "report": report.columnar_payload()},
-            indented=True)).decode()
         want = jsontext.canonical_dumps(report.payload())
         assert text == want
         assert digest == hashlib.sha256(want.encode()).hexdigest()
-        assert document == json.dumps(
-            {"command": "scan", "report": report.payload()}, indent=2)
     assert sum(len(r.findings) for r in reports[len(PINNED_SURVEYS):]) > 300
     plain, windowed, u_zero = reports[-3:]
     assert min(f["d"] for r in (plain, windowed) for f in r.findings) > 1000
@@ -608,16 +603,13 @@ def test_audit_columns_render_a_violation():
     assert records[0]["diameter"] == 2
     assert records[0]["violations"] == ["00001"]
     rows = jsontext.Rows(scanner._skeleton(True), [block.columns])
-    for indented in (False, True):
-        got = b"".join(jsontext.dumps({"findings": rows}, indented))
-        want = json.dumps({"findings": records}, indent=2) if indented \
-            else jsontext.canonical_dumps({"findings": records})
-        assert got.decode() == want, indented
+    got = b"".join(jsontext.dumps({"findings": rows}))
+    assert got.decode() == jsontext.canonical_dumps({"findings": records})
 
 
 def test_each_block_builds_its_columns_once(monkeypatch, capsys):
-    # the CLI renders a survey twice, for its digest and its document,
-    # from one set of token columns per block
+    # the CLI renders a survey once, its digest taken as it writes, from
+    # one set of token columns per block
     built = []
     build = scanner._Findings.columns.func
 
