@@ -1,7 +1,16 @@
 """Command line front end.
 
-Thin adapters only: every subcommand parses its arguments, calls the
-library, and serializes the result.  No math lives here.
+Each single-set subcommand (spectrum, evolve, fidelity, measure, graph,
+pst-check, pst-search, route) first calls ``_inputs``, which parses --n,
+--omega, the element and the time once each and returns their canonical
+texts with the typed values: the texts are the manifest's ``inputs`` and
+open the payload.  The handler then calls the library and shapes its
+answer into the payload.  The arithmetic left here is small: ``evolve``
+divides the amplitudes by 2ⁿ and reads each fidelity off as a modulus,
+``evolve`` and ``fidelity`` take the exact mode on the quarter-period
+grid, and ``measure`` picks its note from the time and the xor-sum.  The
+surveys and oracle-verify name their own ``inputs``, which their payloads
+do not hold.
 
 Conventions shared by all subcommands:
 
@@ -10,7 +19,8 @@ Conventions shared by all subcommands:
     additionally print a short aligned summary to stderr so long runs stay
     legible,
   * --csv switches tabular subcommands (spectrum, evolve, measure) to CSV
-    on stdout with the run manifest as one JSON line on stderr,
+    rows, on stdout or in the --out file, with the run manifest as one
+    JSON line on stderr,
   * there is one emit path, ``_emit``, surveys included.  A list with one
     row per vertex (2ⁿ rows) or per survey finding never becomes Python
     dicts or strings: the command hands it over as token columns, uint8
@@ -43,6 +53,7 @@ Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -122,8 +133,9 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
     ``Rows`` in the payload are spliced in as lists; ``csv`` maps each
     CSV header to one of their columns.  The JSON document is rendered
     once, as ``_document`` writes it.  A non-finite float raises
-    ValueError (exit 2) before anything is written: ``canonical_dumps``
-    refuses one in the payload's text, ``numbers`` in its columns.
+    ValueError (exit 2) before anything is written or --out is opened:
+    ``canonical_dumps`` refuses one in the payload's text, ``numbers`` in
+    its columns.
     ``env`` adds to the Python and numpy versions in ``manifest.env``.
     Returns the manifest.
     """
@@ -149,6 +161,9 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
               file=sys.stderr)
     else:
         pieces = _document(payload, manifest)
+    # canonical_dumps refuses a non-finite float at the first piece: take
+    # it before --out is opened, so an existing file keeps its bytes
+    pieces = itertools.chain([next(pieces)], pieces)
     out = getattr(args, "out", None)
     if out:
         try:
@@ -187,6 +202,34 @@ def _angle_of(args: argparse.Namespace):
     return args.t_real
 
 
+def _inputs(args: argparse.Namespace) -> tuple:
+    """Parse a single-set command's inputs, each once.
+
+    The order is the order errors are reported in: --n with --omega, then
+    the element (--delta, --a, --source or --target; an absent or empty
+    --a or --source is the zero vertex), then the time.  Returns the
+    canonical texts, keyed as the payload keys, then the typed values in
+    that order, n left out.  The texts are the manifest's ``inputs`` and
+    open the payload.
+    """
+    from .bitspace import ConnectionSet, GroupElement
+
+    given = vars(args)
+    values = {}
+    if "omega" in given:
+        values["omega"] = ConnectionSet.parse(args.omega, args.n)
+    for key in ("delta", "a", "source", "target"):
+        if key in given:
+            values[key] = (GroupElement.zero(args.n)
+                           if key in ("a", "source") and not given[key]
+                           else GroupElement.parse(given[key], args.n))
+    if "t_pi" in given:
+        values["time"] = _angle_of(args)
+    inputs = {"n": args.n, **{key: v if isinstance(v, float) else str(v)
+                              for key, v in values.items()}}
+    return (inputs, *values.values())
+
+
 def _complex_json(z: GaussianInteger | complex) -> dict:
     from .dynamics import GaussianInteger
 
@@ -200,11 +243,10 @@ def _complex_json(z: GaussianInteger | complex) -> dict:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .bitspace import ConnectionSet
     from .jsontext import Rows, binary_texts, booleans, numbers, pick, slots
     from .spectral import classify_set
 
-    omega = ConnectionSet.parse(args.omega, args.n)
+    inputs, omega = _inputs(args)
     report = classify_set(omega)
     columns = {
         "v": binary_texts(args.n),
@@ -216,16 +258,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "ok": booleans(report.ok),
     }
     payload = {
-        "command": "spectrum",
-        "n": args.n,
-        "omega": omega.format(),
+        "command": args.command, **inputs,
         "d": omega.d,
         "u": str(omega.u),
         "case": report.case,
         "all_pass": report.all_pass,
         "eigenvalues": Rows(slots(*columns), [columns]),
     }
-    _emit(args, payload, {"n": args.n, "omega": omega.format()},
+    _emit(args, payload, inputs,
           csv={"v_binary": columns["v"], "lambda": columns["lambda"],
                "k": columns["k"],
                "congruence_class": columns["congruence_class"]})
@@ -235,12 +275,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .bitspace import ConnectionSet
     from .dynamics import RationalAngle, all_amplitudes, exact_components
     from .jsontext import Rows, binary_texts, numbers, slot, slots
 
-    omega = ConnectionSet.parse(args.omega, args.n)
-    t = _angle_of(args)
+    inputs, omega, t = _inputs(args)
     size = 1 << args.n
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
     if exact:
@@ -260,15 +298,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                                   "im": slot("exact_im")}
     row["amplitude"] = {"re": slot("re"), "im": slot("im")}
     payload = {
-        "command": "evolve",
-        "n": args.n,
-        "omega": omega.format(),
-        "time": str(t) if isinstance(t, RationalAngle) else t,
+        "command": args.command, **inputs,
         "mode": "exact" if exact else "float",
         "fidelities": Rows(row, [columns]),
     }
-    _emit(args, payload,
-          {"n": args.n, "omega": omega.format(), "time": payload["time"]},
+    _emit(args, payload, inputs,
           csv={"delta_binary": columns["delta"],
                "fidelity": columns["fidelity"], "re": columns["re"],
                "im": columns["im"]})
@@ -276,48 +310,32 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    from .bitspace import ConnectionSet, GroupElement
     from .dynamics import RationalAngle, all_fidelities, amplitude_exact
 
-    omega = ConnectionSet.parse(args.omega, args.n)
-    delta = GroupElement.parse(args.delta, args.n)
-    t = _angle_of(args)
+    inputs, omega, delta, t = _inputs(args)
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
     fid = all_fidelities(omega, t)
     payload = {
-        "command": "fidelity",
-        "n": args.n,
-        "omega": omega.format(),
-        "delta": str(delta),
-        "time": str(t) if isinstance(t, RationalAngle) else t,
+        "command": args.command, **inputs,
         "mode": "exact" if exact else "float",
         "fidelity": float(fid[delta.bits]),
     }
     if exact:
         payload["amplitude_exact"] = _complex_json(
             amplitude_exact(omega, delta, t))
-    _emit(args, payload, {"n": args.n, "omega": omega.format(),
-                          "delta": str(delta), "time": payload["time"]})
+    _emit(args, payload, inputs)
     return 0
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    from .bitspace import ConnectionSet, GroupElement
     from .dynamics import RationalAngle, measurement_distribution
     from .jsontext import Rows, binary_texts, numbers, slots
 
-    omega = ConnectionSet.parse(args.omega, args.n)
-    start = GroupElement.parse(args.a, args.n) if args.a \
-        else GroupElement.zero(args.n)
-    t = _angle_of(args)
+    inputs, omega, start, t = _inputs(args)
     dist = measurement_distribution(omega, start, t)
     columns = {"vertex": binary_texts(args.n), "p": numbers(dist)}
     payload = {
-        "command": "measure",
-        "n": args.n,
-        "omega": omega.format(),
-        "a": str(start),
-        "time": str(t) if isinstance(t, RationalAngle) else t,
+        "command": args.command, **inputs,
         "distribution": Rows(slots(*columns), [columns]),
     }
     if isinstance(t, RationalAngle) and t.q == 2:
@@ -331,9 +349,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             payload["note"] = ("the walker is at a xor u with certainty at "
                                "this time; away from the exact grid the "
                                "distribution spreads over the cube")
-    _emit(args, payload,
-          {"n": args.n, "omega": omega.format(), "a": str(start),
-           "time": payload["time"]},
+    _emit(args, payload, inputs,
           csv={"vertex_binary": columns["vertex"],
                "probability": columns["p"]})
     return 0
@@ -342,14 +358,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .bitspace import ConnectionSet, GroupElement
     from .graphwalk import (bfs_profile, bipartite_functional,
                             is_complete_bipartite)
     from .jsontext import Rows, Tokens, binary_texts, numbers, slot, slots
 
-    omega = ConnectionSet.parse(args.omega, args.n)
-    source = GroupElement.parse(args.source, args.n) if args.source \
-        else GroupElement.zero(args.n)
+    inputs, omega, source = _inputs(args)
     profile = bfs_profile(omega, source)
     functional = bipartite_functional(omega)
     parts = is_complete_bipartite(omega)
@@ -357,11 +370,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     distances = {"v": labels,
                  "dist": numbers(profile.dist, missing=profile.dist < 0)}
     payload = {
-        "command": "graph",
-        "n": args.n,
-        "omega": omega.format(),
+        "command": args.command, **inputs,
         "d": omega.d,
-        "source": str(source),
         "connected": profile.connected,
         "diameter": profile.diameter,
         "shells": profile.shell_sizes(),
@@ -376,21 +386,17 @@ def cmd_graph(args: argparse.Namespace) -> int:
                                     [{"v": Tokens(labels.table, far)}])
     else:
         payload["antipodal"] = None
-    _emit(args, payload, {"n": args.n, "omega": omega.format(),
-                          "source": str(source)})
+    _emit(args, payload, inputs)
     return 0
 
 
 def cmd_pst_check(args: argparse.Namespace) -> int:
-    from .bitspace import ConnectionSet
     from .pst import pst_at_half_pi
 
-    omega = ConnectionSet.parse(args.omega, args.n)
+    inputs, omega = _inputs(args)
     cert = pst_at_half_pi(omega)
     payload = {
-        "command": "pst-check",
-        "n": args.n,
-        "omega": omega.format(),
+        "command": args.command, **inputs,
         "d": omega.d,
         "u": str(omega.u),
         "pst": cert is not None,
@@ -402,44 +408,32 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
         payload["method"] = cert.method
     else:
         payload["note"] = "revival at pi/2"
-    _emit(args, payload, {"n": args.n, "omega": omega.format()})
+    _emit(args, payload, inputs)
     return 0
 
 
 def cmd_pst_search(args: argparse.Namespace) -> int:
-    from .bitspace import ConnectionSet, GroupElement
     from .pst import certify, decide_pst_exact
 
-    omega = ConnectionSet.parse(args.omega, args.n)
-    delta = GroupElement.parse(args.delta, args.n)
+    inputs, omega, delta = _inputs(args)
     found = decide_pst_exact(omega, delta)
-    payload = {
-        "command": "pst-search",
-        "n": args.n,
-        "omega": omega.format(),
-        "delta": str(delta),
-        "pst": found is not None,
-    }
+    payload = {"command": args.command, **inputs, "pst": found is not None}
     if found is not None:
         cert = certify(omega, delta, found)
         payload["time"] = str(found)
         payload["phase"] = _complex_json(cert.phase)
         payload["method"] = cert.method
-    _emit(args, payload, {"n": args.n, "omega": omega.format(),
-                          "delta": str(delta)})
+    _emit(args, payload, inputs)
     return 0
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from .bitspace import GroupElement
     from .pst import plan_route
 
-    target = GroupElement.parse(args.target, args.n)
+    inputs, target = _inputs(args)
     plan = plan_route(args.n, target)
     payload = {
-        "command": "route",
-        "n": args.n,
-        "target": str(target),
+        "command": args.command, **inputs,
         "base": plan.base.format(),
         "total_time": str(plan.total_time),
         "stages": [{
@@ -449,7 +443,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             "phase": _complex_json(s.certificate.phase),
         } for s in plan.stages],
     }
-    _emit(args, payload, {"n": args.n, "target": str(target)})
+    _emit(args, payload, inputs)
     return 0
 
 
@@ -558,9 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="time in plain radians")
         if csv_arg:
             p.add_argument("--csv", action="store_true",
-                           help="tabular output instead of JSON")
-        p.add_argument("--out", help="write the JSON document here "
-                                     "instead of stdout")
+                           help="CSV rows instead of JSON, the manifest "
+                                "as one JSON line on stderr")
+        p.add_argument("--out", help="write the JSON document"
+                       + (", or with --csv the CSV rows," if csv_arg else "")
+                       + " here instead of stdout")
         return p
 
     add("spectrum", cmd_spectrum, "integer spectrum and congruence classes",

@@ -227,6 +227,97 @@ def test_route_subcommand(capsys):
     assert acc == 0b1011
 
 
+# Each single-set command's input layer, pinned: the payload digest and the
+# manifest's inputs, the canonical texts that open the payload.  Every time
+# is on the exact grid, so no digest depends on libm.
+INPUT_PINS = [
+    ("spectrum --n 3 --omega 001,010,111",
+     "eb89dca91d215009734c8322c204e6def04ed886364d09e4e1916cb68f9c6300",
+     {"n": 3, "omega": "001,010,111"}),
+    ("evolve --n 3 --omega 001,110 --t-pi 1/2",
+     "81aacf0cf3785b7fa3ae0fad21a2f9d76ec17ac671ce96606173461f48440a45",
+     {"n": 3, "omega": "001,110", "time": "pi/2"}),
+    ("fidelity --n 3 --omega 001,010,111 --delta 100 --t-pi 1/2",
+     "67a074e43e1ca0a720d6d0c26cc2369d606dd28bf83048972658b268e0a8299c",
+     {"n": 3, "omega": "001,010,111", "delta": "100", "time": "pi/2"}),
+    ("measure --n 3 --omega 001,110 --t-pi 3/2 --a 101",
+     "d0396349ee622e485676e1892aa3c4275501b33eea7fab4fb7ee81ce277d9e42",
+     {"n": 3, "omega": "001,110", "a": "101", "time": "3*pi/2"}),
+    ("graph --n 3 --omega 001,010,100,111 --source 011",
+     "dca2fc94cde6c8dba01a210a76fc7708a804e67674fee3c835b9bbfcee1f51d7",
+     {"n": 3, "omega": "001,010,100,111", "source": "011"}),
+    ("pst-check --n 3 --omega 010,001,111",
+     "ce7ec922f55c902c7de325955c9737ff1e156f53bf0c69ca3d356691bc4d50f4",
+     {"n": 3, "omega": "001,010,111"}),
+    ("pst-check --n 3 --omega 100,010,001,111",
+     "615974dac8eb440d5b230574fd8a271fb96dc4bad609874316b6efd4a3316e39",
+     {"n": 3, "omega": "001,010,100,111"}),
+    ("pst-search --n 3 --omega 001,010,111 --delta 100",
+     "212e699f9f7db4a73b8d8d695ec2ed521bab732c5307dfc43233de21bb82fa4b",
+     {"n": 3, "omega": "001,010,111", "delta": "100"}),
+    ("pst-search --n 3 --omega 001,010,111 --delta 011",
+     "d083885210b2c65f55e1b8a566352d9de42a883cd0c3db4c04fd507da1dc45e3",
+     {"n": 3, "omega": "001,010,111", "delta": "011"}),
+    ("route --n 4 --target 1011",
+     "19fbe783740f950e55d7a97331cd2ee4f520fb26058f9fa57708511b6ee4a949",
+     {"n": 4, "target": "1011"}),
+]
+
+
+@pytest.mark.parametrize("argv, digest, inputs", INPUT_PINS,
+                         ids=[a.split()[0] + f"-{i}"
+                              for i, (a, _, _) in enumerate(INPUT_PINS)])
+def test_single_set_inputs_and_digests_are_pinned(capsys, argv, digest,
+                                                  inputs):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    doc, payload = _json_of(out)
+    manifest = doc["manifest"]
+    assert manifest["payload_sha256"] == digest
+    prefix = out.encode().partition(b',"manifest":')[0]
+    assert hashlib.sha256(prefix + b"}").hexdigest() == digest
+    # the same keys in the same order, and each opens the payload
+    assert list(manifest["inputs"].items()) == list(inputs.items())
+    assert payload["command"] == argv.split()[0]
+    assert {k: payload[k] for k in inputs} == inputs
+
+
+def test_input_parsing_order_and_zero_vertex_defaults(capsys):
+    # the first bad input in parse order is the one reported:
+    # n, omega, then the element, then the time
+    for argv, message in (
+            ("fidelity --n 3 --omega 2 --delta 9 --t-pi x",
+             "label '2' is not a binary string of length 3"),
+            ("fidelity --n 3 --omega 001 --delta 9 --t-pi x",
+             "label '9' is not a binary string of length 3"),
+            ("measure --n 3 --omega 001 --a 9 --t-pi x",
+             "label '9' is not a binary string of length 3"),
+            ("fidelity --n 30 --omega 2 --delta 9 --t-pi x",
+             "dimension must be in 1..24, got 30")):
+        code, out, err = _run(capsys, argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    code, out, err = _run(capsys, ["route", "--n", "30", "--target", ""])
+    assert (code, out, err) == (
+        2, "", "error: dimension must be in 1..24, got 30\n")
+    # --delta and --target are required: an empty one is an error ...
+    for argv in (["fidelity", "--n", "3", "--omega", "001", "--delta", "",
+                  "--t-pi", "1/2"],
+                 ["pst-search", "--n", "3", "--omega", "001", "--delta", ""],
+                 ["route", "--n", "3", "--target", ""]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: empty element token\n")
+    # ... while an empty --a or --source is the zero vertex, as when absent
+    for argv, key in ((["measure", "--n", "3", "--omega", "001,110",
+                        "--t-pi", "3/2"], "a"),
+                      (["graph", "--n", "3", "--omega", "001,110"],
+                       "source")):
+        docs = [json.loads(_run(capsys, argv + tail)[1])
+                for tail in ([], [f"--{key}", ""], [f"--{key}", "000"])]
+        digests = {d.pop("manifest")["payload_sha256"] for d in docs}
+        assert len(digests) == 1
+        assert docs[0] == docs[1] == docs[2] and docs[0][key] == "000"
+
+
 def test_scan_and_audit_exit_codes(capsys):
     code, out, err = _run(capsys, ["scan", "--n", "3", "--u-zero"])
     assert code == 0
@@ -366,6 +457,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "spectrum"
+
+
+def test_csv_out_writes_the_rows_to_the_file(tmp_path, capsys):
+    # with --csv, --out takes the CSV rows; the manifest stays on stderr,
+    # with the digest of the payload the JSON document holds
+    argv = ["evolve", "--n", "3", "--omega", "001,110", "--t-pi", "1/3"]
+    code, rows, err = _run(capsys, argv + ["--csv"])
+    assert code == 0 and rows.startswith("delta_binary,")
+    digest = json.loads(err)["manifest"]["payload_sha256"]
+    target = tmp_path / "rows.csv"
+    code, out, err = _run(capsys, argv + ["--csv", "--out", str(target)])
+    assert code == 0 and out == ""
+    assert target.read_bytes() == rows.encode()
+    assert json.loads(err)["manifest"]["payload_sha256"] == digest
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["manifest"]["payload_sha256"] == digest
 
 
 def test_json_round_trip_idempotent(capsys):
@@ -508,7 +616,12 @@ def _running(argv):
                  HEAVY | SUBMODULES - {"cubewalk.cli"}, id="usage-error"),
     pytest.param(_running(["spectrum", "--n", "3", "--omega", "001,010"]), 0,
                  {"scipy", "cubewalk.scanner", "cubewalk.pst",
-                  "cubewalk.oracle", "cubewalk.graphwalk"}, id="spectrum"),
+                  "cubewalk.oracle", "cubewalk.graphwalk",
+                  "cubewalk.dynamics"}, id="spectrum"),
+    pytest.param(_running(["graph", "--n", "3", "--omega", "001,010"]), 0,
+                 {"scipy", "cubewalk.spectral", "cubewalk.dynamics",
+                  "cubewalk.pst", "cubewalk.scanner", "cubewalk.oracle"},
+                 id="graph"),
     pytest.param(_running(["scan", "--n", "2"]), 0,
                  {"scipy", "cubewalk.oracle"}, id="scan"),
 ])

@@ -477,3 +477,23 @@ def test_non_finite_scalar_exits_2_with_nothing_on_stdout(capsys,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_unrenderable_payload_leaves_the_out_file_as_it_was(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # the payload is refused before --out is opened, so an existing file
+    # keeps its bytes
+    def poisoned(omega, t):
+        return np.full(1 << omega.n, complex(float("nan"), 0.0))
+
+    monkeypatch.setattr(dynamics, "all_amplitudes", poisoned)
+    target = tmp_path / "keep.json"
+    target.write_text('{"old": 1}')
+    code = cli.main(["fidelity", "--n", "3", "--omega", "001,010",
+                     "--delta", "011", "--t-real", "0.7",
+                     "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert target.read_text() == '{"old": 1}'
