@@ -6,6 +6,10 @@ ConnectionSet is a loopless Cayley connection set: distinct nonzero labels
 together with the two invariants used everywhere downstream, the degree
 d = |Ω| and the xor-sum u = ⊕_{w∈Ω} w.
 
+Every operand in the package lives in some Z₂ⁿ, and operands that meet
+must share n.  ``_same_space`` is the one check of that rule, for every
+module: a mismatch raises DimensionMismatchError naming the operand.
+
 Everything in this module is exact integer work; no floats enter here.
 """
 
@@ -36,6 +40,15 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
 
 
+def _same_space(n: int, **operands) -> None:
+    """Raise DimensionMismatchError for the first named operand whose
+    ``.n`` is not n."""
+    for name, operand in operands.items():
+        if operand.n != n:
+            raise DimensionMismatchError(
+                f"{name} of Z2^{operand.n} against Z2^{n}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An element of Z₂ⁿ stored as a bit label in [0, 2ⁿ).
@@ -55,9 +68,7 @@ class GroupElement:
     def __xor__(self, other: GroupElement) -> GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatchError(
-                f"cannot combine elements of Z2^{self.n} and Z2^{other.n}")
+        _same_space(self.n, other=other)
         return GroupElement(self.bits ^ other.bits, self.n)
 
     @property
@@ -84,9 +95,7 @@ class GroupElement:
 
 def dot_parity(a: GroupElement, b: GroupElement) -> int:
     """GF(2) inner product aᵀb: parity of the AND of the two labels."""
-    if a.n != b.n:
-        raise DimensionMismatchError(
-            f"cannot pair elements of Z2^{a.n} and Z2^{b.n}")
+    _same_space(a.n, b=b)
     return (a.bits & b.bits).bit_count() & 1
 
 
@@ -137,9 +146,7 @@ class ConnectionSet:
         labels = []
         for item in self.elements:
             if isinstance(item, GroupElement):
-                if item.n != self.n:
-                    raise DimensionMismatchError(
-                        f"element of Z2^{item.n} in a Z2^{self.n} set")
+                _same_space(self.n, element=item)
                 value = item.bits
             else:
                 value = int(item)

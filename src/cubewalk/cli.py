@@ -157,21 +157,27 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
 
         manifest.update(finished=_utc_now(), payload_sha256=digest(payload))
         pieces = _csv_text(csv)
-        print(json.dumps({"manifest": manifest}, allow_nan=False),
-              file=sys.stderr)
+        note = json.dumps({"manifest": manifest}, allow_nan=False)
     else:
         pieces = _document(payload, manifest)
+        note = None
     # canonical_dumps refuses a non-finite float at the first piece: take
-    # it before --out is opened, so an existing file keeps its bytes
+    # it before --out is opened, so an existing file keeps its bytes.  The
+    # CSV manifest waits for --out to open, so an --out that cannot be
+    # opened leaves only the error on stderr.
     pieces = itertools.chain([next(pieces)], pieces)
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "wb") as handle:
+                if note:
+                    print(note, file=sys.stderr)
                 handle.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
+        if note:
+            print(note, file=sys.stderr)
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:  # a text stream, such as io.StringIO
             stream, pieces = sys.stdout, (p.decode() for p in pieces)

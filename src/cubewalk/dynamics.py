@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
+from .bitspace import ConnectionSet, GroupElement, _same_space
 from .spectral import spectrum, wht
 
 
@@ -172,9 +172,7 @@ def all_amplitudes(omega: ConnectionSet, t: float) -> np.ndarray:
 def amplitude(omega: ConnectionSet, a: GroupElement, b: GroupElement,
               t: float) -> complex:
     """Transition amplitude ⟨b| e^(−itA) |a⟩, unnormalized by 2ⁿ."""
-    if a.n != omega.n or b.n != omega.n:
-        raise DimensionMismatchError(
-            f"vertices of Z2^{a.n}/Z2^{b.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, a=a, b=b)
     return complex(all_amplitudes(omega, t)[a.bits ^ b.bits])
 
 
@@ -227,9 +225,7 @@ def exact_components(omega: ConnectionSet,
 def amplitude_exact(omega: ConnectionSet, delta: GroupElement,
                     t: RationalAngle) -> GaussianInteger:
     """T_δ(t) in O(1), read off the point mass; t must be a multiple of π/2."""
-    if delta.n != omega.n:
-        raise DimensionMismatchError(
-            f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, delta=delta)
     mu, amp = _point_mass(omega, t)
     return amp if delta.bits == mu else GaussianInteger(0, 0)
 
@@ -243,9 +239,7 @@ def measurement_distribution(omega: ConnectionSet, a: GroupElement,
     Entry b is F_δ(t)² with δ = a⊕b, read off ``all_fidelities``; on the
     exact grid, the point mass of the module docstring moved to a.
     """
-    if a.n != omega.n:
-        raise DimensionMismatchError(
-            f"vertex of Z2^{a.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, a=a)
     if isinstance(t, RationalAngle) and t.is_quarter_exact:
         return _grid_fidelities(omega, t, a.bits)
     fid = all_fidelities(omega, t)

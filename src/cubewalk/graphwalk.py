@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
+from .bitspace import (ConnectionSet, GroupElement, _same_space,
                        odd_parity_functional)
 
 
@@ -50,9 +50,7 @@ class DistanceProfile:
 
 def neighbors(omega: ConnectionSet, x: GroupElement) -> list[GroupElement]:
     """The vertices adjacent to x, in ascending generator order."""
-    if x.n != omega.n:
-        raise DimensionMismatchError(
-            f"vertex of Z2^{x.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, x=x)
     return [GroupElement(x.bits ^ w, omega.n) for w in omega.elements]
 
 
@@ -63,9 +61,7 @@ def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
     the source within its component.  Translation by the source is an
     automorphism, so the profile is the one from 0 read at x ⊕ source.
     """
-    if source.n != omega.n:
-        raise DimensionMismatchError(
-            f"source of Z2^{source.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, source=source)
     size = 1 << omega.n
     dist = _bfs(omega.elements, omega.n)
     if source.bits:

@@ -25,8 +25,7 @@ import random
 
 import numpy as np
 
-from .bitspace import (ConnectionSet, DimensionMismatchError, GroupElement,
-                       _mask_labels)
+from .bitspace import ConnectionSet, GroupElement, _mask_labels, _same_space
 
 DENSE_CAP = 10
 EVOLVE_TOL = 1e-8
@@ -143,23 +142,21 @@ def dense_eigenvalues(omega: ConnectionSet) -> np.ndarray:
     return _eigenvalues(adjacency_dense(omega))
 
 
-def evolve_dense(omega: ConnectionSet, t: float,
-                 cross_check: bool = True) -> np.ndarray:
+def evolve_dense(omega: ConnectionSet, t: float) -> np.ndarray:
     """Walk operator U(t) = exp(−itA) by dense diagonalization.
 
-    With ``cross_check`` the result is also compared entrywise against
-    scipy's scaling-and-squaring expm; disagreement beyond EVOLVE_TOL or a
+    The result is also compared entrywise against scipy's
+    scaling-and-squaring expm; disagreement beyond EVOLVE_TOL or a
     unitarity defect beyond UNITARY_TOL raises OracleMismatchError.  A
     non-finite ``t`` raises ValueError.
     """
     t = _finite_time(t)
     adj = adjacency_dense(omega)
     unitary, _ = _unitary(adj, t)
-    if cross_check:
-        dev = float(np.abs(unitary - _expm(adj, t)).max())
-        if not dev <= EVOLVE_TOL:
-            raise OracleMismatchError(
-                f"diagonalization and expm disagree by {dev:.3e}")
+    dev = float(np.abs(unitary - _expm(adj, t)).max())
+    if not dev <= EVOLVE_TOL:
+        raise OracleMismatchError(
+            f"diagonalization and expm disagree by {dev:.3e}")
     return unitary
 
 
@@ -174,9 +171,7 @@ def evolve_expm(omega: ConnectionSet, t: float) -> np.ndarray:
 
 def commutation_check(first: ConnectionSet, second: ConnectionSet) -> int:
     """Max |entry| of [A₁, A₂]; exactly 0 for any two cubelike sets."""
-    if first.n != second.n:
-        raise DimensionMismatchError(
-            f"sets on Z2^{first.n} and Z2^{second.n} do not share a graph")
+    _same_space(first.n, second=second)
     a = adjacency_dense(first)
     b = adjacency_dense(second)
     comm = a @ b - b @ a

@@ -68,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitspace import ConnectionSet, DimensionMismatchError, GroupElement
+from .bitspace import ConnectionSet, GroupElement, _same_space
 from .dynamics import HALF_PI, GaussianInteger, RationalAngle, _phase
 from .spectral import character_bits, spectrum, wht
 
@@ -180,9 +180,7 @@ def decide_pst_exact(omega: ConnectionSet,
     δ must be nonzero; the decision is exact integer arithmetic throughout
     and complete over all rational multiples of π.
     """
-    if delta.n != omega.n:
-        raise DimensionMismatchError(
-            f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, delta=delta)
     if delta.bits == 0:
         raise ValueError("delta must be nonzero; the trivial revival at "
                          "t = pi holds for every set")
@@ -198,9 +196,7 @@ def certify(omega: ConnectionSet, delta: GroupElement, time: RationalAngle,
     "Certificates" in the module docstring).  Raises CertificationError
     when the fidelity is not 1.
     """
-    if delta.n != omega.n:
-        raise DimensionMismatchError(
-            f"delta of Z2^{delta.n} against a set on Z2^{omega.n}")
+    _same_space(omega.n, delta=delta)
     return _certificate(omega.n, omega.d, spectrum(omega).values, delta,
                         time, method)
 
@@ -254,9 +250,7 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     """
     if isinstance(target, int):
         target = GroupElement(target, n)
-    if target.n != n:
-        raise DimensionMismatchError(
-            f"target of Z2^{target.n} for a route on Z2^{n}")
+    _same_space(n, target=target)
     if target.bits == 0:
         raise ValueError("target must be nonzero; the empty route is trivial")
     base = folded_cube(n)

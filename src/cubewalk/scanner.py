@@ -305,9 +305,9 @@ class _WordTables:
         + 1)."""
         first = np.full(1 << self.n, self.n + 1, dtype=np.int8)
         first[0] = 0
-        flips = _flips(self.n)
+        labels = np.arange(1 << self.n)
         (table,) = self._tables(first, lambda rows, w, out: np.minimum(
-            rows, rows[:, flips[w]] + 1, out=out))
+            rows, rows[:, labels ^ w] + 1, out=out))
         return table
 
     def _gather(self, tables: tuple[np.ndarray, ...],
@@ -348,15 +348,6 @@ class _WordTables:
         dists = np.ascontiguousarray(self.distances.take(words, axis=0).T)
         np.copyto(dists, -1, where=dists > self.n)
         return dists.T
-
-
-@cache
-def _flips(n: int) -> np.ndarray:
-    """The (2ⁿ × 2ⁿ) table w, v ↦ v ⊕ w."""
-    labels = np.arange(1 << n)
-    flips = labels[:, None] ^ labels
-    flips.flags.writeable = False
-    return flips
 
 
 _word_tables = cache(_WordTables)  # one read-only set per n = 1..5

@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitspace import DimensionMismatchError, ConnectionSet, GroupElement
+from .bitspace import ConnectionSet, GroupElement, _same_space
 
 
 def wht(data) -> np.ndarray:
@@ -287,9 +287,7 @@ def classify_congruences(spec: Spectrum, u: GroupElement,
     the k-range.  A correct spectrum always passes; the report exists so
     that consistency can be audited wholesale.
     """
-    if u.n != spec.n:
-        raise DimensionMismatchError(
-            f"xor-sum of Z2^{u.n} against a spectrum on Z2^{spec.n}")
+    _same_space(spec.n, u=u)
     if u.bits == 0 and u_in_set:
         raise ValueError("the zero element cannot be a set member")
     d = spec.d

@@ -7,11 +7,9 @@ time limits are pinned here and nowhere else.
 """
 
 import hashlib
-import itertools
 import math
 import random
 import time
-from collections import deque
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,6 +23,8 @@ from cubewalk.pst import certify, folded_cube, plan_route, pst_at_half_pi
 from cubewalk.scanner import antipodality_audit, conjecture_scan
 from cubewalk.spectral import classify_set, spectrum
 
+from oracles import all_sets, bfs_dist, eigenvalues, random_set, xor
+
 REVIVAL_TOL = 1e-9        # criterion 3: fidelity defect at t = pi
 ORACLE_TOL = 1e-8         # criterion 5: dense evolution agreement
 SWEEP_MARGIN = 1e-6       # criterion 7: off-diagonal fidelity headroom
@@ -32,24 +32,6 @@ DENSE_CHECK_TOL = 1e-9    # criteria 2/8/9: expm re-verification
 CLOSED_FORM_LIMIT = 1.0   # criterion 1: seconds per dimension
 CONGRUENCE_LIMIT = 60.0   # criterion 4: seconds for the n=4 sweep
 SCAN_LIMIT = 300.0        # criterion 7: seconds, single-threaded
-
-
-def _all_sets(n):
-    pool = range(1, 1 << n)
-    for k in range(1, len(pool) + 1):
-        yield from itertools.combinations(pool, k)
-
-
-def _xor(labels):
-    acc = 0
-    for x in labels:
-        acc ^= x
-    return acc
-
-
-def _direct_eigenvalues(labels, n):
-    return [sum(1 - 2 * (bin(w & v).count("1") & 1) for w in labels)
-            for v in range(1 << n)]
 
 
 def _adjacency(labels, n):
@@ -61,19 +43,6 @@ def _adjacency(labels, n):
             if x ^ y in members:
                 adj[x, y] = 1.0
     return adj
-
-
-def _bfs_dist(labels, source, n):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for w in labels:
-            y = x ^ w
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
 
 
 def test_criterion_1_hypercube_transfer():
@@ -146,7 +115,7 @@ def test_criterion_4_congruences_n4():
     started = time.perf_counter()
     rng = random.Random(4)
     checked = 0
-    for labels in _all_sets(4):
+    for labels in all_sets(4):
         omega = ConnectionSet(4, labels)
         report = classify_set(omega)
         assert report.all_pass, labels
@@ -154,7 +123,7 @@ def test_criterion_4_congruences_n4():
         if rng.randrange(512) == 0:
             # independent spot check: the spectrum feeding the classifier
             # matches plain character sums
-            direct = _direct_eigenvalues(labels, 4)
+            direct = eigenvalues(labels, 4)
             assert list(spectrum(omega).values) == direct
     elapsed = time.perf_counter() - started
     assert checked == 32767
@@ -166,14 +135,12 @@ def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         n = rng.randint(1, 6)
-        pool = range(1, 1 << n)
-        omega = ConnectionSet(n, tuple(rng.sample(
-            pool, rng.randint(1, len(pool)))))
+        omega = random_set(rng, n)
         t = rng.uniform(0.0, 2.0 * math.pi)
-        dense = evolve_dense(omega, t, cross_check=False)
+        dense = evolve_dense(omega, t)
         # closed form through an independent direct sum: the (b, a) entry
         # is (1/2^n) sum_v (-1)^((a xor b).v) e^(-i lambda_v t)
-        lam = np.array(_direct_eigenvalues(omega.elements, n))
+        lam = np.array(eigenvalues(omega.elements, n))
         idx = np.arange(1 << n)
         parity = (np.bitwise_count(
             (idx[:, None] ^ idx[None, :])[:, :, None]
@@ -184,23 +151,22 @@ def test_criterion_5_oracle_equivalence():
         worst = max(worst, float(np.abs(dense - closed).max()))
     assert worst <= ORACLE_TOL, worst
     for _ in range(50):
-        pool = range(1, 16)
-        a = ConnectionSet(4, tuple(rng.sample(pool, rng.randint(1, 15))))
-        b = ConnectionSet(4, tuple(rng.sample(pool, rng.randint(1, 15))))
+        a = random_set(rng, 4)
+        b = random_set(rng, 4)
         assert commutation_check(a, b) == 0
 
 
 def test_criterion_6_quantization_at_half_pi():
     for n in (1, 2, 3, 4):
         unit = (1 << n) ** 2
-        for labels in _all_sets(n):
+        for labels in all_sets(n):
             omega = ConnectionSet(n, labels)
             re, im = exact_components(omega, HALF_PI)
             sq = re * re + im * im
             hot = np.flatnonzero(sq)
             assert hot.size == 1, labels
             assert sq[hot[0]] == unit, labels
-            assert hot[0] == _xor(labels), labels
+            assert hot[0] == xor(labels), labels
 
 
 def test_criterion_7_conjecture_scan():
@@ -215,8 +181,8 @@ def test_criterion_7_conjecture_scan():
     # xor-sum-zero set at n <= 3, fully outside the exact decision path
     grid = np.pi * np.arange(1, 1025) / 1024.0
     for n in (2, 3):
-        for labels in _all_sets(n):
-            if _xor(labels) != 0:
+        for labels in all_sets(n):
+            if xor(labels) != 0:
                 continue
             adj = _adjacency(labels, n)
             w, vectors = np.linalg.eigh(adj)
@@ -254,13 +220,13 @@ def test_criterion_8_antipodality_audit():
     findings = reports[4].findings
     for record in rng.sample(findings, 7):
         labels = tuple(int(x, 2) for x in record["omega"])
-        dist = _bfs_dist(labels, 0, 4)
+        dist = bfs_dist(labels, 0)
         ecc = max(dist.values())
         assert record["diameter"] == ecc
         assert record["connected"] == (len(dist) == 16)
         for entry in record["pst"]:
             db = int(entry["delta"], 2)
-            assert entry["is_xor_sum"] == (db == _xor(labels))
+            assert entry["is_xor_sum"] == (db == xor(labels))
             assert entry["distance"] == dist[db]
             assert entry["antipodal"] == (dist[db] == ecc)
             when = RationalAngle.parse(entry["time"])

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cubewalk import dynamics, graphwalk, oracle, pst, spectral
 from cubewalk.bitspace import (MAX_DIMENSION, ConnectionSet,
                                DimensionMismatchError, GroupElement,
                                SetFormatError, _mask_labels, dot_parity,
@@ -78,6 +79,38 @@ def test_connection_set_accepts_group_elements():
     assert omega.elements == (1, 4)
     with pytest.raises(DimensionMismatchError):
         ConnectionSet(3, (GroupElement(1, 2),))
+
+
+# Every entry point that takes operands from one Z₂ⁿ, each given one
+# operand from Z₂² against a Z₂³ other.
+_E3, _E2 = GroupElement(1, 3), GroupElement(1, 2)
+_H3 = hypercube(3)
+_MISMATCHES = {
+    "GroupElement.__xor__": lambda: _E3 ^ _E2,
+    "dot_parity": lambda: dot_parity(_E3, _E2),
+    "ConnectionSet": lambda: ConnectionSet(3, (_E2,)),
+    "amplitude-a": lambda: dynamics.amplitude(_H3, _E2, _E3, 0.5),
+    "amplitude-b": lambda: dynamics.amplitude(_H3, _E3, _E2, 0.5),
+    "amplitude_exact": lambda: dynamics.amplitude_exact(_H3, _E2,
+                                                        dynamics.HALF_PI),
+    "measurement_distribution": lambda: dynamics.measurement_distribution(
+        _H3, _E2, dynamics.HALF_PI),
+    "neighbors": lambda: graphwalk.neighbors(_H3, _E2),
+    "bfs_profile": lambda: graphwalk.bfs_profile(_H3, _E2),
+    "decide_pst_exact": lambda: pst.decide_pst_exact(_H3, _E2),
+    "certify": lambda: pst.certify(_H3, _E2, dynamics.HALF_PI),
+    "plan_route": lambda: pst.plan_route(3, _E2),
+    "classify_congruences": lambda: spectral.classify_congruences(
+        spectral.spectrum(_H3), _E2, False),
+    "commutation_check": lambda: oracle.commutation_check(_H3, hypercube(2)),
+}
+
+
+@pytest.mark.parametrize("call", _MISMATCHES.values(), ids=_MISMATCHES)
+def test_every_operand_check_names_the_foreign_space(call):
+    with pytest.raises(DimensionMismatchError,
+                       match=r" of Z2\^2 against Z2\^3$"):
+        call()
 
 
 def test_connection_set_rejections():

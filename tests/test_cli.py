@@ -543,10 +543,15 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         code, out, err = _run(capsys, ["audit-antipodal", "--n", n])
         assert code == 2 and out == "" and "n = 4" in err
         assert "sample" not in err and "window" not in err
+    # --out is opened before the CSV manifest goes to stderr, so an
+    # unwritable path leaves the error line alone there
     missing = tmp_path / "missing" / "x.json"
-    code, _, err = _run(capsys, ["spectrum", "--n", "2", "--omega", "01",
-                                 "--out", str(missing)])
-    assert code == 2 and "cannot write" in err
+    for tail in ([], ["--csv"]):
+        code, out, err = _run(capsys, ["spectrum", "--n", "2", "--omega",
+                                       "01", *tail, "--out", str(missing)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {missing}: ")
+        assert err.count("\n") == 1, err
 
 
 def test_huge_time_numerators(capsys):

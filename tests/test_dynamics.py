@@ -16,14 +16,10 @@ from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
                                measurement_distribution)
 from cubewalk.spectral import spectrum, wht
 
+from oracles import character, eigenvalues, random_set
+
 # how far the float fidelities may stray from the exact ones on the grid
 FLOAT_TOL = 1e-9
-
-
-def _random_set(rng, n):
-    pool = range(1, 1 << n)
-    return ConnectionSet(n, tuple(rng.sample(pool,
-                                             rng.randint(1, len(pool)))))
 
 
 def _every_set(n):
@@ -45,14 +41,12 @@ def _transform_components(omega, t):
 def _direct_amplitudes(omega, t):
     # straight double loop over the definition, no transform anywhere
     n = omega.n
+    lam = eigenvalues(omega.elements, n)
     out = []
     for delta in range(1 << n):
         acc = 0j
         for v in range(1 << n):
-            lam = sum(1 - 2 * (bin(w & v).count("1") & 1)
-                      for w in omega.elements)
-            sign = 1 - 2 * (bin(delta & v).count("1") & 1)
-            acc += sign * cmath.exp(-1j * lam * t)
+            acc += character(delta, v) * cmath.exp(-1j * lam[v] * t)
         out.append(acc)
     return np.array(out)
 
@@ -131,7 +125,7 @@ def test_all_amplitudes_against_direct_sum():
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randint(1, 6)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         t = rng.uniform(0, 2 * math.pi)
         got = all_amplitudes(omega, t)
         want = _direct_amplitudes(omega, t)
@@ -142,9 +136,9 @@ def test_all_amplitudes_keep_the_bits_of_one_exponential_per_entry():
     # one exponential per distinct eigenvalue, gathered, against one per v
     rng = random.Random(17)
     cases = [(ConnectionSet(rng.randint(1, 8), ()), rng.uniform(0, 9))]
-    cases += [(_random_set(rng, rng.randint(1, 8)), t)
+    cases += [(random_set(rng, rng.randint(1, 8)), t)
               for t in (0.0, 1e17, 1e300, -2.5, math.pi / 3)]
-    cases += [(_random_set(rng, rng.randint(1, 10)), rng.uniform(-50, 50))
+    cases += [(random_set(rng, rng.randint(1, 10)), rng.uniform(-50, 50))
               for _ in range(300)]
     for omega, t in cases:
         lam = spectrum(omega).values
@@ -154,7 +148,7 @@ def test_all_amplitudes_keep_the_bits_of_one_exponential_per_entry():
 
 def test_amplitude_is_an_offset_lookup():
     rng = random.Random(17)
-    omega = _random_set(rng, 4)
+    omega = random_set(rng, 4)
     t = 0.83
     table = all_amplitudes(omega, t)
     for _ in range(20):
@@ -167,7 +161,7 @@ def test_fidelities_at_time_zero_and_bounds():
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(1, 6)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         fid0 = all_fidelities(omega, 0.0)
         assert math.isclose(fid0[0], 1.0, abs_tol=1e-12)
         assert np.max(fid0[1:]) <= 1e-12
@@ -178,7 +172,7 @@ def test_fidelities_at_time_zero_and_bounds():
 def test_full_revival_at_pi():
     rng = random.Random(29)
     for _ in range(30):
-        omega = _random_set(rng, rng.randint(1, 8))
+        omega = random_set(rng, rng.randint(1, 8))
         fid = all_fidelities(omega, PI)
         assert fid[0] == 1.0  # exact branch, no rounding at all
         assert np.all(fid[1:] == 0.0)
@@ -190,7 +184,7 @@ def test_exact_components_match_float_path():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(1, 6)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         t = RationalAngle(rng.randint(0, 8), rng.choice((1, 2)))
         re, im = exact_components(omega, t)
         direct = _direct_amplitudes(omega, t.radians)
@@ -275,7 +269,7 @@ def test_fidelity_exact_branch_agrees_with_float():
     rng = random.Random(37)
     for _ in range(30):
         n = rng.randint(1, 6)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         t = RationalAngle(rng.randint(0, 6), rng.choice((1, 2)))
         exact = all_fidelities(omega, t)
         floaty = all_fidelities(omega, t.radians)
@@ -286,7 +280,7 @@ def test_grid_fidelities_keep_the_bits_of_the_point_mass_modulus():
     rng = random.Random(59)
     for _ in range(60):
         n = rng.randint(1, 10)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         a = GroupElement(rng.randrange(1 << n), n)
         t = RationalAngle(rng.randint(0, 9), rng.choice((1, 2)))
         re, im = exact_components(omega, t)
@@ -303,7 +297,7 @@ def test_measurement_distribution_is_a_distribution():
     rng = random.Random(41)
     for _ in range(25):
         n = rng.randint(1, 6)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         a = GroupElement(rng.randrange(1 << n), n)
         t = rng.uniform(0, 3)
         dist = measurement_distribution(omega, a, t)
@@ -313,7 +307,7 @@ def test_measurement_distribution_is_a_distribution():
 
 def test_measurement_translation_covariance():
     rng = random.Random(43)
-    omega = _random_set(rng, 4)
+    omega = random_set(rng, 4)
     t = 1.1
     base = measurement_distribution(omega, GroupElement.zero(4), t)
     for bits in (1, 7, 12):

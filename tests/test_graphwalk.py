@@ -15,25 +15,7 @@ from cubewalk.graphwalk import (DisconnectedGraphError, _bfs,
                                 neighbors)
 from cubewalk.pst import folded_cube
 
-
-def _random_set(rng, n):
-    pool = range(1, 1 << n)
-    return ConnectionSet(n, tuple(rng.sample(pool,
-                                             rng.randint(1, len(pool)))))
-
-
-def _bfs_oracle(omega, source):
-    # textbook deque BFS, nothing shared with the library routine
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for w in omega.elements:
-            y = x ^ w
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+from oracles import bfs_dist, random_set
 
 
 def _two_colorable(omega):
@@ -62,10 +44,10 @@ def test_bfs_matches_oracle():
     rng = random.Random(3)
     for _ in range(80):
         n = rng.randint(1, 7)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         source = GroupElement(rng.randrange(1 << n), n)
         profile = bfs_profile(omega, source)
-        oracle = _bfs_oracle(omega, source.bits)
+        oracle = bfs_dist(omega.elements, source.bits)
         for v in range(1 << n):
             want = oracle.get(v, -1)
             assert profile.dist[v] == want, (omega.format(), v)
@@ -83,7 +65,7 @@ def test_bfs_matches_oracle_set_by_set():
         omega = ConnectionSet(n, labels)
         assert _bfs(labels, n).tolist() == _oracle_dist(labels, n)
         for source in range(1 << n):
-            oracle = _bfs_oracle(omega, source)
+            oracle = bfs_dist(omega.elements, source)
             profile = bfs_profile(omega, GroupElement(source, n))
             assert profile.dist.tolist() == [oracle.get(v, -1)
                                              for v in range(1 << n)]
@@ -106,7 +88,7 @@ def directions(monkeypatch):
 
 
 def _oracle_dist(labels, n):
-    oracle = _bfs_oracle(ConnectionSet(n, labels), 0)
+    oracle = bfs_dist(labels, 0)
     return [oracle.get(v, -1) for v in range(1 << n)]
 
 
@@ -169,8 +151,8 @@ def test_disconnected_profile():
 def test_connectivity_equals_span():
     rng = random.Random(9)
     for _ in range(100):
-        omega = _random_set(rng, rng.randint(1, 7))
-        reached = len(_bfs_oracle(omega, 0))
+        omega = random_set(rng, rng.randint(1, 7))
+        reached = len(bfs_dist(omega.elements, 0))
         assert spans(omega) == (reached == 1 << omega.n)
         assert spans(omega) == (bfs_profile(omega, GroupElement.zero(
             omega.n)).connected)
@@ -187,7 +169,7 @@ def test_antipodal_pairs():
 def test_bipartite_functional_against_two_coloring():
     rng = random.Random(15)
     for _ in range(120):
-        omega = _random_set(rng, rng.randint(1, 6))
+        omega = random_set(rng, rng.randint(1, 6))
         got = bipartite_functional(omega)
         if got is None:
             assert not _two_colorable(omega)

@@ -15,11 +15,7 @@ from cubewalk.oracle import (DENSE_CAP, DenseCapError, OracleMismatchError,
                              regular_rep, verify_equivalence)
 from cubewalk.spectral import spectrum
 
-
-def _random_set(rng, n):
-    pool = range(1, 1 << n)
-    return ConnectionSet(n, tuple(rng.sample(pool,
-                                             rng.randint(1, len(pool)))))
+from oracles import random_set
 
 
 def test_regular_rep_permutes_by_xor():
@@ -41,7 +37,7 @@ def test_regular_rep_permutes_by_xor():
 def test_adjacency_entries():
     rng = random.Random(7)
     for _ in range(30):
-        omega = _random_set(rng, rng.randint(1, 6))
+        omega = random_set(rng, rng.randint(1, 6))
         adj = adjacency_dense(omega)
         size = 1 << omega.n
         np.testing.assert_array_equal(adj, adj.T)
@@ -54,7 +50,7 @@ def test_adjacency_entries():
 def test_dense_eigenvalues_match_transform_spectrum():
     rng = random.Random(11)
     for _ in range(40):
-        omega = _random_set(rng, rng.randint(1, 6))
+        omega = random_set(rng, rng.randint(1, 6))
         np.testing.assert_array_equal(dense_eigenvalues(omega),
                                       spectrum(omega).values)
 
@@ -62,7 +58,7 @@ def test_dense_eigenvalues_match_transform_spectrum():
 def test_dense_eigenvalues_match_eigh():
     rng = random.Random(13)
     for _ in range(20):
-        omega = _random_set(rng, rng.randint(1, 5))
+        omega = random_set(rng, rng.randint(1, 5))
         ours = np.sort(dense_eigenvalues(omega))
         numeric = np.sort(np.linalg.eigvalsh(
             adjacency_dense(omega).astype(np.float64)))
@@ -72,9 +68,9 @@ def test_dense_eigenvalues_match_eigh():
 def test_evolution_routes_agree():
     rng = random.Random(17)
     for _ in range(20):
-        omega = _random_set(rng, rng.randint(1, 5))
+        omega = random_set(rng, rng.randint(1, 5))
         t = rng.uniform(0, 6)
-        u1 = evolve_dense(omega, t, cross_check=False)
+        u1 = evolve_dense(omega, t)
         u2 = evolve_expm(omega, t)
         assert np.max(np.abs(u1 - u2)) <= 1e-8
         size = 1 << omega.n
@@ -85,9 +81,9 @@ def test_evolution_routes_agree():
 def test_evolution_column_equals_amplitudes():
     rng = random.Random(19)
     for _ in range(20):
-        omega = _random_set(rng, rng.randint(1, 5))
+        omega = random_set(rng, rng.randint(1, 5))
         t = rng.uniform(0, 6)
-        u = evolve_dense(omega, t, cross_check=False)
+        u = evolve_dense(omega, t)
         col = all_amplitudes(omega, t) / (1 << omega.n)
         assert np.max(np.abs(u[:, 0] - col)) <= 1e-9
 
@@ -131,8 +127,8 @@ def test_non_finite_deviation_fails(monkeypatch):
 def test_commutation():
     rng = random.Random(23)
     for _ in range(25):
-        a = _random_set(rng, 4)
-        b = _random_set(rng, 4)
+        a = random_set(rng, 4)
+        b = random_set(rng, 4)
         assert commutation_check(a, b) == 0
     with pytest.raises(DimensionMismatchError):
         commutation_check(hypercube(2), hypercube(3))

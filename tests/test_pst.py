@@ -21,16 +21,7 @@ from cubewalk.pst import (CertificationError, certify, decide_pst_exact,
 from cubewalk.scanner import _indicators, enumerate_sets, scan_sets
 from cubewalk.spectral import _wht_rows, classify_set, spectrum, wht
 
-
-def _random_set(rng, n):
-    pool = range(1, 1 << n)
-    return ConnectionSet(n, tuple(rng.sample(pool,
-                                             rng.randint(1, len(pool)))))
-
-
-def _eigenvalues(omega):
-    return [sum(1 - 2 * (bin(w & v).count("1") & 1) for w in omega.elements)
-            for v in range(1 << omega.n)]
+from oracles import eigenvalues, random_set
 
 
 def _divisors(x):
@@ -46,7 +37,7 @@ def _pst_oracle(omega, delta_bits):
     spectral gaps and validity repeats with period 1, so scanning reduced
     a/b over b | gcd, 0 < a <= b is exhaustive.
     """
-    lam = _eigenvalues(omega)
+    lam = eigenvalues(omega.elements, omega.n)
     gaps = [lam[0] - x for x in lam]
     parity = [bin(v & delta_bits).count("1") & 1
               for v in range(len(lam))]
@@ -132,7 +123,7 @@ def test_scan_findings_match_brute_force():
 def test_decide_matches_brute_force_random_n4():
     rng = random.Random(21)
     for _ in range(40):
-        omega = _random_set(rng, 4)
+        omega = random_set(rng, 4)
         db = rng.randrange(1, 16)
         got = decide_pst_exact(omega, GroupElement(db, 4))
         want = _pst_oracle(omega, db)
@@ -231,7 +222,7 @@ def test_lowest_bit_g_is_the_gcd_of_the_gaps():
     for n in range(1, 5):
         batches.append((n, range(1, 1 << ((1 << n) - 1))))
     for n in range(5, 11):
-        sets = [_random_set(rng, n).elements for _ in range(400)]
+        sets = [random_set(rng, n).elements for _ in range(400)]
         sets += [_xor_sum_zero(rng, n) for _ in range(400)]
         batches.append((n, [sum(1 << (w - 1) for w in labels)
                             for labels in sets]))
@@ -271,7 +262,7 @@ def test_decide_on_edgeless_graph():
 def test_pst_offsets_agree_with_single_decisions():
     rng = random.Random(27)
     for _ in range(30):
-        omega = _random_set(rng, rng.randint(1, 4))
+        omega = random_set(rng, rng.randint(1, 4))
         table = pst_offsets(omega)
         for db in range(1, 1 << omega.n):
             single = decide_pst_exact(omega, GroupElement(db, omega.n))
@@ -285,7 +276,7 @@ def test_transfer_found_at_its_certified_fidelity():
     # the float path at the returned time
     rng = random.Random(33)
     for _ in range(25):
-        omega = _random_set(rng, rng.randint(1, 4))
+        omega = random_set(rng, rng.randint(1, 4))
         for db, when in pst_offsets(omega).items():
             fid = all_fidelities(omega, when.radians)
             assert abs(fid[db] - 1.0) <= 1e-9

@@ -7,7 +7,7 @@ import json
 import math
 import random
 import types
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,18 +19,7 @@ from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               audit_record, conjecture_scan, enumerate_sets,
                               scan_sets, transfer_record)
 
-
-def _all_subsets(n):
-    pool = range(1, 1 << n)
-    for k in range(1, len(pool) + 1):
-        yield from itertools.combinations(pool, k)
-
-
-def _xor(labels):
-    acc = 0
-    for x in labels:
-        acc ^= x
-    return acc
+from oracles import all_sets, bfs_dist, xor
 
 
 # ── enumeration ───────────────────────────────────────────────────────────
@@ -57,13 +46,13 @@ def test_enumeration_degree_filter_matches_brute_force():
         got = {s.elements for s in enumerate_sets(3, d_min=d_min,
                                                   d_max=d_max)}
         hi = d_max if d_max is not None else 7
-        want = {s for s in _all_subsets(3) if d_min <= len(s) <= hi}
+        want = {s for s in all_sets(3) if d_min <= len(s) <= hi}
         assert got == want
 
 
 def test_enumeration_combined_filters():
     got = list(enumerate_sets(3, d_min=2, d_max=4, u_zero=True))
-    want = [s for s in _all_subsets(3) if 2 <= len(s) <= 4 and _xor(s) == 0]
+    want = [s for s in all_sets(3) if 2 <= len(s) <= 4 and xor(s) == 0]
     assert [g.elements for g in got] == sorted(want, key=lambda s: sum(
         1 << (e - 1) for e in s))
 
@@ -139,7 +128,7 @@ def test_walk_matches_combinations_at_n5():
                   for c in itertools.combinations(range(1, 32), d)]
         for u_zero in (False, True):
             want = sorted(sum(1 << (x - 1) for x in c) for c in combos
-                          if not (u_zero and _xor(c)))
+                          if not (u_zero and xor(c)))
             assert _walked(5, lo, hi, u_zero) == want, (lo, hi, u_zero)
 
 
@@ -236,8 +225,8 @@ def test_unfillable_sample_refused_before_the_first_draw(monkeypatch):
 def test_xor_sum_zero_count_matches_brute_force():
     for n in (1, 2, 3, 4):
         by_degree = [0] * (1 << n)
-        for labels in _all_subsets(n):
-            if _xor(labels) == 0:
+        for labels in all_sets(n):
+            if xor(labels) == 0:
                 by_degree[len(labels)] += 1
         assert [scanner._xor_sum_zero_count(n, d)
                 for d in range(1, 1 << n)] == by_degree[1:], n
@@ -368,19 +357,6 @@ def test_audit_record_antipodal_case():
 
 # ── surveys ───────────────────────────────────────────────────────────────
 
-def _bfs_dist(omega, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for w in omega.elements:
-            y = x ^ w
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 def test_scan_small_dimensions():
     report = scan_sets(2)
     assert report.kind == "pst-scan"
@@ -409,15 +385,15 @@ def test_audit_summary_matches_independent_recount():
     report = antipodality_audit(3)
     # recompute every number in the summary from scratch
     sets_with = offsets = metric_non = disconnected = 0
-    for labels in _all_subsets(3):
+    for labels in all_sets(3):
         omega = ConnectionSet(3, labels)
-        u = _xor(labels)
+        u = xor(labels)
         found = transfer_record(omega)["pst"]
         if not found:
             continue
         sets_with += 1
         offsets += len(found)
-        dist = _bfs_dist(omega, 0)
+        dist = bfs_dist(omega.elements, 0)
         ecc = max(dist.values())
         for entry in found:
             db = int(entry["delta"], 2)

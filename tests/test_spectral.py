@@ -14,11 +14,7 @@ from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
                                _wht_rows, classify_set, spectrum, wht)
 from cubewalk.bitspace import DimensionMismatchError
 
-
-def _random_set(rng, n):
-    pool = range(1, 1 << n)
-    return ConnectionSet(n, tuple(rng.sample(pool,
-                                             rng.randint(1, len(pool)))))
+from oracles import eigenvalues, random_set
 
 
 def test_wht_doubles_back_to_scaled_identity():
@@ -231,37 +227,33 @@ def test_character_bits_are_the_parities_of_w_and_v():
             assert (wht(point) == np.where(got, -1, 1)).all()
 
 
-def _direct_eigenvalue(omega, v):
-    return sum(1 - 2 * (bin(w & v).count("1") & 1) for w in omega.elements)
-
-
 def test_spectrum_matches_character_sums():
     rng = random.Random(6)
     for _ in range(60):
         n = rng.randint(1, 7)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         spec = spectrum(omega)
+        direct = eigenvalues(omega.elements, n)
         for v in range(1 << n):
-            assert spec.values[v] == _direct_eigenvalue(omega, v)
+            assert spec.values[v] == direct[v]
 
 
 def test_block_transform_matches_character_sums_row_by_row():
     rng = random.Random(11)
     for n in (1, 3, 5):
-        sets = [_random_set(rng, n) for _ in range(9)]
+        sets = [random_set(rng, n) for _ in range(9)]
         block = np.array([omega.indicator() for omega in sets])
         spectra = _wht_rows(block)
         assert spectra.shape == block.shape and spectra.dtype == np.int64
         for omega, row in zip(sets, spectra):
-            assert row.tolist() == [_direct_eigenvalue(omega, v)
-                                    for v in range(1 << n)]
+            assert row.tolist() == eigenvalues(omega.elements, n)
 
 
 def test_spectrum_invariants():
     rng = random.Random(8)
     for _ in range(60):
         n = rng.randint(1, 8)
-        omega = _random_set(rng, n)
+        omega = random_set(rng, n)
         spec = spectrum(omega)
         vals = spec.values
         assert vals[0] == omega.d
@@ -431,7 +423,7 @@ def test_vectorized_classifier_matches_the_loop_on_random_sets():
     rng = random.Random(13)
     cases = set()
     for _ in range(500):
-        omega = _random_set(rng, rng.randint(1, 10))
+        omega = random_set(rng, rng.randint(1, 10))
         report = _assert_matches_loop(spectrum(omega), omega.u,
                                       omega.u in omega)
         cases.add(report.case)
