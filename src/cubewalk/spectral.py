@@ -14,11 +14,12 @@ wht(wht(x)) == 2ⁿ·x.
 The butterfly levels run from the lowest bit up, two at a time (radix 4).
 For the entries x₀, x₁, x₂, x₃ at offsets 0, h, 2h, 3h, one pass forms
 s₀₁ = x₀+x₁, d₀₁ = x₀−x₁, s₂₃ = x₂+x₃, d₂₃ = x₂−x₃ and writes s₀₁+s₂₃,
-d₀₁+d₂₃, s₀₁−s₂₃, d₀₁−d₂₃ back in place; an odd number of levels ends
-with one radix-2 pass.  These are the very sums and differences that the
-radix-2 levels h and 2h compute, on the same operands in the same order,
-so int64, float64 and complex128 results keep every bit of the
-level-by-level butterfly, in two sweeps over the data per two levels.
+d₀₁+d₂₃, s₀₁−s₂₃, d₀₁−d₂₃ back in place; each of the two stages below
+ends with one radix-2 pass when it has an odd number of levels.  These
+are the very sums and differences that the radix-2 levels h and 2h
+compute, on the same operands in the same order, so int64, float64 and
+complex128 results keep every bit of the level-by-level butterfly, in
+two sweeps over the data per two levels.
 
 Integer input runs in the narrowest signed type that holds the row bound
 Σ|x|: int8, int16 or int32, and int64 once the bound reaches 2³¹.  Every
@@ -27,15 +28,32 @@ bound and the narrow pass is exact; the result is widened to int64 once,
 at the end.  A 0/1 indicator of at most 127 labels thus runs in int8,
 on an eighth of the bytes of int64.
 
-Rows longer than 64 entries run their six lowest levels on a transposed
-copy, held in the scratch array.  The work array is read as tiles of up
-to 256 runs of 64 consecutive entries, and each tile is copied as
-64 × tile.  In place, the radix-4 passes at strides 1, 4 and 16 run inner
-loops of that many entries; on the copy they run along its leading axis,
-with inner loops over whole tile rows, and the work array serves as
-their scratch.  The copy is written back into the work array, and the
-remaining levels run in place.  The levels run in the same order on the
-same operands, so the result is that of the in-place butterfly.
+Every level runs on a piece of at most ``_CACHE`` bytes, which stays in
+a core's L2 cache while its levels run: the four-step schedule of
+D. H. Bailey, "FFTs in external or hierarchical memory", J.
+Supercomputing 4 (1990) 23.  The block is the largest power of two up
+to the row length that fits ``_CACHE``.  First the levels below the
+block run on one group of blocks at a time; short rows are batched into
+groups that fit ``_CACHE``, a long row's blocks run one by one.  Then
+the levels at and above the block run down the columns of each row,
+read as a (length / block) × block matrix: the level at stride
+block·2ʲ pairs the matrix rows r and r + 2ʲ (bit j of r clear) in
+every column, on one chunk of columns that fits ``_CACHE`` at a time.
+Both stages share one scratch array the size of their larger piece.
+
+A block longer than 64 entries runs its six lowest levels on a
+transposed copy, held in the scratch array.  The group is read as
+tiles of up to 256 runs of 64 consecutive entries, and each tile is
+copied as 64 × tile.  In place, the radix-4 passes at strides 1, 4 and
+16 run inner loops of that many entries; on the copy they run along its
+leading axis, with inner loops over whole tile rows, and the group
+serves as their scratch.  The copy is written back into the group, and
+the remaining levels run in place.
+
+Every level, on the copy, the blocks or the columns, forms the sums and
+differences of the in-place butterfly on the same operands in the same
+order, and the levels still run from the lowest bit up, so the result
+keeps every bit of the level-by-level butterfly in every work type.
 
 Each eigenvalue is further pinned down modulo 4 by the xor-sum u of the
 connection set; ``classify_congruences`` checks the applicable congruence
@@ -76,6 +94,14 @@ def wht(data) -> np.ndarray:
 _LOW = 64
 _TILE = 256
 
+# Every level runs on pieces of at most _CACHE bytes, which with their
+# scratch stay in a core's L2 cache (see the module docstring).  On
+# complex, float, int32 and bool rows of 2¹⁶ to 2²⁰ entries (2 vCPUs,
+# 2 MB of L2 per core), 512 KB was fastest at every size: 256 KB took up
+# to 19% longer, 1 MB up to 48% longer, and 64 and 128 KB lost at
+# 2¹⁷ entries and up.
+_CACHE = 512 << 10
+
 
 def _wht_rows(arr: np.ndarray) -> np.ndarray:
     """The butterfly along the last axis, one transform per row.
@@ -83,11 +109,10 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     The last axis must have power-of-two length; the result is a fresh
     array, in the dtypes ``wht`` documents.  Integer input runs in the
     narrowest type ``_exact_type`` picks and is widened to int64 once, at
-    the end.  Levels are taken two at a time (radix 4, see the module
-    docstring), with one radix-2 level last when the length is an odd
-    power of two.  A row longer than ``_LOW`` runs its six lowest levels
-    on a tiled transposed copy, written back before the other levels run
-    in place (see the module docstring).
+    the end.  The levels run in two stages, on pieces that fit
+    ``_CACHE`` (see the module docstring): those below the block on
+    groups of blocks, then those at and above it on chunks of the
+    columns of each row, read as a (length / block) × block matrix.
     """
     if arr.dtype == bool or np.issubdtype(arr.dtype, np.integer):
         work, result = _exact_type(arr), np.int64
@@ -96,33 +121,51 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     else:
         work = result = np.float64
     out = arr.astype(work, order="C")
-    size = out.shape[-1]
-    buf = np.empty((4, out.size // 4), dtype=out.dtype)
-    h = 1
-    if size > _LOW:
-        tile = min(size // _LOW, _TILE)
-        low = out.reshape(-1, tile, _LOW)
-        turned = buf.reshape(-1, _LOW, tile)
-        np.copyto(turned, low.transpose(0, 2, 1))
-        _radix4_levels(turned, out, tile, _LOW * tile)  # out's entries are in turned
-        low[...] = turned.transpose(0, 2, 1)
-        h = _LOW
-    h = _radix4_levels(out, buf, h, size)
-    if h < size:
-        top, bottom = out.reshape(-1, 2, h).transpose(1, 0, 2)
-        first = top.copy()
-        np.add(first, bottom, out=top)
-        np.subtract(first, bottom, out=bottom)
+    size, item = out.shape[-1], out.itemsize
+    block = min(size, 1 << ((_CACHE // item).bit_length() - 1))
+    blocks = out.reshape(-1, block)
+    group = max(1, min(len(blocks), _CACHE // (block * item)))
+    span = size // block
+    width = min(block, max(1, _CACHE // (span * item)))
+    buf = np.empty(max(group * block, span * width), dtype=out.dtype)
+    for start in range(0, len(blocks), group):
+        _block_levels(blocks[start:start + group], buf)
+    if span > 1:
+        for row in out.reshape(-1, span, block):
+            for start in range(0, block, width):
+                _levels(row[:, start:start + width], buf, span)
     return out.astype(result, copy=False)
 
 
-def _radix4_levels(x: np.ndarray, buf: np.ndarray, h: int, top: int) -> int:
-    """Radix-4 levels on the C-contiguous ``x`` in place, from stride h
-    while 4h ≤ top, with the C-contiguous ``buf`` of x.size entries as
-    scratch; returns the stride of the first level not run."""
+def _block_levels(piece: np.ndarray, buf: np.ndarray) -> None:
+    """Every level below the row length on the C-contiguous rows of
+    ``piece``, in place, with ``buf`` as scratch.  A row longer than
+    ``_LOW`` runs its six lowest levels on a tiled transposed copy in
+    ``buf``, with ``piece`` as their scratch, and is written back before
+    the other levels run in place (see the module docstring)."""
+    length = piece.shape[-1]
+    h = 1
+    if length > _LOW:
+        tile = min(length // _LOW, _TILE)
+        low = piece.reshape(-1, tile, _LOW)
+        turned = buf[:piece.size].reshape(-1, _LOW, tile)
+        np.copyto(turned, low.transpose(0, 2, 1))
+        _levels(turned.reshape(-1, tile), piece.reshape(-1), _LOW)
+        low[...] = turned.transpose(0, 2, 1)
+        h = _LOW
+    _levels(piece.reshape(-1, h), buf, length // h)
+
+
+def _levels(x: np.ndarray, buf: np.ndarray, top: int) -> None:
+    """The levels at strides 1, 2, 4, … below ``top`` along the first axis
+    of the 2-d ``x``, whose length is a multiple of ``top``, in place:
+    radix 4, then one radix-2 level if their number is odd.  ``buf`` is a
+    C-contiguous 1-d scratch array of at least x.size entries."""
+    w = x.shape[1]
+    h = 1
     while 4 * h <= top:
-        x0, x1, x2, x3 = x.reshape(-1, 4, h).transpose(1, 0, 2)
-        s01, d01, s23, d23 = buf.reshape(4, -1, h)
+        x0, x1, x2, x3 = x.reshape(-1, 4, h, w).transpose(1, 0, 2, 3)
+        s01, d01, s23, d23 = buf[:x.size].reshape(4, -1, h, w)
         np.add(x0, x1, out=s01)
         np.subtract(x0, x1, out=d01)
         np.add(x2, x3, out=s23)
@@ -132,7 +175,12 @@ def _radix4_levels(x: np.ndarray, buf: np.ndarray, h: int, top: int) -> int:
         np.subtract(s01, s23, out=x2)
         np.subtract(d01, d23, out=x3)
         h <<= 2
-    return h
+    if h < top:
+        x0, x1 = x.reshape(-1, 2, h, w).transpose(1, 0, 2, 3)
+        first = buf[:x0.size].reshape(x0.shape)
+        np.copyto(first, x0)
+        np.add(first, x1, out=x0)
+        np.subtract(first, x1, out=x1)
 
 
 def _exact_type(arr: np.ndarray) -> type:

@@ -1,7 +1,6 @@
 """Walk amplitudes and fidelities, float and exact paths."""
 
 import cmath
-import itertools
 import math
 import random
 
@@ -16,17 +15,10 @@ from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
                                measurement_distribution)
 from cubewalk.spectral import spectrum, wht
 
-from oracles import character, eigenvalues, random_set
+from oracles import all_sets, character, eigenvalues, random_set
 
 # how far the float fidelities may stray from the exact ones on the grid
 FLOAT_TOL = 1e-9
-
-
-def _every_set(n):
-    pool = range(1, 1 << n)
-    for k in range(len(pool) + 1):
-        for labels in itertools.combinations(pool, k):
-            yield ConnectionSet(n, labels)
 
 
 def _transform_components(omega, t):
@@ -201,7 +193,8 @@ def _assert_matches_transforms(omega, t):
 
 def test_exact_components_match_the_transforms():
     for n in (1, 2, 3):
-        for omega in _every_set(n):
+        for labels in ((), *all_sets(n)):
+            omega = ConnectionSet(n, labels)
             for m in range(9):
                 t = RationalAngle(m, 2)
                 want_re, want_im = _assert_matches_transforms(omega, t)

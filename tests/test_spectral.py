@@ -1,18 +1,19 @@
 """Walsh transform, integer spectra, and congruence classification."""
 
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from cubewalk import spectral
-from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
+from cubewalk.bitspace import (ConnectionSet, DimensionMismatchError,
+                               GroupElement, hypercube)
 from cubewalk.spectral import (CASE_SUM_INSIDE, CASE_SUM_OUTSIDE,
                                CASE_SUM_ZERO, CongruenceEntry, Spectrum,
                                character_bits, classify_congruences,
                                _wht_rows, classify_set, spectrum, wht)
-from cubewalk.bitspace import DimensionMismatchError
 
 from oracles import eigenvalues, random_set
 
@@ -140,6 +141,119 @@ def test_radix4_butterfly_on_strided_and_empty_input():
     for x in (long.T, np.asfortranarray(long.T), long[::-1, 0]):
         assert _wht_rows(x).tobytes() == _wht_by_levels(x.copy()).tobytes()
     assert _wht_rows(np.zeros((0, 16), dtype=bool)).shape == (0, 16)
+
+
+def _record_schedule(monkeypatch):
+    """Wrap the two stage helpers; the returned list then gets, per
+    transform, ("block", rows, block, bytes) for each group of blocks of
+    the first stage and ("column", span, width, bytes) for each column
+    chunk of the second."""
+    steps, inside = [], []
+    block_levels, levels = spectral._block_levels, spectral._levels
+
+    def spy_blocks(piece, buf):
+        steps.append(("block", *piece.shape, piece.nbytes))
+        inside.append(piece)
+        block_levels(piece, buf)
+        inside.pop()
+
+    def spy_levels(x, buf, top):
+        if not inside:
+            steps.append(("column", *x.shape, x.nbytes))
+        levels(x, buf, top)
+
+    monkeypatch.setattr(spectral, "_block_levels", spy_blocks)
+    monkeypatch.setattr(spectral, "_levels", spy_levels)
+    return steps
+
+
+def _schedule_shapes(steps, size, cache):
+    """What one transform's schedule took, after checking that each block
+    is the largest power of two up to ``size`` that fits ``cache`` and
+    that every piece fits it (a chunk one column wide may not)."""
+    shapes = set()
+    for kind, rows, cols, nbytes in steps:
+        item = nbytes // (rows * cols)
+        if kind == "block":
+            block, levels = cols, cols.bit_length() - 1
+            assert nbytes <= cache
+            assert block == size or 2 * block * item > cache
+            if block < size:
+                shapes.add("blocks per row")
+            if rows > 1:
+                shapes.add("rows per group")
+        else:
+            levels = rows.bit_length() - 1
+            assert nbytes <= cache or cols == 1
+            assert rows * block == size
+            if cols < block:
+                shapes.add("chunk narrower than a block")
+        if levels:
+            parity = "odd" if levels % 2 else "even"
+            shapes.add(f"{parity} {kind} levels")
+    return shapes
+
+
+def _layouts(x):
+    """``x``, then its entries strided and reversed along the transform
+    axis, and a block of rows in Fortran order."""
+    yield x
+    yield np.repeat(x, 2, axis=-1)[..., ::2]
+    yield x[..., ::-1]
+    if x.ndim == 2:
+        yield np.asfortranarray(x)
+
+
+@pytest.mark.parametrize("cache", [100, 1000, 4096])
+def test_two_stage_schedule_keeps_every_bit_on_small_budgets(monkeypatch,
+                                                             cache):
+    # a budget of a few dozen to a few thousand bytes gives rows of at
+    # most 2¹² entries every shape of the schedule that long rows take
+    monkeypatch.setattr(spectral, "_CACHE", cache)
+    steps = _record_schedule(monkeypatch)
+    seen = set()
+    rng = np.random.default_rng(cache)
+    for n in range(13):
+        for shape in ((1 << n,), (5, 1 << n)):
+            for x in _wht_inputs(rng, shape):
+                for y in _layouts(x):
+                    steps.clear()
+                    got = _wht_rows(y)
+                    assert got.tobytes() == _wht_by_levels(y).tobytes()
+                    seen |= _schedule_shapes(steps, 1 << n, cache)
+    assert seen == {"blocks per row", "rows per group", "odd block levels",
+                    "even block levels", "odd column levels",
+                    "even column levels", "chunk narrower than a block"}
+
+
+@pytest.mark.parametrize("n", [17, 19])
+def test_two_stage_schedule_keeps_every_bit_at_the_real_budget(monkeypatch,
+                                                               n):
+    # complex rows take an odd number of block levels, float rows an odd
+    # number of column levels
+    steps = _record_schedule(monkeypatch)
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=1 << n)
+    for x, odd in ((real, "odd column levels"),
+                   (real + 1j * rng.normal(size=1 << n), "odd block levels")):
+        steps.clear()
+        assert _wht_rows(x).tobytes() == _wht_by_levels(x).tobytes()
+        shapes = _schedule_shapes(steps, 1 << n, spectral._CACHE)
+        assert {"blocks per row", odd} <= shapes
+
+
+def test_transform_scratch_is_one_cache_budget():
+    # the output plus one scratch array of at most _CACHE bytes, an eighth
+    # of this 4 MB output; a second array of the output's size would pass 2×
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)
+    tracemalloc.start()
+    try:
+        got = wht(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * got.nbytes
 
 
 def _narrowest(arr):
