@@ -362,8 +362,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .graphwalk import (bfs_profile, bipartite_functional,
                             is_complete_bipartite)
     from .jsontext import Rows, Tokens, binary_texts, numbers, slot, slots
@@ -387,9 +385,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "complete_bipartite": list(parts) if parts else None,
     }
     if profile.connected:
-        far = np.flatnonzero(profile.dist == profile.diameter)
-        payload["antipodal"] = Rows(slot("v"),
-                                    [{"v": Tokens(labels.table, far)}])
+        payload["antipodal"] = Rows(slot("v"), [
+            {"v": Tokens(labels.table, profile.farthest())}])
     else:
         payload["antipodal"] = None
     _emit(args, payload, inputs)

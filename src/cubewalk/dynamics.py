@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import ConnectionSet, GroupElement, _same_space
-from .spectral import spectrum, wht
+from .spectral import _wht_in_place, spectrum
 
 
 class UnsupportedAngleError(ValueError):
@@ -163,10 +163,15 @@ def all_amplitudes(omega: ConnectionSet, t: float) -> np.ndarray:
     λ takes integer values in [−d, d] only, so the phases e^(−iλt) are read
     from a table of 2d + 1 exponentials, each computed by the same
     expression as a phase taken entry by entry, hence with the same bits.
+    The table is rolled to start at λ = 0, so λ indexes it directly and a
+    negative λ from the end; the gathered phases are the one array
+    allocated, and they are transformed in place.
     """
     d = omega.d
     table = np.exp(-1j * float(t) * np.arange(-d, d + 1, dtype=np.int64))
-    return wht(table[spectrum(omega).values + d])
+    phases = np.roll(table, -d)[spectrum(omega).values]
+    _wht_in_place(phases)
+    return phases
 
 
 def amplitude(omega: ConnectionSet, a: GroupElement, b: GroupElement,
@@ -186,7 +191,9 @@ def all_fidelities(omega: ConnectionSet, t) -> np.ndarray:
         if t.is_quarter_exact:
             return _grid_fidelities(omega, t, 0)
         t = t.radians
-    return np.abs(all_amplitudes(omega, float(t))) / (1 << omega.n)
+    fidelities = np.abs(all_amplitudes(omega, float(t)))
+    fidelities /= 1 << omega.n
+    return fidelities
 
 
 # ── exact path (q | 2) ────────────────────────────────────────────────────

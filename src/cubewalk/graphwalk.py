@@ -47,6 +47,10 @@ class DistanceProfile:
         reached = self.dist[self.dist >= 0]
         return np.bincount(reached).tolist()
 
+    def farthest(self) -> np.ndarray:
+        """The vertices at distance ``diameter`` from the source, ascending."""
+        return np.flatnonzero(self.dist == self.diameter)
+
 
 def neighbors(omega: ConnectionSet, x: GroupElement) -> list[GroupElement]:
     """The vertices adjacent to x, in ascending generator order."""
@@ -157,8 +161,7 @@ def antipodal_pairs(omega: ConnectionSet) -> list[GroupElement]:
     if not profile.connected:
         raise DisconnectedGraphError(
             "antipodal pairs are defined only for connected graphs")
-    far = np.nonzero(profile.dist == profile.diameter)[0]
-    return [GroupElement(int(v), omega.n) for v in far]
+    return [GroupElement(v, omega.n) for v in profile.farthest().tolist()]
 
 
 def bipartite_functional(omega: ConnectionSet) -> GroupElement | None:

@@ -34,7 +34,8 @@ built once and index one table of label texts, so the digest and the
 CLI's document render the findings as ``jsontext.Rows`` bytes, with no
 per-set dict or string.  ``ScanReport.findings`` is built on first read,
 by the builder that ``transfer_record`` and ``audit_record`` use for one
-set.  A cubelike graph transfers from 0 to at most one offset (Cheung and
+set, from one text per distinct label and time of each block.  A
+cubelike graph transfers from 0 to at most one offset (Cheung and
 Godsil, 2011), so a record carries the set's one offset, or none.
 
 One survey loop serves three report kinds, and the report keeps the sets
@@ -74,7 +75,7 @@ import time as _time
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -464,35 +465,44 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
 
 # ── per-set records ───────────────────────────────────────────────────────
 
-def _record(n: int, labels: Iterable[int], u: int,
-            transfer: tuple[int, RationalAngle] | None,
+def _record(omega: list[str], u: str, transfer: tuple[str, str] | None,
             geometry: tuple[bool, int, int] | None = None) -> dict:
-    """The report line of one set; with ``geometry`` also its audit fields.
+    """The report line of one set from its texts; with ``geometry`` also
+    its audit fields.
 
-    ``transfer`` is the set's one offset and its time, (δ, π/q), or None;
-    ``geometry`` is (connected, diameter, distance to δ) of the BFS from 0.
+    ``omega`` and ``u`` are the members' and the xor-sum's binary texts;
+    ``transfer`` is the texts of the set's one offset and its time, or
+    None; ``geometry`` is (connected, diameter, distance to δ) of the BFS
+    from 0.  The record holds the texts themselves, not copies.
     """
-    code = f"0{n}b"
-    omega = [format(e, code) for e in labels]
-    record = {"omega": omega, "d": len(omega), "u": format(u, code),
-              "pst": []}
-    if transfer is not None:
-        db, t = transfer
-        entry = {"delta": format(db, code), "time": str(t)}
-        record["pst"].append(entry)
-        if geometry is not None:
-            connected, diameter, distance = geometry
-            entry.update(distance=distance, antipodal=distance == diameter,
-                         is_xor_sum=db == u)
-            record.update(connected=connected, diameter=diameter,
-                          violations=[] if db == u else [entry["delta"]])
+    if transfer is None:
+        return {"omega": omega, "d": len(omega), "u": u, "pst": []}
+    delta, time = transfer
+    entry = {"delta": delta, "time": time}
+    record = {"omega": omega, "d": len(omega), "u": u, "pst": [entry]}
+    if geometry is not None:
+        connected, diameter, distance = geometry
+        entry.update(distance=distance, antipodal=distance == diameter,
+                     is_xor_sum=delta == u)
+        record.update(connected=connected, diameter=diameter,
+                      violations=[] if delta == u else [delta])
     return record
+
+
+def _set_record(omega: ConnectionSet,
+                transfer: tuple[int, RationalAngle] | None,
+                geometry: tuple[bool, int, int] | None = None) -> dict:
+    """``_record`` of one set, its offset (δ, π/q) or None formatted here."""
+    code = f"0{omega.n}b"
+    texts = None if transfer is None else (format(transfer[0], code),
+                                           str(transfer[1]))
+    return _record([format(e, code) for e in omega.elements],
+                   format(omega.u.bits, code), texts, geometry)
 
 
 def transfer_record(omega: ConnectionSet) -> dict:
     """The exact PST offset of one set, if any, in a JSON-ready shape."""
-    return _record(omega.n, omega.elements, omega.u.bits,
-                   next(iter(pst_offsets(omega).items()), None))
+    return _set_record(omega, next(iter(pst_offsets(omega).items()), None))
 
 
 def audit_record(omega: ConnectionSet) -> dict:
@@ -509,7 +519,7 @@ def audit_record(omega: ConnectionSet) -> dict:
         profile = bfs_profile(omega, GroupElement.zero(omega.n))
         geometry = (profile.connected, profile.diameter,
                     int(profile.dist[transfer[0]]))
-    return _record(omega.n, omega.elements, omega.u.bits, transfer, geometry)
+    return _set_record(omega, transfer, geometry)
 
 
 # ── findings as columns ───────────────────────────────────────────────────
@@ -542,42 +552,64 @@ class _Findings:
     diameter: np.ndarray | None = None
     distance: np.ndarray | None = None
 
+    @cached_property
+    def _label_index(self) -> tuple[np.ndarray | None, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+        """The labels that texts are made for, and the labels, u and δ
+        columns as indices into them, 0 standing for label 0: every label
+        (None) when 2ⁿ is no more than the labels held, else the distinct
+        ones and 0, found once for the columns and the records."""
+        rows, k = self.labels.shape
+        if 1 << self.n <= self.labels.size + 2 * rows:
+            return None, self.labels, self.u, self.delta
+        distinct, index = np.unique(np.column_stack(
+            [np.zeros_like(self.u), self.labels, self.u, self.delta]),
+            return_inverse=True)
+        index = index.reshape(rows, k + 3)
+        return distinct, index[:, 1:k + 1], index[:, -2], index[:, -1]
+
+    @cached_property
+    def _times(self) -> tuple[list[str], np.ndarray]:
+        """The texts of the block's few distinct times, and the index of
+        each set's time among them."""
+        times, at = np.unique(self.q, return_inverse=True)
+        return [str(RationalAngle(1, q)) for q in times.tolist()], at
+
     def records(self) -> Iterator[dict]:
-        """The report lines, each as ``audit_record``/``transfer_record``
-        gives it for that set."""
+        """The report lines, each equal to what ``audit_record`` or
+        ``transfer_record`` gives for that set.
+
+        The texts are shared within the block: one str per distinct label,
+        xor-sum and offset, and one per distinct time, held by every
+        record that names it.  Each record keeps its own dicts and lists.
+        """
+        distinct, labels, u, delta = self._label_index
+        code = f"0{self.n}b"
+        names = [format(x, code) for x in (
+            range(1 << self.n) if distinct is None else distinct.tolist())]
+        times, at = self._times
         geometry = repeat(None) if self.connected is None else zip(
             self.connected.tolist(), self.diameter.tolist(),
             self.distance.tolist())
-        for labels, u, db, q, geo in zip(
-                self.labels.tolist(), self.u.tolist(), self.delta.tolist(),
-                self.q.tolist(), geometry):
-            yield _record(self.n, [x for x in labels if x], u,
-                          (db, RationalAngle(1, q)), geo)
+        for row, x, db, t, geo in zip(labels.tolist(), u.tolist(),
+                                      delta.tolist(), at.tolist(), geometry):
+            yield _record([names[i] for i in row if i], names[x],
+                          (names[db], times[t]), geo)
 
     @cached_property
     def columns(self) -> dict:
         """The token column of every field, by name, built once.  Labels,
-        u and δ index one table of label texts: of every label when 2ⁿ is
-        no more than the labels held, else of the distinct ones and 0."""
-        rows, k = self.labels.shape
-        labels, u, delta = self.labels, self.u, self.delta
-        if 1 << self.n <= labels.size + 2 * rows:
-            texts = binary_texts(self.n)
-        else:
-            distinct, index = np.unique(np.column_stack(
-                [np.zeros_like(u), labels, u, delta]), return_inverse=True)
-            index = index.reshape(rows, k + 3)
-            labels, u, delta = index[:, 1:k + 1], index[:, -2], index[:, -1]
-            texts = binary_texts(self.n, distinct)
-        times, at = np.unique(self.q, return_inverse=True)
+        u and δ index one table of label texts (``_label_index``)."""
+        distinct, labels, u, delta = self._label_index
+        texts = binary_texts(self.n, distinct)
+        times, at = self._times
         columns = {
             "omega": Members(texts.table, labels),
             "d": numbers(np.count_nonzero(labels, axis=1)),
             "u": Tokens(texts.table, u),
             "delta": Tokens(texts.table, delta),
             "time": pick(at.astype(np.uint8),  # a few distinct times
-                         [json.dumps(str(RationalAngle(1, q)))
-                          for q in times.tolist()]),
+                         [json.dumps(time) for time in times]),
         }
         if self.connected is not None:
             xor_sum = self.delta == self.u
@@ -618,7 +650,12 @@ class ScanReport:
 
     @cached_property
     def findings(self) -> list[dict]:
-        """One record per set that transfers, in canonical set order."""
+        """One record per set that transfers, in canonical set order.
+
+        Records of one block share their texts, one str per distinct
+        label and time (``_Findings.records``); each record's dicts and
+        lists are its own.
+        """
         return [record for block in self.blocks
                 for record in block.records()]
 

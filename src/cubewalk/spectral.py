@@ -121,6 +121,13 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
     else:
         work = result = np.float64
     out = arr.astype(work, order="C")
+    _wht_in_place(out)
+    return out.astype(result, copy=False)
+
+
+def _wht_in_place(out: np.ndarray) -> None:
+    """The schedule of ``_wht_rows`` on the C-contiguous ``out``, in place
+    and in its own dtype, which must be one of the work types there."""
     size, item = out.shape[-1], out.itemsize
     block = min(size, 1 << ((_CACHE // item).bit_length() - 1))
     blocks = out.reshape(-1, block)
@@ -134,7 +141,6 @@ def _wht_rows(arr: np.ndarray) -> np.ndarray:
         for row in out.reshape(-1, span, block):
             for start in range(0, block, width):
                 _levels(row[:, start:start + width], buf, span)
-    return out.astype(result, copy=False)
 
 
 def _block_levels(piece: np.ndarray, buf: np.ndarray) -> None:
@@ -351,9 +357,10 @@ def classify_congruences(spec: Spectrum, u: GroupElement,
 
     odd = character_bits(spec.n, u.bits)
     shift = 2 if case == CASE_SUM_OUTSIDE else -2
-    diff = np.where(odd, d + shift, d) - spec.values
-    in_class = (diff & 3) == 0  # diff % 4 and diff // 4 in two's complement
-    k = diff >> 2
+    diff = np.where(odd, d + shift, d)
+    diff -= spec.values
+    k = diff >> 2  # diff // 4, and diff & 3 is diff % 4, in two's complement
+    in_class = np.bitwise_and(diff, 3, out=diff) == 0
     ok = in_class & (k >= 0) & (k <= bound)
     for column in (odd, in_class, k, ok):
         column.setflags(write=False)

@@ -138,6 +138,29 @@ def test_all_amplitudes_keep_the_bits_of_one_exponential_per_entry():
         assert all_amplitudes(omega, t).tobytes() == want.tobytes()
 
 
+def test_float_paths_keep_their_bits_and_leave_the_spectrum_alone():
+    # the phases gathered from the rolled table, transformed in place, and
+    # the fidelities divided in place, against the plain gather with
+    # lambda + d, the public transform and a fresh division, bit for bit;
+    # the set's stored spectrum stays the same read-only array
+    rng = random.Random(31)
+    cases = [ConnectionSet(rng.randint(1, 12), ())]
+    cases += [random_set(rng, rng.randint(1, 12)) for _ in range(40)]
+    for omega in cases:
+        spec = spectrum(omega)
+        before = spec.values.tobytes()
+        d = omega.d
+        for t in (0.0, 0.37, math.pi / 3, -2.5, 1e17):
+            table = np.exp(-1j * t * np.arange(-d, d + 1, dtype=np.int64))
+            want = wht(table[spec.values + d])
+            assert all_amplitudes(omega, t).tobytes() == want.tobytes()
+            fidelities = np.abs(want) / (1 << omega.n)
+            assert all_fidelities(omega, t).tobytes() == fidelities.tobytes()
+        assert spectrum(omega) is spec
+        assert not spec.values.flags.writeable
+        assert spec.values.tobytes() == before
+
+
 def test_amplitude_is_an_offset_lookup():
     rng = random.Random(17)
     omega = random_set(rng, 4)
@@ -217,7 +240,7 @@ def test_grid_path_computes_no_spectrum_and_no_transform(monkeypatch):
         raise AssertionError("transform on the exact grid")
 
     monkeypatch.setattr("cubewalk.dynamics.spectrum", refuse)
-    monkeypatch.setattr("cubewalk.dynamics.wht", refuse)
+    monkeypatch.setattr("cubewalk.dynamics._wht_in_place", refuse)
     rng = random.Random(53)
     big = ConnectionSet(20, tuple(rng.sample(range(1, 1 << 20), 40)))
     small = ConnectionSet(8, tuple(rng.sample(range(1, 1 << 8), 40)))

@@ -164,6 +164,10 @@ def test_antipodal_pairs():
     # the three-generator twin of the cube has a unique far vertex too
     twin = ConnectionSet(3, (1, 2, 7))
     assert [g.bits for g in antipodal_pairs(twin)] == [0b100]
+    # the profile's farthest vertices from another source: one read, which
+    # the graph command shares
+    far = bfs_profile(twin, GroupElement(0b101, 3)).farthest()
+    assert far.tolist() == [0b101 ^ 0b100]
 
 
 def test_bipartite_functional_against_two_coloring():

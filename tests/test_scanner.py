@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import types
 from collections import Counter
 
@@ -421,6 +422,57 @@ def test_survey_records_equal_single_set_records():
             assert record_of(omega) == record
 
 
+def test_sampled_block_records_equal_single_set_records():
+    # every record of a sampled scan against the one-set builder: at n = 5
+    # on the word tables, at n = 6 on the indicator path with a text for
+    # every label, and at n = 10 with texts for the distinct labels only
+    for n, kwargs, path in ((5, {"sample": 3000, "seed": 4}, "word-table"),
+                            (6, {"sample": 400, "seed": 6}, "indicator-wht"),
+                            (10, {"d_max": 12, "sample": 60, "seed": 10},
+                             "indicator-wht")):
+        report = scan_sets(n, **kwargs)
+        assert report.path == path
+        assert len(report.findings) > 50
+        for record in report.findings:
+            omega = ConnectionSet.parse(",".join(record["omega"]), n)
+            assert transfer_record(omega) == record
+
+
+def test_block_records_share_their_texts():
+    # within a block one str per distinct label and one per distinct time:
+    # every record that names a label holds the same object, in omega, u,
+    # delta and violations alike, while its dicts and lists are its own
+    for report in (antipodality_audit(4), conjecture_scan(5, sample=2000,
+                                                          seed=3),
+                   scan_sets(10, d_max=12, sample=60, seed=10)):
+        for block in report.blocks:
+            records = list(block.records())
+            texts = {}
+            for record in records:
+                (entry,) = record["pst"]
+                for text in (*record["omega"], record["u"], entry["delta"],
+                             entry["time"], *record.get("violations", ())):
+                    assert texts.setdefault(text, text) is text
+            for key in ("omega", "pst"):
+                assert len({id(r[key]) for r in records}) == len(records)
+            assert len({id(r["pst"][0]) for r in records}) == len(records)
+
+
+def test_audit_findings_fit_their_memory_bound():
+    # the 30,720 records of the n = 4 audit, with their texts shared,
+    # take about 21 MiB under tracemalloc; one text per record field
+    # took 38.1 MiB
+    report = antipodality_audit(4)
+    tracemalloc.start()
+    try:
+        findings = report.findings
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(findings) == 30720
+    assert size < 28 << 20, size
+
+
 def test_reports_are_deterministic_and_digestible():
     first = antipodality_audit(3)
     second = antipodality_audit(3)
@@ -578,6 +630,7 @@ def test_audit_columns_render_a_violation():
     assert records[0]["pst"][0]["distance"] == 1
     assert records[0]["diameter"] == 2
     assert records[0]["violations"] == ["00001"]
+    assert records[0]["violations"][0] is records[0]["pst"][0]["delta"]
     rows = jsontext.Rows(scanner._skeleton(True), [block.columns])
     got = b"".join(jsontext.dumps({"findings": rows}))
     assert got.decode() == jsontext.canonical_dumps({"findings": records})
