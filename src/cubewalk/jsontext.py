@@ -13,6 +13,10 @@ leaf is ``Members``, a table row per member.  Rows render as bytes,
 text is written by broadcast, each leaf's table rows are gathered into its
 columns, and the NULs are dropped.  NUL is safe as padding: JSON text
 never holds a raw NUL (json.dumps writes \\u0000), and ``table`` refuses one.
+
+``Rows.values`` reads the same columns back as the list that json.loads
+of the text gives.  Each table is parsed once, in one json.loads call, and
+its values are shared: every row that names a text holds the same object.
 """
 
 from __future__ import annotations
@@ -75,6 +79,11 @@ class Tokens(NamedTuple):
         out[:] = self.table[start:stop] if self.index is None \
             else self.table.take(self.index[start:stop], axis=0)
 
+    def values(self, parsed: list) -> list:
+        """Each row's value, ``parsed`` holding the values of the table."""
+        return list(parsed) if self.index is None \
+            else list(map(parsed.__getitem__, self.index.tolist()))
+
 
 class Members(NamedTuple):
     """A list leaf: row r lists the texts in rows ``index[r, 0]``,
@@ -102,6 +111,10 @@ class Members(NamedTuple):
         cells[some, first[some], 0] = ord("[")
         out[:, cells[0].size:] = table(["[]", "]"]).take(
             some.view(np.uint8), axis=0)
+
+    def values(self, parsed: list) -> list:
+        """Each row's list, ``parsed`` holding the values of the table."""
+        return [[parsed[i] for i in row if i] for row in self.index.tolist()]
 
 
 def pick(index: np.ndarray, texts: Sequence[str]) -> Tokens:
@@ -194,6 +207,40 @@ class Rows(NamedTuple):
             yield from rendered(segments, [columns[name] for name in names],
                                 "," if i else "[", ",")
         yield b"]" if self.blocks else b"[]"
+
+    def values(self) -> list:
+        """The list as json.loads of ``text()`` gives it, keys sorted.
+        Each table is parsed once, so a text named by several rows or
+        columns is one object."""
+        parsed = {id(column.table): column.table for columns in self.blocks
+                  for column in columns.values()}
+        for key, texts in parsed.items():
+            parsed[key] = _parsed(texts)
+        found = []
+        for columns in self.blocks:
+            found += _filled(self.skeleton, lambda name: columns[name].values(
+                parsed[id(columns[name].table)]))
+        return found
+
+
+def _parsed(texts: np.ndarray) -> list:
+    """The values of a table's texts, in one json.loads call."""
+    cells = np.hstack([texts, np.full((len(texts), 1), ord(","), np.uint8)])
+    return json.loads(b"[" + cells[cells != 0].tobytes()[:-1] + b"]")
+
+
+def _filled(skeleton, leaf) -> list:
+    """One copy of ``skeleton`` per row, each object's keys sorted, and
+    each slot holding its row of ``leaf(name)``.  Every leaf of the
+    skeleton is a slot, and every list or object in it holds one."""
+    if isinstance(skeleton, dict):
+        keys = sorted(skeleton)
+        return [dict(zip(keys, row)) for row in
+                zip(*[_filled(skeleton[key], leaf) for key in keys])]
+    if isinstance(skeleton, list):
+        return [list(row) for row in
+                zip(*[_filled(item, leaf) for item in skeleton])]
+    return leaf(skeleton[1:-1])
 
 
 def dumps(obj) -> Iterator[bytes]:

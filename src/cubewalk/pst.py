@@ -53,24 +53,27 @@ hops along its set bits.  Removing a member w from a set takes the term
 
 and its π/2 congruences Δ'_v ≡ 2vᵢ (mod 4) all read Δ_v ≡ 0 (mod 4),
 whatever i: the folded cube's own revival at π/2, its certificate at
-δ = 0.  Plans run one WHT per dimension, on the folded cube: its spectrum
-is held read-only, in int8 (|λ| ≤ n + 1), for the most recent n only.
-One pass over it certifies every stage of a plan, and each stage
-certificate (δ = eᵢ, time π/2, phase i^(−n)) follows with no stage
-spectrum built.  At n = 1 the folded cube is {1}, the plan's one stage,
-and it is certified on its own.
+δ = 0.  For n ≥ 2 the folded cube's spectrum has a closed form: the
+basis generators give n − 2·wt(v) and the diagonal (−1)^wt(v), so
+
+    λ_v = n + 1 − 2·wt(v) − 2·(wt(v) mod 2),
+
+built per plan in int8 (|λ| ≤ n + 1) with no transform and nothing held
+between plans.  One pass over it certifies every stage of a plan, and
+each stage certificate (δ = eᵢ, time π/2, phase i^(−n)) follows with no
+stage spectrum built.  At n = 1 the folded cube is {1}, the plan's one
+stage, and it is certified on its own spectrum λ_v = 1 − 2v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bitspace import ConnectionSet, GroupElement, _same_space
 from .dynamics import HALF_PI, GaussianInteger, RationalAngle, _phase
-from .spectral import character_bits, spectrum, wht
+from .spectral import character_bits, spectrum
 
 
 class CertificationError(RuntimeError):
@@ -243,10 +246,10 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     xor-sum is then eᵢ, so the stage teleports by eᵢ in time π/2.  One
     stage per set bit of the target, ascending.  Every stage certificate
     is verified exactly before the plan is returned, by one pass over the
-    held folded-cube spectrum: stage i's gaps are Δ_v − 2vᵢ, so all of
-    its congruences hold iff the folded cube revives at π/2 (see "Routing"
-    in the module docstring).  No stage spectrum is built, and no
-    spectrum is stored on any set of the plan.
+    folded-cube spectrum in closed form: stage i's gaps are Δ_v − 2vᵢ, so
+    all of its congruences hold iff the folded cube revives at π/2 (see
+    "Routing" in the module docstring).  No transform runs, no stage
+    spectrum is built, and no spectrum is stored on any set of the plan.
     """
     if isinstance(target, int):
         target = GroupElement(target, n)
@@ -254,18 +257,18 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     if target.bits == 0:
         raise ValueError("target must be nonzero; the empty route is trivial")
     base = folded_cube(n)
-    values = _folded_spectrum(n)
     if n == 1:
         # {1} already has xor-sum e₁; removing it would leave nothing.
         stage_sets = [base]
-        certs = [_certificate(1, 1, values, base.u, HALF_PI, "closed-form")]
+        certs = [_certificate(1, 1, np.array([1, -1], dtype=np.int8),
+                              base.u, HALF_PI, "closed-form")]
     else:
         stage_sets = [ConnectionSet(n, tuple(e for e in base.elements
                                              if e != 1 << i))
                       for i in range(n) if (target.bits >> i) & 1]
         # the folded cube's revival at π/2 is every stage's transfer check
-        _certificate(n, n + 1, values, GroupElement.zero(n), HALF_PI,
-                     "closed-form")
+        _certificate(n, n + 1, _folded_spectrum(n), GroupElement.zero(n),
+                     HALF_PI, "closed-form")
         phase = _phase(n, HALF_PI)  # every stage has degree d = n
         certs = [PstCertificate(n=n, delta=omega.u, time=HALF_PI,
                                 phase=phase, method="closed-form")
@@ -281,10 +284,10 @@ def plan_route(n: int, target: GroupElement | int) -> RoutingPlan:
     return RoutingPlan(n=n, target=target, base=base, stages=stages)
 
 
-@lru_cache(maxsize=1)
 def _folded_spectrum(n: int) -> np.ndarray:
-    """The read-only int8 spectrum of ``folded_cube(n)``, |λ| ≤ n + 1,
-    held for the most recent n only."""
-    values = wht(folded_cube(n).indicator()).astype(np.int8)
-    values.setflags(write=False)
-    return values
+    """The int8 spectrum of ``folded_cube(n)`` for n ≥ 2, in closed form
+    (module docstring, "Routing"); |λ| ≤ n + 1."""
+    weights = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):  # wt(v + 2ⁱ) = wt(v) + 1 for v < 2ⁱ
+        np.add(weights[:1 << i], 1, out=weights[1 << i:2 << i])
+    return n + 1 - 2 * (weights + (weights & 1))

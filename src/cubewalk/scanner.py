@@ -32,11 +32,13 @@ The sets that transfer stay in per-block numpy columns (``_Findings``),
 and the summary counters are read off them.  A block's token columns are
 built once and index one table of label texts, so the digest and the
 CLI's document render the findings as ``jsontext.Rows`` bytes, with no
-per-set dict or string.  ``ScanReport.findings`` is built on first read,
-by the builder that ``transfer_record`` and ``audit_record`` use for one
-set, from one text per distinct label and time of each block.  A
-cubelike graph transfers from 0 to at most one offset (Cheung and
-Godsil, 2011), so a record carries the set's one offset, or none.
+per-set dict or string.  The layout of a finding is written once, in
+``_skeleton`` and ``_Findings.columns``: ``ScanReport.findings`` is read
+back from those columns on first read (``jsontext.Rows.values``), and
+``transfer_record`` and ``audit_record`` read one set the same way, from
+a one-row block.  A cubelike graph transfers from 0 to at most one offset
+(Cheung and Godsil, 2011), so a record carries the set's one offset, or
+none.
 
 One survey loop serves three report kinds, and the report keeps the sets
 that admit PST.  The pst scan is the general survey.  The conjecture scan
@@ -74,7 +76,6 @@ import random
 import time as _time
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -463,69 +464,10 @@ def enumerate_sets(n: int, *, d_min: int | None = None,
             yield ConnectionSet(n, tuple(_mask_labels(mask)))
 
 
-# ── per-set records ───────────────────────────────────────────────────────
-
-def _record(omega: list[str], u: str, transfer: tuple[str, str] | None,
-            geometry: tuple[bool, int, int] | None = None) -> dict:
-    """The report line of one set from its texts; with ``geometry`` also
-    its audit fields.
-
-    ``omega`` and ``u`` are the members' and the xor-sum's binary texts;
-    ``transfer`` is the texts of the set's one offset and its time, or
-    None; ``geometry`` is (connected, diameter, distance to δ) of the BFS
-    from 0.  The record holds the texts themselves, not copies.
-    """
-    if transfer is None:
-        return {"omega": omega, "d": len(omega), "u": u, "pst": []}
-    delta, time = transfer
-    entry = {"delta": delta, "time": time}
-    record = {"omega": omega, "d": len(omega), "u": u, "pst": [entry]}
-    if geometry is not None:
-        connected, diameter, distance = geometry
-        entry.update(distance=distance, antipodal=distance == diameter,
-                     is_xor_sum=delta == u)
-        record.update(connected=connected, diameter=diameter,
-                      violations=[] if delta == u else [delta])
-    return record
-
-
-def _set_record(omega: ConnectionSet,
-                transfer: tuple[int, RationalAngle] | None,
-                geometry: tuple[bool, int, int] | None = None) -> dict:
-    """``_record`` of one set, its offset (δ, π/q) or None formatted here."""
-    code = f"0{omega.n}b"
-    texts = None if transfer is None else (format(transfer[0], code),
-                                           str(transfer[1]))
-    return _record([format(e, code) for e in omega.elements],
-                   format(omega.u.bits, code), texts, geometry)
-
-
-def transfer_record(omega: ConnectionSet) -> dict:
-    """The exact PST offset of one set, if any, in a JSON-ready shape."""
-    return _set_record(omega, next(iter(pst_offsets(omega).items()), None))
-
-
-def audit_record(omega: ConnectionSet) -> dict:
-    """The transfer offset of one set, if any, with its distance geometry.
-
-    For the offset: its distance from 0, whether that equals the diameter
-    (the metric antipodality flag), and whether it is the xor-sum (the
-    structural one), else it is listed in ``violations``.  ``diameter`` is
-    the eccentricity of 0 in its component, which holds the offset.
-    """
-    transfer = next(iter(pst_offsets(omega).items()), None)
-    geometry = None
-    if transfer is not None:
-        profile = bfs_profile(omega, GroupElement.zero(omega.n))
-        geometry = (profile.connected, profile.diameter,
-                    int(profile.dist[transfer[0]]))
-    return _set_record(omega, transfer, geometry)
-
-
 # ── findings as columns ───────────────────────────────────────────────────
 
 def _skeleton(audit: bool) -> dict:
-    """One finding with a slot at every field, laid out as ``_record``."""
+    """One finding with a slot at every field: the layout of a report line."""
     entry = slots("delta", "time")
     record = {**slots("omega", "d", "u"), "pst": [entry]}
     if audit:
@@ -553,63 +495,31 @@ class _Findings:
     distance: np.ndarray | None = None
 
     @cached_property
-    def _label_index(self) -> tuple[np.ndarray | None, np.ndarray,
-                                    np.ndarray, np.ndarray]:
-        """The labels that texts are made for, and the labels, u and δ
-        columns as indices into them, 0 standing for label 0: every label
-        (None) when 2ⁿ is no more than the labels held, else the distinct
-        ones and 0, found once for the columns and the records."""
-        rows, k = self.labels.shape
-        if 1 << self.n <= self.labels.size + 2 * rows:
-            return None, self.labels, self.u, self.delta
-        distinct, index = np.unique(np.column_stack(
-            [np.zeros_like(self.u), self.labels, self.u, self.delta]),
-            return_inverse=True)
-        index = index.reshape(rows, k + 3)
-        return distinct, index[:, 1:k + 1], index[:, -2], index[:, -1]
-
-    @cached_property
-    def _times(self) -> tuple[list[str], np.ndarray]:
-        """The texts of the block's few distinct times, and the index of
-        each set's time among them."""
-        times, at = np.unique(self.q, return_inverse=True)
-        return [str(RationalAngle(1, q)) for q in times.tolist()], at
-
-    def records(self) -> Iterator[dict]:
-        """The report lines, each equal to what ``audit_record`` or
-        ``transfer_record`` gives for that set.
-
-        The texts are shared within the block: one str per distinct label,
-        xor-sum and offset, and one per distinct time, held by every
-        record that names it.  Each record keeps its own dicts and lists.
-        """
-        distinct, labels, u, delta = self._label_index
-        code = f"0{self.n}b"
-        names = [format(x, code) for x in (
-            range(1 << self.n) if distinct is None else distinct.tolist())]
-        times, at = self._times
-        geometry = repeat(None) if self.connected is None else zip(
-            self.connected.tolist(), self.diameter.tolist(),
-            self.distance.tolist())
-        for row, x, db, t, geo in zip(labels.tolist(), u.tolist(),
-                                      delta.tolist(), at.tolist(), geometry):
-            yield _record([names[i] for i in row if i], names[x],
-                          (names[db], times[t]), geo)
-
-    @cached_property
     def columns(self) -> dict:
-        """The token column of every field, by name, built once.  Labels,
-        u and δ index one table of label texts (``_label_index``)."""
-        distinct, labels, u, delta = self._label_index
-        texts = binary_texts(self.n, distinct)
-        times, at = self._times
+        """The token column of every field, by name, built once.
+
+        Labels, u and δ index one table of label texts, 0 standing for
+        label 0: of every label when 2ⁿ is no more than the labels held,
+        else of the distinct ones and 0.  Times index the texts of the
+        block's few distinct times.
+        """
+        labels, u, delta = self.labels, self.u, self.delta
+        distinct = None
+        rows, k = labels.shape
+        if 1 << self.n > labels.size + 2 * rows:
+            distinct, index = np.unique(np.column_stack(
+                [np.zeros_like(u), labels, u, delta]), return_inverse=True)
+            index = index.reshape(rows, k + 3)
+            labels, u, delta = index[:, 1:k + 1], index[:, -2], index[:, -1]
+        texts = binary_texts(self.n, distinct).table
+        times, at = np.unique(self.q, return_inverse=True)
         columns = {
-            "omega": Members(texts.table, labels),
+            "omega": Members(texts, labels),
             "d": numbers(np.count_nonzero(labels, axis=1)),
-            "u": Tokens(texts.table, u),
-            "delta": Tokens(texts.table, delta),
-            "time": pick(at.astype(np.uint8),  # a few distinct times
-                         [json.dumps(time) for time in times]),
+            "u": Tokens(texts, u),
+            "delta": Tokens(texts, delta),
+            "time": pick(at.astype(np.uint8), [  # a few distinct times
+                json.dumps(str(RationalAngle(1, q))) for q in times.tolist()]),
         }
         if self.connected is not None:
             xor_sum = self.delta == self.u
@@ -619,9 +529,50 @@ class _Findings:
                 distance=numbers(self.distance),
                 antipodal=booleans(self.distance == self.diameter),
                 is_xor_sum=booleans(xor_sum),
-                violations=Members(texts.table, np.where(
+                violations=Members(texts, np.where(
                     xor_sum, 0, delta).astype(labels.dtype)[:, None]))
         return columns
+
+
+# ── per-set records ───────────────────────────────────────────────────────
+
+def _set_record(omega: ConnectionSet, audit: bool) -> dict:
+    """The report line of one set: a one-row ``_Findings``, with the BFS
+    geometry from 0 under ``audit``, read back from its columns as a
+    survey's findings are."""
+    transfer = pst_offsets(omega)
+    if not transfer:
+        code = f"0{omega.n}b"
+        return {"omega": [format(e, code) for e in omega.elements],
+                "d": len(omega), "u": format(omega.u.bits, code),
+                "pst": []}
+    ((delta, time),) = transfer.items()  # one offset, at π/q
+    geometry = ()
+    if audit:
+        profile = bfs_profile(omega, GroupElement.zero(omega.n))
+        geometry = (profile.connected, profile.diameter,
+                    int(profile.dist[delta]))
+    block = _Findings(omega.n, np.array([omega.elements]),
+                      *(np.array([x]) for x in (omega.u.bits, delta, time.q,
+                                                *geometry)))
+    (record,) = Rows(_skeleton(audit), [block.columns]).values()
+    return record
+
+
+def transfer_record(omega: ConnectionSet) -> dict:
+    """The exact PST offset of one set, if any, in a JSON-ready shape."""
+    return _set_record(omega, audit=False)
+
+
+def audit_record(omega: ConnectionSet) -> dict:
+    """The transfer offset of one set, if any, with its distance geometry.
+
+    For the offset: its distance from 0, whether that equals the diameter
+    (the metric antipodality flag), and whether it is the xor-sum (the
+    structural one), else it is listed in ``violations``.  ``diameter`` is
+    the eccentricity of 0 in its component, which holds the offset.
+    """
+    return _set_record(omega, audit=True)
 
 
 # ── surveys ───────────────────────────────────────────────────────────────
@@ -632,10 +583,11 @@ class ScanReport:
 
     ``payload`` (and so ``digest``) holds nothing that varies between
     identical runs.  The findings come as per-block columns (``blocks``):
-    ``findings`` builds one record per set on first read, and
     ``columnar_payload`` holds them as ``Rows`` that render to the bytes
-    of ``payload()``.  ``path`` names the engine, "word-table" or
-    "indicator-wht"; like the wall time it stays out of the payload.
+    of ``payload()``, and ``findings`` reads the same ``Rows`` back as
+    one record per set on first read.  ``path`` names the engine,
+    "word-table" or "indicator-wht"; like the wall time it stays out of
+    the payload.
     """
 
     kind: str
@@ -650,14 +602,13 @@ class ScanReport:
 
     @cached_property
     def findings(self) -> list[dict]:
-        """One record per set that transfers, in canonical set order.
+        """One record per set that transfers, in canonical set order, read
+        back from the columns that render the digest (``Rows.values``).
 
         Records of one block share their texts, one str per distinct
-        label and time (``_Findings.records``); each record's dicts and
-        lists are its own.
+        label and time; each record's dicts and lists are its own.
         """
-        return [record for block in self.blocks
-                for record in block.records()]
+        return self.columnar_payload()["findings"].values()
 
     def payload(self) -> dict:
         return {**self.columnar_payload(), "findings": self.findings}

@@ -371,6 +371,60 @@ def test_kernel_renders_random_token_columns_as_json(monkeypatch):
                 canonical_dumps(want).encode()).hexdigest()
 
 
+def _column_kinds(rng, rows):
+    """One column of every kind, ``rows`` rows each."""
+    labels = jsontext.binary_texts(6).table
+    ints = rng.integers(-5, 1 << 40, rows)
+    floats = np.array([0.0, -0.0, 1.5, -2.5e-308, 1e22, 1 / 3, 5e-324])
+    members = rng.integers(0, 64, (rows, 4)) * (rng.random((rows, 4)) < 0.5)
+    return {
+        "text": jsontext.binary_texts(6, rng.integers(0, 64, rows)),
+        "label": jsontext.Tokens(labels, rng.integers(0, 64, rows)),
+        "int": jsontext.numbers(ints),
+        "small": jsontext.numbers(rng.integers(0, 9, rows)),
+        "float": jsontext.numbers(rng.choice(floats, rows)),
+        "maybe": jsontext.numbers(ints, missing=rng.random(rows) < 0.3),
+        "flag": jsontext.booleans(rng.random(rows) < 0.5),
+        "pick": jsontext.pick(rng.integers(0, 3, rows),
+                              ['"a"', "null", "2.5"]),
+        "members": jsontext.Members(labels, members),
+        "none": jsontext.Members(labels, np.zeros((rows, 2), np.int64)),
+    }
+
+
+def test_rows_values_are_json_loads_of_their_text():
+    # every column kind read back: members with 0 in any position and
+    # empty lists, -0.0 with its sign, null where missing; json.dumps
+    # without sort_keys also tells true from 1 and checks the key order
+    rng = np.random.default_rng(13)
+    names = list(_column_kinds(rng, 1))
+    skeleton = {"first": jsontext.slots(*names[:5]),
+                "rest": [jsontext.slot(name) for name in names[5:]]}
+    for sizes in ([], [1], [5, 300, 2]):
+        rows = jsontext.Rows(skeleton,
+                             [_column_kinds(rng, size) for size in sizes])
+        got = rows.values()
+        want = json.loads(b"".join(rows.text()))
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_a_shared_table_gives_one_object_per_text():
+    labels = jsontext.binary_texts(3).table
+    index = np.array([[0, 1, 2], [1, 2, 3], [0, 0, 3]])
+    columns = {"m": jsontext.Members(labels, index),
+               "x": jsontext.Tokens(labels, index[:, 2]),
+               "y": jsontext.Tokens(labels, index[:, 1])}
+    skeleton = {**jsontext.slots("x", "y"), "m": jsontext.slot("m")}
+    got = jsontext.Rows(skeleton, [columns, columns]).values()
+    assert got[2] == {"m": ["011"], "x": "011", "y": "000"}
+    texts = {}
+    for row in got:
+        for text in (*row["m"], row["x"], row["y"]):
+            assert texts.setdefault(text, text) is text
+    assert sorted(texts) == ["000", "001", "010", "011"]
+
+
 def test_a_nul_in_a_table_text_is_refused():
     with pytest.raises(ValueError, match="NUL"):
         jsontext.table(['"a\0b"', "1"])

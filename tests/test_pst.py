@@ -489,27 +489,29 @@ def test_one_transfer_decision_per_set(monkeypatch):
     assert len(calls) == 3
 
 
-def test_plan_route_runs_one_transform(integer_transforms):
-    # one folded-cube WHT per dimension: the spectrum is held, read-only
-    # and in int8, for the most recent n only
-    pst._folded_spectrum.cache_clear()
+def test_plan_route_runs_no_transform(integer_transforms):
+    # the folded-cube spectrum is in closed form: a plan runs no integer
+    # transform and holds no spectrum between plans
     for n in [*range(2, 13), 5]:
         integer_transforms.clear()
         plan = plan_route(n, (1 << n) - 1)
         assert len(plan.stages) == n
-        assert integer_transforms == [(1 << n,)]
         assert plan_route(n, 1).stages[0].hop.bits == 1
-        assert integer_transforms == [(1 << n,)]
-        held = pst._folded_spectrum(n)
-        assert pst._folded_spectrum.cache_info().currsize == 1
-        assert held.dtype == np.int8 and not held.flags.writeable
-        with pytest.raises(ValueError):
-            held[0] = 0
+        assert integer_transforms == []
+        assert pst._folded_spectrum(n).dtype == np.int8
         # no stage set carries a spectrum, so a re-check runs its own WHT
         for stage in plan.stages:
             certify(stage.omega, stage.hop, stage.time)
-        assert len(integer_transforms) == 1 + n
-        assert held.tolist() == wht(folded_cube(n).indicator()).tolist()
+        assert integer_transforms == [(1 << n,)] * n
+
+
+def test_folded_spectrum_closed_form_matches_the_transform():
+    # the stage certificates check the closed form, so it is pinned to an
+    # independent source: the WHT of the folded cube's indicator
+    for n in range(2, 21):
+        values = pst._folded_spectrum(n)
+        assert values.dtype == np.int8
+        assert np.array_equal(values, wht(folded_cube(n).indicator())), n
 
 
 def _stage_spectrum(folded, i):
@@ -588,18 +590,18 @@ def test_one_revival_pass_decides_as_every_stage_check(monkeypatch):
 
 def test_plan_route_rejects_a_tampered_folded_spectrum(monkeypatch):
     n = 5
-    held = pst._folded_spectrum(n)
+    clean = pst._folded_spectrum(n)
     for v in range(1 << n):
-        tampered = held.copy()
+        tampered = clean.copy()
         tampered[v] += 2  # the gap Δ_v moves by 2 and leaves 0 mod 4
         monkeypatch.setattr(pst, "_folded_spectrum", lambda m: tampered)
         for target in range(1, 1 << n):
             with pytest.raises(CertificationError):
                 plan_route(n, target)
-    # the tampering touched copies, never the held spectrum
+    # the tampering touched copies: a fresh spectrum is the transform's,
+    # and a clean plan certifies
     monkeypatch.undo()
-    assert pst._folded_spectrum(n) is held
+    assert pst._folded_spectrum(n).tolist() == \
+        wht(folded_cube(n).indicator()).tolist()
     plan = plan_route(n, 0b10110)
     assert [stage.hop.bits for stage in plan.stages] == [0b10, 0b100, 0b10000]
-    with pytest.raises(ValueError):
-        held[-1] += 2

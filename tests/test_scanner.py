@@ -445,8 +445,9 @@ def test_block_records_share_their_texts():
     for report in (antipodality_audit(4), conjecture_scan(5, sample=2000,
                                                           seed=3),
                    scan_sets(10, d_max=12, sample=60, seed=10)):
+        findings = iter(report.findings)
         for block in report.blocks:
-            records = list(block.records())
+            records = list(itertools.islice(findings, len(block.u)))
             texts = {}
             for record in records:
                 (entry,) = record["pst"]
@@ -602,10 +603,12 @@ def test_survey_digest_renders_from_columns():
     reports += _larger_surveys()
     empty = conjecture_scan(3)
     for report in reports + [empty]:
-        # rendered first, from the columns; the records are read after
+        # rendered first, from the columns; the records are read after,
+        # from the same columns, as json.loads reads the text
         text, digest = report.canonical_json(), report.digest()
         want = jsontext.canonical_dumps(report.payload())
         assert text == want
+        assert report.payload() == json.loads(text)
         assert digest == hashlib.sha256(want.encode()).hexdigest()
     assert sum(len(r.findings) for r in reports[len(PINNED_SURVEYS):]) > 300
     plain, windowed, u_zero = reports[-3:]
@@ -625,7 +628,7 @@ def test_audit_columns_render_a_violation():
         5, np.array([omega.elements]), np.array([0]), np.array([1]),
         np.array([4]), np.array([profile.connected]),
         np.array([profile.diameter]), np.array([profile.dist[1]]))
-    records = list(block.records())
+    records = jsontext.Rows(scanner._skeleton(True), [block.columns]).values()
     assert records == [audit_record(omega)]
     assert records[0]["pst"][0]["distance"] == 1
     assert records[0]["diameter"] == 2
@@ -669,7 +672,7 @@ def test_survey_builds_no_record_until_read(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a record was built before findings was read")
 
-    monkeypatch.setattr(scanner, "_record", built)
+    monkeypatch.setattr(jsontext.Rows, "values", built)
     audit = antipodality_audit(4)
     audit.digest()
     scan = scan_sets(5, d_min=3, d_max=3)
