@@ -22,18 +22,16 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _ORIGIN = {name: module for module, names in {
     "bitspace": ["ConnectionSet", "DimensionMismatchError", "GroupElement",
-                 "MAX_DIMENSION", "SetFormatError", "dot_parity", "gf2_rank",
-                 "hypercube", "odd_parity_functional", "spans"],
-    "dynamics": ["HALF_PI", "PI", "GaussianInteger", "RationalAngle",
+                 "MAX_DIMENSION", "SetFormatError", "hypercube",
+                 "odd_parity_functional"],
+    "dynamics": ["HALF_PI", "GaussianInteger", "RationalAngle",
                  "UnsupportedAngleError", "all_amplitudes", "all_fidelities",
-                 "amplitude", "amplitude_exact", "gaussian_unit",
-                 "measurement_distribution"],
-    "graphwalk": ["DisconnectedGraphError", "DistanceProfile",
-                  "antipodal_pairs", "bfs_profile", "bipartite_functional",
-                  "is_complete_bipartite", "neighbors"],
+                 "amplitude_exact", "measurement_distribution"],
+    "graphwalk": ["DistanceProfile", "bfs_profile", "bipartite_functional",
+                  "is_complete_bipartite"],
     "oracle": ["DENSE_CAP", "DenseCapError", "OracleMismatchError",
                "adjacency_dense", "commutation_check", "evolve_dense",
-               "evolve_expm", "regular_rep", "verify_equivalence"],
+               "evolve_expm", "verify_equivalence"],
     "pst": ["CertificationError", "PstCertificate", "RoutingPlan",
             "RouteStage", "certify", "decide_pst_exact", "folded_cube",
             "plan_route", "pst_at_half_pi", "pst_offsets"],

@@ -16,7 +16,7 @@ Everything in this module is exact integer work; no floats enter here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,12 +91,6 @@ class GroupElement:
     def parse(cls, token: str, n: int) -> GroupElement:
         _check_dimension(n)
         return cls(_parse_label(token, n, allow_zero=True), n)
-
-
-def dot_parity(a: GroupElement, b: GroupElement) -> int:
-    """GF(2) inner product aᵀb: parity of the AND of the two labels."""
-    _same_space(a.n, b=b)
-    return (a.bits & b.bits).bit_count() & 1
 
 
 def _parse_label(token: str, n: int, *, allow_zero: bool) -> int:
@@ -226,23 +220,6 @@ def hypercube(n: int) -> ConnectionSet:
 
 
 # ── GF(2) linear algebra on label lists ──────────────────────────────────
-
-def gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank of the given labels as vectors over GF(2)."""
-    basis: list[int] = []
-    for vec in vectors:
-        cur = int(vec)
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-    return len(basis)
-
-
-def spans(omega: ConnectionSet) -> bool:
-    """True iff Ω spans Z₂ⁿ, i.e. the Cayley graph is connected."""
-    return gf2_rank(omega.elements) == omega.n
-
 
 def odd_parity_functional(vectors: Sequence[int], n: int) -> int | None:
     """Solve cᵀw = 1 over GF(2) for every w in ``vectors``.

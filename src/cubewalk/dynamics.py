@@ -91,7 +91,6 @@ class RationalAngle:
 
 
 HALF_PI = RationalAngle(1, 2)
-PI = RationalAngle(1, 1)
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,7 @@ class GaussianInteger:
         return f"{self.re}{im}" if self.im < 0 else f"{self.re}+{im}"
 
 
-def gaussian_unit(k: int) -> GaussianInteger:
-    """i^k as a Gaussian integer."""
-    return _UNITS[k % 4]
-
-
+# i^k at index k
 _UNITS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
           GaussianInteger(-1, 0), GaussianInteger(0, -1))
 
@@ -150,8 +145,8 @@ def _phase(d: int, time: RationalAngle) -> GaussianInteger | complex:
     exact when it is a power of i on the quarter grid, complex otherwise."""
     q = time.q
     e0 = -time.p * d % (2 * q)
-    k, rest = divmod(2 * e0, q)  # ζ^(e_0) = i^k when rest = 0
-    phase = gaussian_unit(k) if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
+    k, rest = divmod(2 * e0, q)  # 0 ≤ k < 4; ζ^(e_0) = i^k when rest = 0
+    phase = _UNITS[k] if rest == 0 else cmath.exp(1j * math.pi * e0 / q)
     return phase if time.is_quarter_exact else complex(phase)
 
 
@@ -172,13 +167,6 @@ def all_amplitudes(omega: ConnectionSet, t: float) -> np.ndarray:
     phases = np.roll(table, -d)[spectrum(omega).values]
     _wht_in_place(phases)
     return phases
-
-
-def amplitude(omega: ConnectionSet, a: GroupElement, b: GroupElement,
-              t: float) -> complex:
-    """Transition amplitude ⟨b| e^(−itA) |a⟩, unnormalized by 2ⁿ."""
-    _same_space(omega.n, a=a, b=b)
-    return complex(all_amplitudes(omega, t)[a.bits ^ b.bits])
 
 
 def all_fidelities(omega: ConnectionSet, t) -> np.ndarray:

@@ -10,8 +10,9 @@ the frontier is small; bottom-up, each unvisited vertex looks for a
 neighbour in the frontier, once the frontier's edges far outnumber the
 unvisited vertices, as in the widest levels of a dense set.
 
-Connectivity is a rank condition: the graph is connected iff Ω spans Z₂ⁿ
-over GF(2), which ``bitspace.spans`` tests.  Bipartiteness is a linear
+Connectivity is decided by what the BFS reaches.  It is also a rank
+condition, the graph being connected iff Ω spans Z₂ⁿ over GF(2), and the
+tests use that rank as their oracle.  Bipartiteness is a linear
 condition: the graph is bipartite iff some functional c has cᵀw = 1 for
 every generator, and it is complete bipartite exactly when such a c
 exists and d = 2^(n−1).
@@ -26,10 +27,6 @@ import numpy as np
 
 from .bitspace import (ConnectionSet, GroupElement, _same_space,
                        odd_parity_functional)
-
-
-class DisconnectedGraphError(ValueError):
-    """The requested quantity is only defined for connected graphs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +47,6 @@ class DistanceProfile:
     def farthest(self) -> np.ndarray:
         """The vertices at distance ``diameter`` from the source, ascending."""
         return np.flatnonzero(self.dist == self.diameter)
-
-
-def neighbors(omega: ConnectionSet, x: GroupElement) -> list[GroupElement]:
-    """The vertices adjacent to x, in ascending generator order."""
-    _same_space(omega.n, x=x)
-    return [GroupElement(x.bits ^ w, omega.n) for w in omega.elements]
 
 
 def bfs_profile(omega: ConnectionSet, source: GroupElement) -> DistanceProfile:
@@ -149,19 +140,6 @@ def _bottom_up(labels: Sequence[int], dist: np.ndarray, frontier: np.ndarray,
         if not pending.size:
             break
     return np.concatenate(found), pending
-
-
-def antipodal_pairs(omega: ConnectionSet) -> list[GroupElement]:
-    """All δ at maximum distance from 0; {x, x⊕δ} are the antipodal pairs.
-
-    Raises DisconnectedGraphError when the graph is not connected, since
-    antipodality is not meaningful there.
-    """
-    profile = bfs_profile(omega, GroupElement.zero(omega.n))
-    if not profile.connected:
-        raise DisconnectedGraphError(
-            "antipodal pairs are defined only for connected graphs")
-    return [GroupElement(v, omega.n) for v in profile.farthest().tolist()]
 
 
 def bipartite_functional(omega: ConnectionSet) -> GroupElement | None:

@@ -57,7 +57,7 @@ def _kron_step(mat: np.ndarray, block: np.ndarray) -> np.ndarray:
         2 * rows, 2 * cols)
 
 
-def regular_rep(w: GroupElement) -> np.ndarray:
+def _regular_rep(w: GroupElement) -> np.ndarray:
     """Permutation matrix of x ↦ x⊕w as a Kronecker product.
 
     Factor i of the product is a bit flip when bit i of w is set, identity
@@ -77,7 +77,7 @@ def adjacency_dense(omega: ConnectionSet) -> np.ndarray:
     size = 1 << omega.n
     acc = np.zeros((size, size), dtype=np.int64)
     for w in omega.members():
-        acc += regular_rep(w)
+        acc += _regular_rep(w)
     return acc
 
 
@@ -99,6 +99,11 @@ def _finite_time(t: float) -> float:
 
 
 def _eigenvalues(adj: np.ndarray) -> np.ndarray:
+    """Eigenvalues by explicit conjugation H A H / 2ⁿ, exact in int64.
+
+    The conjugated matrix must come out diagonal with entries divisible by
+    2ⁿ; anything else means the adjacency matrix was not cubelike.
+    """
     size = adj.shape[0]
     had = _hadamard(size.bit_length() - 1)
     conj = had @ adj @ had
@@ -130,16 +135,6 @@ def _expm(adj: np.ndarray, t: float) -> np.ndarray:
     from scipy.linalg import expm
 
     return expm(-1j * t * adj.astype(np.float64))
-
-
-def dense_eigenvalues(omega: ConnectionSet) -> np.ndarray:
-    """Eigenvalues by explicit conjugation H A H / 2ⁿ, exact in int64.
-
-    The conjugated matrix must come out diagonal with entries divisible by
-    2ⁿ; anything else means the adjacency matrix was not cubelike, which
-    cannot happen for a ConnectionSet.
-    """
-    return _eigenvalues(adjacency_dense(omega))
 
 
 def evolve_dense(omega: ConnectionSet, t: float) -> np.ndarray:

@@ -127,6 +127,21 @@ def _xor_sum_zero_count(n: int, d: int) -> int:
     return (math.comb(width, d) + width * twisted) >> n
 
 
+def _window_count(n: int, lo: int, hi: int, u_zero: bool,
+                  stop: float = math.inf) -> tuple[int, str]:
+    """How many sets the degree window [lo, hi] holds, and what they are.
+
+    The count stops at the first degree where it reaches ``stop``: a
+    sample at n = 20 needs a few binomials, not the window's 10⁶.
+    """
+    width, count = (1 << n) - 1, 0
+    for d in range(lo, hi + 1):
+        count += _xor_sum_zero_count(n, d) if u_zero else math.comb(width, d)
+        if count >= stop:
+            break
+    return count, "xor-sum-zero sets" if u_zero else "sets"
+
+
 def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
                    sample: int, seed: int) -> list[int]:
     """Distinct masks matching the filters, ascending, seed-deterministic.
@@ -139,17 +154,12 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     """
     if sample < 1:
         raise ValueError(f"sample size must be positive, got {sample}")
-    width = (1 << n) - 1
-    room = 0
-    for d in range(lo, hi + 1):
-        room += _xor_sum_zero_count(n, d) if u_zero else math.comb(width, d)
-        if room >= sample:
-            break
-    else:
-        kind = "xor-sum-zero sets" if u_zero else "sets"
+    room, kind = _window_count(n, lo, hi, u_zero, sample)
+    if room < sample:
         raise ValueError(
             f"cannot draw {sample} distinct sets from the {room} {kind} in "
             f"the degree window [{lo}, {hi}] at n = {n}")
+    width = (1 << n) - 1
     rng = random.Random(seed)
     xors, odd = _byte_xors()
     chosen: set[int] = set()
@@ -208,10 +218,8 @@ def _mask_blocks(n: int, *, d_min: int | None, d_max: int | None,
             raise EnumerationCapError(
                 f"exhaustive enumeration stops at n = {FILTERED_CAP}; "
                 f"use sampling for n = {n}")
-        count = sum(_xor_sum_zero_count(n, d) if u_zero else
-                    math.comb(width, d) for d in range(lo, hi + 1))
+        count, kind = _window_count(n, lo, hi, u_zero)
         if count > MASK_CAP:
-            kind = "xor-sum-zero sets" if u_zero else "sets"
             raise EnumerationCapError(
                 f"degree window [{lo}, {hi}] at n = {n} holds {count} "
                 f"{kind}, over the 2^24 cap; narrow the window or sample")

@@ -235,10 +235,6 @@ class Spectrum:
     d: int
     values: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
 
 def spectrum(omega: ConnectionSet) -> Spectrum:
     """Integer spectrum of X(Z₂ⁿ, Ω) via one WHT of the indicator of Ω.

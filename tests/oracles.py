@@ -43,6 +43,18 @@ def eigenvalues(labels, n):
     return [sum(character(w, v) for w in labels) for v in range(1 << n)]
 
 
+def gf2_rank(labels):
+    """Rank of the labels as vectors over GF(2): the size of an
+    elimination basis, each label reduced against the basis so far."""
+    basis = []
+    for vec in labels:
+        for b in basis:
+            vec = min(vec, vec ^ b)
+        if vec:
+            basis.append(vec)
+    return len(basis)
+
+
 def bfs_dist(labels, source):
     """Distances from ``source`` by deque BFS, for reached vertices only."""
     dist = {source: 0}

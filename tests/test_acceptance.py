@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
-from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
+from cubewalk.dynamics import (HALF_PI, GaussianInteger, RationalAngle,
                                all_fidelities, exact_components)
 from cubewalk.graphwalk import bfs_profile, is_complete_bipartite
 from cubewalk.oracle import commutation_check, evolve_dense
@@ -103,7 +103,7 @@ def test_criterion_3_revival_at_pi():
         assert abs(fid[0] - 1.0) <= REVIVAL_TOL
         assert np.max(fid[1:]) <= REVIVAL_TOL
         if n <= 6:
-            re, im = exact_components(omega, PI)
+            re, im = exact_components(omega, RationalAngle(1))
             sq = re * re + im * im
             assert sq[0] == (1 << n) ** 2
             assert np.count_nonzero(sq) == 1

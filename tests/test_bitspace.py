@@ -8,9 +8,10 @@ import pytest
 from cubewalk import dynamics, graphwalk, oracle, pst, spectral
 from cubewalk.bitspace import (MAX_DIMENSION, ConnectionSet,
                                DimensionMismatchError, GroupElement,
-                               SetFormatError, _mask_labels, dot_parity,
-                               gf2_rank, hypercube, odd_parity_functional,
-                               spans)
+                               SetFormatError, _mask_labels, hypercube,
+                               odd_parity_functional)
+
+from oracles import gf2_rank
 
 
 def test_group_element_basics():
@@ -49,15 +50,6 @@ def test_group_element_rejects_bad_dimension():
             GroupElement.parse("1", n)
 
 
-def test_dot_parity_matches_popcount():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 16)
-        x, y = rng.randrange(1 << n), rng.randrange(1 << n)
-        expected = bin(x & y).count("1") & 1
-        assert dot_parity(GroupElement(x, n), GroupElement(y, n)) == expected
-
-
 def test_connection_set_construction():
     omega = ConnectionSet(3, (7, 1, 2))
     assert omega.elements == (1, 2, 7)  # sorted
@@ -83,15 +75,11 @@ _E3, _E2 = GroupElement(1, 3), GroupElement(1, 2)
 _H3 = hypercube(3)
 _MISMATCHES = {
     "GroupElement.__xor__": lambda: _E3 ^ _E2,
-    "dot_parity": lambda: dot_parity(_E3, _E2),
     "ConnectionSet": lambda: ConnectionSet(3, (_E2,)),
-    "amplitude-a": lambda: dynamics.amplitude(_H3, _E2, _E3, 0.5),
-    "amplitude-b": lambda: dynamics.amplitude(_H3, _E3, _E2, 0.5),
     "amplitude_exact": lambda: dynamics.amplitude_exact(_H3, _E2,
                                                         dynamics.HALF_PI),
     "measurement_distribution": lambda: dynamics.measurement_distribution(
         _H3, _E2, dynamics.HALF_PI),
-    "neighbors": lambda: graphwalk.neighbors(_H3, _E2),
     "bfs_profile": lambda: graphwalk.bfs_profile(_H3, _E2),
     "decide_pst_exact": lambda: pst.decide_pst_exact(_H3, _E2),
     "certify": lambda: pst.certify(_H3, _E2, dynamics.HALF_PI),
@@ -101,7 +89,6 @@ _MISMATCHES = {
     "commutation_check": lambda: oracle.commutation_check(_H3, hypercube(2)),
 }
 _SWAPPED = {
-    "dot_parity-swapped": lambda: dot_parity(_E2, _E3),
     "commutation_check-swapped": lambda: oracle.commutation_check(
         hypercube(2), _H3),
 }
@@ -177,6 +164,8 @@ def _span_size(vectors):
 
 
 def test_gf2_rank_against_span_closure():
+    # the rank is the tests' connectivity oracle (test_graphwalk), so it is
+    # held against the span itself
     rng = random.Random(3)
     assert gf2_rank([]) == 0
     assert gf2_rank([0, 0]) == 0
@@ -186,11 +175,6 @@ def test_gf2_rank_against_span_closure():
         n = rng.randint(1, 8)
         vecs = [rng.randrange(1 << n) for _ in range(rng.randint(0, 10))]
         assert (1 << gf2_rank(vecs)) == _span_size(vecs)
-
-
-def test_spans():
-    assert spans(hypercube(5))
-    assert not spans(ConnectionSet(3, (1, 2, 3)))  # stuck in a plane
 
 
 def test_odd_parity_functional_against_brute_force():

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
-from cubewalk.dynamics import (HALF_PI, PI, GaussianInteger, RationalAngle,
-                               UnsupportedAngleError, all_amplitudes,
-                               all_fidelities, amplitude, amplitude_exact,
-                               exact_components, gaussian_unit,
-                               measurement_distribution)
+from cubewalk.dynamics import (HALF_PI, GaussianInteger, RationalAngle,
+                               UnsupportedAngleError, _phase, all_amplitudes,
+                               all_fidelities, amplitude_exact,
+                               exact_components, measurement_distribution)
 from cubewalk.spectral import spectrum, wht
 
 from oracles import all_sets, character, eigenvalues, random_set
@@ -69,8 +68,8 @@ def test_rational_angle_parse_and_str():
     for text, (p, q) in cases.items():
         assert RationalAngle.parse(text) == RationalAngle(p, q)
     # str round-trips through parse
-    for angle in (RationalAngle(0), PI, HALF_PI, RationalAngle(3, 4),
-                  RationalAngle(5, 2), RationalAngle(2)):
+    for angle in (RationalAngle(0), RationalAngle(1), HALF_PI,
+                  RationalAngle(3, 4), RationalAngle(5, 2), RationalAngle(2)):
         assert RationalAngle.parse(str(angle)) == angle
     with pytest.raises(ValueError, match="denominator"):
         RationalAngle.parse("pi/0")
@@ -84,7 +83,7 @@ def test_rational_angle_parse_and_str():
 def test_rational_angle_radians_and_grid():
     assert math.isclose(HALF_PI.radians, math.pi / 2)
     assert HALF_PI.is_quarter_exact
-    assert PI.is_quarter_exact
+    assert RationalAngle(1).is_quarter_exact
     assert RationalAngle(0).is_quarter_exact
     assert not RationalAngle(1, 4).is_quarter_exact
     assert not RationalAngle(2, 3).is_quarter_exact
@@ -104,11 +103,11 @@ def test_gaussian_integer_ring_ops():
 
 
 def test_gaussian_unit_cycle():
-    # i^k; callers that need e^(-i k pi/2) negate the exponent themselves
-    units = [gaussian_unit(k) for k in range(4)]
-    assert [complex(z) for z in units] == [1, 1j, -1, -1j]
-    assert gaussian_unit(5) == gaussian_unit(1)
-    assert gaussian_unit(-1) == gaussian_unit(3)
+    # the phase e^(-i d pi/2) of a transfer at pi/2 is the exact unit
+    # i^(-d), with period 4 in the degree
+    units = [GaussianInteger(1, 0), GaussianInteger(0, -1),
+             GaussianInteger(-1, 0), GaussianInteger(0, 1)]
+    assert [_phase(d, HALF_PI) for d in range(8)] == units + units
 
 
 # ── float path ────────────────────────────────────────────────────────────
@@ -161,17 +160,6 @@ def test_float_paths_keep_their_bits_and_leave_the_spectrum_alone():
         assert spec.values.tobytes() == before
 
 
-def test_amplitude_is_an_offset_lookup():
-    rng = random.Random(17)
-    omega = random_set(rng, 4)
-    t = 0.83
-    table = all_amplitudes(omega, t)
-    for _ in range(20):
-        a = GroupElement(rng.randrange(16), 4)
-        b = GroupElement(rng.randrange(16), 4)
-        assert amplitude(omega, a, b, t) == table[a.bits ^ b.bits]
-
-
 def test_fidelities_at_time_zero_and_bounds():
     rng = random.Random(23)
     for _ in range(20):
@@ -188,7 +176,7 @@ def test_full_revival_at_pi():
     rng = random.Random(29)
     for _ in range(30):
         omega = random_set(rng, rng.randint(1, 8))
-        fid = all_fidelities(omega, PI)
+        fid = all_fidelities(omega, RationalAngle(1))
         assert fid[0] == 1.0  # exact branch, no rounding at all
         assert np.all(fid[1:] == 0.0)
 
@@ -247,7 +235,7 @@ def test_grid_path_computes_no_spectrum_and_no_transform(monkeypatch):
     a = GroupElement(0b1011, 20)
     for omega in (big, small):
         assert omega.u.bits != 0
-    for t, odd in ((HALF_PI, 1), (PI, 0)):
+    for t, odd in ((HALF_PI, 1), (RationalAngle(1), 0)):
         mu = big.u.bits * odd
         re, im = exact_components(big, t)
         assert set(np.flatnonzero(re | im)) == {mu}

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from cubewalk import graphwalk
-from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube, spans
-from cubewalk.graphwalk import (DisconnectedGraphError, _bfs,
-                                antipodal_pairs, bfs_profile,
-                                bipartite_functional, is_complete_bipartite,
-                                neighbors)
+from cubewalk.bitspace import ConnectionSet, GroupElement, hypercube
+from cubewalk.graphwalk import (_bfs, bfs_profile, bipartite_functional,
+                                is_complete_bipartite)
 from cubewalk.pst import folded_cube
 
-from oracles import bfs_dist, random_set
+from oracles import bfs_dist, gf2_rank, random_set
 
 
 def _two_colorable(omega):
@@ -32,12 +30,6 @@ def _two_colorable(omega):
             elif color[y] == color[x]:
                 return False
     return True
-
-
-def test_neighbors():
-    omega = ConnectionSet(3, (1, 6))
-    got = neighbors(omega, GroupElement(0b010, 3))
-    assert sorted(g.bits for g in got) == [0b011, 0b100]
 
 
 def test_bfs_matches_oracle():
@@ -144,8 +136,6 @@ def test_disconnected_profile():
     assert not profile.connected
     assert profile.diameter == 1  # eccentricity inside the component
     assert list(profile.dist) == [0, -1, -1, 1]
-    with pytest.raises(DisconnectedGraphError):
-        antipodal_pairs(omega)
 
 
 def test_connectivity_equals_span():
@@ -153,17 +143,21 @@ def test_connectivity_equals_span():
     for _ in range(100):
         omega = random_set(rng, rng.randint(1, 7))
         reached = len(bfs_dist(omega.elements, 0))
-        assert spans(omega) == (reached == 1 << omega.n)
-        assert spans(omega) == (bfs_profile(omega, GroupElement.zero(
-            omega.n)).connected)
+        spans = gf2_rank(omega.elements) == omega.n
+        assert spans == (reached == 1 << omega.n)
+        assert spans == bfs_profile(omega, GroupElement.zero(
+            omega.n)).connected
 
 
 def test_antipodal_pairs():
-    got = antipodal_pairs(hypercube(3))
-    assert [g.bits for g in got] == [0b111]
+    # the antipodal offsets of a connected graph are its farthest vertices
+    # from 0: the cube's is 1…1
+    cube = bfs_profile(hypercube(3), GroupElement.zero(3))
+    assert cube.connected and cube.farthest().tolist() == [0b111]
     # the three-generator twin of the cube has a unique far vertex too
     twin = ConnectionSet(3, (1, 2, 7))
-    assert [g.bits for g in antipodal_pairs(twin)] == [0b100]
+    profile = bfs_profile(twin, GroupElement.zero(3))
+    assert profile.connected and profile.farthest().tolist() == [0b100]
     # the profile's farthest vertices from another source: one read, which
     # the graph command shares
     far = bfs_profile(twin, GroupElement(0b101, 3)).farthest()

@@ -488,7 +488,7 @@ def _classify_by_loop(spec, u, u_in_set):
     else:
         case, bound = CASE_SUM_INSIDE, (d - 1) // 2
     entries = []
-    for v in range(spec.size):
+    for v in range(1 << spec.n):
         lam = int(spec.values[v])
         odd = (u.bits & v).bit_count() & 1
         if not odd:
@@ -551,7 +551,7 @@ def test_vectorized_classifier_matches_the_loop_on_broken_spectra():
         good = spectrum(omega)
         for v, shift in ((1, 2), (3, -8), (0, 1), (2, 12)):
             values = good.values.copy()
-            values[v % good.size] += shift
+            values[v % (1 << good.n)] += shift
             bad = Spectrum(n=good.n, d=good.d, values=values)
             report = _assert_matches_loop(bad, omega.u, omega.u in omega)
             assert not report.all_pass
