@@ -1,11 +1,14 @@
 """Command line front end.
 
 Each single-set subcommand (spectrum, evolve, fidelity, measure, graph,
-pst-check, pst-search, route) first calls ``_inputs``, which parses --n,
---omega, the element and the time once each and returns their canonical
-texts with the typed values: the texts are the manifest's ``inputs`` and
-open the payload.  The handler then calls the library and shapes its
-answer into the payload.  The arithmetic left here is small: ``evolve``
+pst-check, pst-search, route) is a handler of its typed inputs: it calls
+the library and returns only the rest of its payload, with its CSV
+columns where it has any (spectrum, evolve, measure).  One step,
+``_single_set``, wraps all eight where ``build_parser`` registers them:
+it parses --n, --omega, the element and the time once each, hands the
+typed values to the handler, opens the payload with the command and the
+canonical texts of the inputs (also the manifest's ``inputs``), emits it
+and returns 0.  The arithmetic left in the handlers is small: ``evolve``
 divides the amplitudes by 2ⁿ and reads each fidelity off as a modulus,
 ``evolve`` and ``fidelity`` take the exact mode on the quarter-period
 grid, and ``measure`` picks its note from the time and the xor-sum.  The
@@ -53,6 +56,7 @@ Times are printed the way they are parsed: "pi/2", "3*pi/4", "pi", "0".
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -208,32 +212,41 @@ def _angle_of(args: argparse.Namespace):
     return args.t_real
 
 
-def _inputs(args: argparse.Namespace) -> tuple:
-    """Parse a single-set command's inputs, each once.
+def _single_set(handler):
+    """The command step of the single-set command that ``handler`` answers.
 
-    The order is the order errors are reported in: --n with --omega, then
-    the element (--delta, --a, --source or --target; an absent or empty
-    --a or --source is the zero vertex), then the time.  Returns the
-    canonical texts, keyed as the payload keys, then the typed values in
-    that order, n left out.  The texts are the manifest's ``inputs`` and
-    open the payload.
+    The step parses the inputs, each once, in the order errors are
+    reported in: --n with --omega, then the element (--delta, --a,
+    --source or --target; an absent or empty --a or --source is the zero
+    vertex), then the time.  ``handler`` takes the typed values in that
+    order and returns the rest of the payload, or that and its CSV columns.
+    The canonical texts of the inputs, keyed as the payload keys, are the
+    manifest's ``inputs`` and open the payload after the command.  The
+    step emits the document and returns 0.
     """
-    from .bitspace import ConnectionSet, GroupElement
+    @functools.wraps(handler)
+    def step(args: argparse.Namespace) -> int:
+        from .bitspace import ConnectionSet, GroupElement
 
-    given = vars(args)
-    values = {}
-    if "omega" in given:
-        values["omega"] = ConnectionSet.parse(args.omega, args.n)
-    for key in ("delta", "a", "source", "target"):
-        if key in given:
-            values[key] = (GroupElement.zero(args.n)
-                           if key in ("a", "source") and not given[key]
-                           else GroupElement.parse(given[key], args.n))
-    if "t_pi" in given:
-        values["time"] = _angle_of(args)
-    inputs = {"n": args.n, **{key: v if isinstance(v, float) else str(v)
-                              for key, v in values.items()}}
-    return (inputs, *values.values())
+        given = vars(args)
+        values = {}
+        if "omega" in given:
+            values["omega"] = ConnectionSet.parse(args.omega, args.n)
+        for key in ("delta", "a", "source", "target"):
+            if key in given:
+                values[key] = (GroupElement.zero(args.n)
+                               if key in ("a", "source") and not given[key]
+                               else GroupElement.parse(given[key], args.n))
+        if "t_pi" in given:
+            values["time"] = _angle_of(args)
+        inputs = {"n": args.n, **{key: v if isinstance(v, float) else str(v)
+                                  for key, v in values.items()}}
+        answer = handler(*values.values())
+        body, csv = answer if isinstance(answer, tuple) else (answer, None)
+        _emit(args, {"command": args.command, **inputs, **body}, inputs,
+              csv=csv)
+        return 0
+    return step
 
 
 def _complex_json(z: GaussianInteger | complex) -> dict:
@@ -246,16 +259,15 @@ def _complex_json(z: GaussianInteger | complex) -> dict:
 
 # ── subcommands ───────────────────────────────────────────────────────────
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(omega: ConnectionSet) -> tuple[dict, dict]:
     import numpy as np
 
     from .jsontext import Rows, binary_texts, booleans, numbers, pick, slots
     from .spectral import classify_set
 
-    inputs, omega = _inputs(args)
     report = classify_set(omega)
     columns = {
-        "v": binary_texts(args.n),
+        "v": binary_texts(omega.n),
         "lambda": numbers(report.eigenvalues),
         "k": numbers(report.k, missing=~report.in_class),
         "congruence_class": pick(
@@ -263,29 +275,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             [encode_basestring_ascii(c) for c in report.classes]),
         "ok": booleans(report.ok),
     }
-    payload = {
-        "command": args.command, **inputs,
+    return {
         "d": omega.d,
         "u": str(omega.u),
         "case": report.case,
         "all_pass": report.all_pass,
         "eigenvalues": Rows(slots(*columns), [columns]),
-    }
-    _emit(args, payload, inputs,
-          csv={"v_binary": columns["v"], "lambda": columns["lambda"],
-               "k": columns["k"],
-               "congruence_class": columns["congruence_class"]})
-    return 0
+    }, {"v_binary": columns["v"], "lambda": columns["lambda"],
+        "k": columns["k"], "congruence_class": columns["congruence_class"]}
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(omega: ConnectionSet, t: RationalAngle | float
+               ) -> tuple[dict, dict]:
     import numpy as np
 
     from .dynamics import RationalAngle, all_amplitudes, exact_components
     from .jsontext import Rows, binary_texts, numbers, slot, slots
 
-    inputs, omega, t = _inputs(args)
-    size = 1 << args.n
+    size = 1 << omega.n
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
     if exact:
         re, im = exact_components(omega, t)
@@ -295,7 +302,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             omega, t.radians if isinstance(t, RationalAngle) else t)
     fid = np.abs(amp) / size  # as all_fidelities: exact 0.0/1.0 on the grid
     amp = amp / size
-    columns = {"delta": binary_texts(args.n), "fidelity": numbers(fid),
+    columns = {"delta": binary_texts(omega.n), "fidelity": numbers(fid),
                "re": numbers(amp.real), "im": numbers(amp.imag)}
     row = slots("delta", "fidelity")
     if exact:
@@ -303,78 +310,61 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         row["amplitude_exact"] = {"re": slot("exact_re"),
                                   "im": slot("exact_im")}
     row["amplitude"] = {"re": slot("re"), "im": slot("im")}
-    payload = {
-        "command": args.command, **inputs,
+    return {
         "mode": "exact" if exact else "float",
         "fidelities": Rows(row, [columns]),
-    }
-    _emit(args, payload, inputs,
-          csv={"delta_binary": columns["delta"],
-               "fidelity": columns["fidelity"], "re": columns["re"],
-               "im": columns["im"]})
-    return 0
+    }, {"delta_binary": columns["delta"], "fidelity": columns["fidelity"],
+        "re": columns["re"], "im": columns["im"]}
 
 
-def cmd_fidelity(args: argparse.Namespace) -> int:
+def cmd_fidelity(omega: ConnectionSet, delta: GroupElement,
+                 t: RationalAngle | float) -> dict:
     from .dynamics import RationalAngle, all_fidelities, amplitude_exact
 
-    inputs, omega, delta, t = _inputs(args)
     exact = isinstance(t, RationalAngle) and t.is_quarter_exact
-    fid = all_fidelities(omega, t)
-    payload = {
-        "command": args.command, **inputs,
-        "mode": "exact" if exact else "float",
-        "fidelity": float(fid[delta.bits]),
-    }
+    body = {"mode": "exact" if exact else "float",
+            "fidelity": float(all_fidelities(omega, t)[delta.bits])}
     if exact:
-        payload["amplitude_exact"] = _complex_json(
+        body["amplitude_exact"] = _complex_json(
             amplitude_exact(omega, delta, t))
-    _emit(args, payload, inputs)
-    return 0
+    return body
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
+def cmd_measure(omega: ConnectionSet, start: GroupElement,
+                t: RationalAngle | float) -> tuple[dict, dict]:
     from .dynamics import RationalAngle, measurement_distribution
     from .jsontext import Rows, binary_texts, numbers, slots
 
-    inputs, omega, start, t = _inputs(args)
     dist = measurement_distribution(omega, start, t)
-    columns = {"vertex": binary_texts(args.n), "p": numbers(dist)}
-    payload = {
-        "command": args.command, **inputs,
-        "distribution": Rows(slots(*columns), [columns]),
-    }
+    columns = {"vertex": binary_texts(omega.n), "p": numbers(dist)}
+    body = {"distribution": Rows(slots(*columns), [columns])}
     if isinstance(t, RationalAngle) and t.q == 2:
         # Odd multiple of pi/2 (p is odd in lowest terms): the outcome is
         # deterministic either way, which is what makes this time a
         # measurement-based detector for whether the xor-sum vanishes.
         if omega.u.bits == 0:
-            payload["note"] = ("xor-sum is zero: the walker is back at its "
-                               "start with certainty at this time")
+            body["note"] = ("xor-sum is zero: the walker is back at its "
+                            "start with certainty at this time")
         else:
-            payload["note"] = ("the walker is at a xor u with certainty at "
-                               "this time; away from the exact grid the "
-                               "distribution spreads over the cube")
-    _emit(args, payload, inputs,
-          csv={"vertex_binary": columns["vertex"],
-               "probability": columns["p"]})
-    return 0
+            body["note"] = ("the walker is at a xor u with certainty at "
+                            "this time; away from the exact grid the "
+                            "distribution spreads over the cube")
+    return body, {"vertex_binary": columns["vertex"],
+                  "probability": columns["p"]}
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(omega: ConnectionSet, source: GroupElement) -> dict:
     from .graphwalk import (bfs_profile, bipartite_functional,
                             is_complete_bipartite)
     from .jsontext import Rows, Tokens, binary_texts, numbers, slot, slots
 
-    inputs, omega, source = _inputs(args)
     profile = bfs_profile(omega, source)
     functional = bipartite_functional(omega)
     parts = is_complete_bipartite(omega)
-    labels = binary_texts(args.n)
+    labels = binary_texts(omega.n)
     distances = {"v": labels,
                  "dist": numbers(profile.dist, missing=profile.dist < 0)}
-    payload = {
-        "command": args.command, **inputs,
+    return {
         "d": omega.d,
         "connected": profile.connected,
         "diameter": profile.diameter,
@@ -383,60 +373,39 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "bipartite": functional is not None,
         "bipartite_functional": str(functional) if functional else None,
         "complete_bipartite": list(parts) if parts else None,
-    }
-    if profile.connected:
-        payload["antipodal"] = Rows(slot("v"), [
+        "antipodal": Rows(slot("v"), [
             {"v": Tokens(labels.table, profile.farthest())}])
-    else:
-        payload["antipodal"] = None
-    _emit(args, payload, inputs)
-    return 0
+        if profile.connected else None,
+    }
 
 
-def cmd_pst_check(args: argparse.Namespace) -> int:
+def cmd_pst_check(omega: ConnectionSet) -> dict:
     from .pst import pst_at_half_pi
 
-    inputs, omega = _inputs(args)
     cert = pst_at_half_pi(omega)
-    payload = {
-        "command": args.command, **inputs,
-        "d": omega.d,
-        "u": str(omega.u),
-        "pst": cert is not None,
-    }
-    if cert is not None:
-        payload["time"] = str(cert.time)
-        payload["delta"] = str(cert.delta)
-        payload["phase"] = _complex_json(cert.phase)
-        payload["method"] = cert.method
-    else:
-        payload["note"] = "revival at pi/2"
-    _emit(args, payload, inputs)
-    return 0
+    body = {"d": omega.d, "u": str(omega.u), "pst": cert is not None}
+    if cert is None:
+        return {**body, "note": "revival at pi/2"}
+    return {**body, "time": str(cert.time), "delta": str(cert.delta),
+            "phase": _complex_json(cert.phase), "method": cert.method}
 
 
-def cmd_pst_search(args: argparse.Namespace) -> int:
+def cmd_pst_search(omega: ConnectionSet, delta: GroupElement) -> dict:
     from .pst import certify, decide_pst_exact
 
-    inputs, omega, delta = _inputs(args)
     found = decide_pst_exact(omega, delta)
-    payload = {"command": args.command, **inputs, "pst": found is not None}
-    if found is not None:
-        cert = certify(omega, delta, found)
-        payload["time"] = str(found)
-        payload["phase"] = _complex_json(cert.phase)
-        payload["method"] = cert.method
-    _emit(args, payload, inputs)
-    return 0
+    if found is None:
+        return {"pst": False}
+    cert = certify(omega, delta, found)
+    return {"pst": True, "time": str(found),
+            "phase": _complex_json(cert.phase), "method": cert.method}
 
 
-def cmd_route(args: argparse.Namespace) -> int:
+def cmd_route(target: GroupElement) -> dict:
     from .pst import plan_route
 
-    inputs, target = _inputs(args)
-    plan = plan_route(args.n, target)
-    payload = {
-        "command": args.command, **inputs,
+    plan = plan_route(target.n, target)
+    return {
         "base": plan.base.format(),
         "total_time": str(plan.total_time),
         "stages": [{
@@ -446,8 +415,6 @@ def cmd_route(args: argparse.Namespace) -> int:
             "phase": _complex_json(s.certificate.phase),
         } for s in plan.stages],
     }
-    _emit(args, payload, inputs)
-    return 0
 
 
 def _emit_survey(args: argparse.Namespace, report: ScanReport,
@@ -562,32 +529,33 @@ def build_parser() -> argparse.ArgumentParser:
                        + " here instead of stdout")
         return p
 
-    add("spectrum", cmd_spectrum, "integer spectrum and congruence classes",
-        csv_arg=True)
+    add("spectrum", _single_set(cmd_spectrum), "integer spectrum and "
+        "congruence classes", csv_arg=True)
 
-    add("evolve", cmd_evolve, "fidelities (and amplitudes) for every offset "
-        "at one time", time_args=True, csv_arg=True)
+    add("evolve", _single_set(cmd_evolve), "fidelities (and amplitudes) for "
+        "every offset at one time", time_args=True, csv_arg=True)
 
-    p = add("fidelity", cmd_fidelity, "fidelity at one offset and one time",
-            time_args=True)
+    p = add("fidelity", _single_set(cmd_fidelity), "fidelity at one offset "
+            "and one time", time_args=True)
     p.add_argument("--delta", required=True, help="offset a xor b")
 
-    p = add("measure", cmd_measure, "position-measurement distribution at "
-            "one time", time_args=True, csv_arg=True)
+    p = add("measure", _single_set(cmd_measure), "position-measurement "
+            "distribution at one time", time_args=True, csv_arg=True)
     p.add_argument("--a", help="start vertex (default all-zero)")
 
-    p = add("graph", cmd_graph, "distances, diameter, antipodal offsets, "
-            "bipartite type")
+    p = add("graph", _single_set(cmd_graph), "distances, diameter, antipodal "
+            "offsets, bipartite type")
     p.add_argument("--source", help="BFS source (default all-zero)")
 
-    add("pst-check", cmd_pst_check, "closed-form transfer test at pi/2")
+    add("pst-check", _single_set(cmd_pst_check), "closed-form transfer test "
+        "at pi/2")
 
-    p = add("pst-search", cmd_pst_search, "exact earliest-transfer decision "
-            "for one offset")
+    p = add("pst-search", _single_set(cmd_pst_search), "exact "
+            "earliest-transfer decision for one offset")
     p.add_argument("--delta", required=True, help="offset to test")
 
-    p = add("route", cmd_route, "chain quarter-period hops to a target "
-            "offset", set_args=False)
+    p = add("route", _single_set(cmd_route), "chain quarter-period hops to "
+            "a target offset", set_args=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", required=True, help="target offset, nonzero")
 

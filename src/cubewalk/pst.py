@@ -1,10 +1,10 @@
 """Perfect state transfer: certificates, exact decision, routing.
 
-Closed form.  Every cubelike graph is periodic with period π, returning to
-its start with global phase (−1)^d.  At the quarter period t = π/2 the
-walk teleports by the xor-sum of the connection set: when u = ⊕Ω ≠ 0 there
-is perfect state transfer x → x⊕u with global phase e^(−idπ/2), and when
-u = 0 the walk revives at its start instead.
+Closed form.  The walk on every cubelike graph has period 2π, and at t = π
+it is back at its start up to the global phase (−1)^d.  At the quarter
+period t = π/2 the walk teleports by the xor-sum of the connection set:
+when u = ⊕Ω ≠ 0 there is perfect state transfer x → x⊕u with global phase
+e^(−idπ/2), and when u = 0 the walk revives at its start instead.
 
 Exact decision.  PST 0 → δ at time τπ happens iff all 2ⁿ unit terms of
 T_δ(τπ) line up, which reduces to congruences on the spectral gaps

@@ -75,7 +75,8 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
+from operator import xor
 from typing import Iterator
 
 import numpy as np
@@ -148,9 +149,13 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
 
     With no degree filter the draw is uniform over the filtered space (the
     xor-sum-zero case uses an exact toggle bijection rather than straight
-    rejection).  With a degree filter the draw is stratified: a degree
-    first, then a uniform set of that size.  A request the window cannot
-    hold is refused before the first draw.
+    rejection).  With a degree filter the draw is stratified: a degree d
+    first, then a uniform set of that size.  A xor-sum-zero set of size d
+    is drawn closed: d − 1 labels, then their xor-sum u as the last label,
+    drawn again when u is 0 or already drawn.  Each such set comes from
+    exactly d draws of d − 1 labels, so the draw is uniform within its
+    degree.  A request the window cannot hold is refused before the first
+    draw.
     """
     if sample < 1:
         raise ValueError(f"sample size must be positive, got {sample}")
@@ -167,25 +172,33 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     cap = 10_000 * max(1, sample)
     while len(chosen) < sample and attempts < cap:
         attempts += 1
-        if not windowed:
-            mask = rng.randrange(1, 1 << width)
-        else:
+        if windowed:
             d = rng.randint(lo, hi)
             digits = bytearray(b"0" * width)  # the mask's binary digits
-            for label in rng.sample(range(1, width + 1), d):
+            labels = rng.sample(range(1, width + 1), d - 1 if u_zero else d)
+            for label in labels:
                 digits[-label] = ord("1")
+            if u_zero:
+                # the xor-sum u of the d − 1 labels closes the set
+                u = reduce(xor, labels, 0)
+                if not u or digits[-u] == ord("1"):
+                    continue
+                digits[-u] = ord("1")
             mask = int(digits, 2)
-        if u_zero:
-            # shifted left by one, bit p is label p: byte c holds labels
-            # 8c + j, which xor to the xor of the j, and 8c if they are odd
-            u = 0
-            for c, b in enumerate((mask << 1).to_bytes(width // 8 + 1,
-                                                       "little")):
-                u ^= xors[b] ^ odd[b] * c
-            if u:
-                mask ^= 1 << (u - 1)  # toggling label u zeroes the xor-sum
-            if not lo <= mask.bit_count() <= hi:
-                continue
+        else:
+            mask = rng.randrange(1, 1 << width)
+            if u_zero:
+                # shifted left by one, bit p is label p: byte c holds
+                # labels 8c + j, which xor to the xor of the j, and 8c if
+                # they are odd
+                u = 0
+                for c, b in enumerate((mask << 1).to_bytes(width // 8 + 1,
+                                                           "little")):
+                    u ^= xors[b] ^ odd[b] * c
+                if u:
+                    mask ^= 1 << (u - 1)  # toggling label u zeroes the xor-sum
+                if not lo <= mask.bit_count() <= hi:
+                    continue
         chosen.add(mask)
     if len(chosen) < sample:
         raise ValueError(

@@ -1,5 +1,6 @@
 """End-to-end command line checks; every handler stays a thin adapter."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -280,6 +281,23 @@ def test_single_set_inputs_and_digests_are_pinned(capsys, argv, digest,
     assert list(manifest["inputs"].items()) == list(inputs.items())
     assert payload["command"] == argv.split()[0]
     assert {k: payload[k] for k in inputs} == inputs
+
+
+def test_every_single_set_command_has_a_pinned_digest():
+    # build_parser registers a single-set command through the step that
+    # parses its inputs and emits its payload; each such command needs a
+    # pinned payload digest above, so a new one cannot land without one
+    parser = cli.build_parser()
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    stepped = {}
+    for name, sub in commands.items():
+        handler = sub.get_default("handler")
+        if hasattr(handler, "__wrapped__"):
+            stepped[name] = handler.__wrapped__
+    assert set(stepped) == {argv.split()[0] for argv, _, _ in INPUT_PINS}
+    for name, answer in stepped.items():
+        assert answer is getattr(cli, "cmd_" + name.replace("-", "_"))
 
 
 def test_input_parsing_order_and_zero_vertex_defaults(capsys):

@@ -262,20 +262,25 @@ def _xor_of_mask(mask):
 
 def _reference_u_zero_draw(n, lo, hi, windowed, sample, seed):
     """The xor-sum-zero sample as drawn with ``_xor_of_mask``: the same
-    RNG calls, and the toggle of label u."""
+    RNG calls; unwindowed, the toggle of label u; windowed, d − 1 labels
+    closed by their xor-sum u, drawn again when u is 0 or already drawn."""
     width = (1 << n) - 1
     rng = random.Random(seed)
     chosen = set()
     while len(chosen) < sample:
         if not windowed:
             mask = rng.randrange(1, 1 << width)
+            u = _xor_of_mask(mask)
+            if u:
+                mask ^= 1 << (u - 1)
         else:
             d = rng.randint(lo, hi)
             mask = sum(1 << (label - 1)
-                       for label in rng.sample(range(1, width + 1), d))
-        u = _xor_of_mask(mask)
-        if u:
-            mask ^= 1 << (u - 1)
+                       for label in rng.sample(range(1, width + 1), d - 1))
+            u = _xor_of_mask(mask)
+            if not u or mask >> (u - 1) & 1:
+                continue
+            mask |= 1 << (u - 1)
         if lo <= mask.bit_count() <= hi:
             chosen.add(mask)
     return sorted(chosen)
@@ -293,6 +298,26 @@ def test_u_zero_draws_match_the_label_by_label_xor():
         assert got == _reference_u_zero_draw(n, lo, hi, windowed, sample,
                                               seed), (n, seed)
         assert all(_xor_of_mask(mask) == 0 for mask in got)
+
+
+def test_windowed_u_zero_sample_fills_a_one_degree_window():
+    # a draw closed by its own xor-sum lands in the window every time; a
+    # draw toggled by label u left it unless its xor-sum was already 0,
+    # about one draw in 2^n, so at n = 14 it collected none
+    for n, seed, sample in ((14, 0, 1), (14, 7, 50), (12, 0, 20)):
+        masks = scanner._sampled_masks(n, 5, 5, True, True, sample, seed)
+        assert len(set(masks)) == len(masks) == sample
+        assert all(m.bit_count() == 5 and _xor_of_mask(m) == 0
+                   for m in masks)
+    report = conjecture_scan(14, d_min=5, d_max=5, sample=1)
+    assert report.summary["sets_scanned"] == 1
+    # every set of the window can be drawn: a sample of all of them
+    window = sorted(sum(1 << (label - 1) for label in labels)
+                    for labels in itertools.combinations(range(1, 32), 4)
+                    if xor(labels) == 0)
+    assert len(window) == scanner._xor_sum_zero_count(5, 4)
+    assert scanner._sampled_masks(5, 4, 4, True, True, len(window),
+                                  1) == window
 
 
 # ── per-set records ───────────────────────────────────────────────────────
