@@ -80,7 +80,7 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes]:
+def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes | np.ndarray]:
     """CSV with one column per header, as csv.writer writes the values.
 
     Each column's table is rewritten once: a string column (binary labels
@@ -105,9 +105,11 @@ def _csv_text(columns: dict[str, Tokens]) -> Iterator[bytes]:
                         "", "")
 
 
-def _document(payload: dict, manifest: dict) -> Iterator[bytes]:
-    """The payload's canonical text with ``,"manifest":{...}`` spliced in
-    before its closing brace, then a newline.  The manifest's last keys,
+def _document(payload: dict, manifest: dict
+              ) -> Iterator[bytes | np.ndarray]:
+    """The payload's canonical text, in the bytes-like pieces of
+    ``jsontext.dumps``, with ``,"manifest":{...}`` spliced in before its
+    closing brace, then a newline.  The manifest's last keys,
     ``finished`` and ``payload_sha256`` (of the canonical text, brace
     included), are filled in once the payload is out."""
     import hashlib
@@ -184,7 +186,7 @@ def _emit(args: argparse.Namespace, payload: dict, inputs: dict, *,
             print(note, file=sys.stderr)
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:  # a text stream, such as io.StringIO
-            stream, pieces = sys.stdout, (p.decode() for p in pieces)
+            stream, pieces = sys.stdout, (str(p, "ascii") for p in pieces)
         try:
             sys.stdout.flush()
             stream.writelines(pieces)

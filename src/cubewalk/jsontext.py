@@ -8,11 +8,16 @@ in at its marker.
 
 A leaf column is a token column, ``Tokens``: a uint8 table of its distinct
 JSON texts, NUL-padded to one width, and a table row per list row; a list
-leaf is ``Members``, a table row per member.  Rows render as bytes,
-``CHUNK`` at a time, in one (rows × width) uint8 matrix: the skeleton's
-text is written by broadcast, each leaf's table rows are gathered into its
-columns, and the NULs are dropped.  NUL is safe as padding: JSON text
-never holds a raw NUL (json.dumps writes \\u0000), and ``table`` refuses one.
+leaf is ``Members``, a table row per member, right-aligned: 0, no member,
+comes only on the left.  Rows render as bytes, ``CHUNK`` at a time, in one
+(rows × width) uint8 matrix: the skeleton's text is written by broadcast,
+each leaf's table rows are gathered into its columns (a list as "[", one
+gather of its "text," cells and one of its closing "text]" cells), and the
+NULs are dropped.  NUL is safe as padding: JSON text never holds a raw NUL
+(json.dumps writes \\u0000), and ``table`` refuses one.  The uint8 array
+that dropping the NULs leaves is the piece, with no copy to ``bytes``:
+``dumps`` yields bytes-like pieces, which hashlib, ``bytes.join`` and a
+binary file take as they are.
 
 ``Rows.values`` reads the same columns back as the list that json.loads
 of the text gives.  Each table is parsed once, in one json.loads call, and
@@ -24,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -85,32 +90,44 @@ class Tokens(NamedTuple):
             else list(map(parsed.__getitem__, self.index.tolist()))
 
 
-class Members(NamedTuple):
+class Members:
     """A list leaf: row r lists the texts in rows ``index[r, 0]``,
-    ``index[r, 1]``, ... of ``table``, 0 standing for no member."""
+    ``index[r, 1]``, ... of ``table``, right-aligned: 0 stands for no
+    member and comes only on the left, so a row whose last entry is 0 is
+    the empty list.  A row with a 0 right of a member is refused."""
 
-    table: np.ndarray
-    index: np.ndarray
+    def __init__(self, table: np.ndarray, index: np.ndarray):
+        if not index.shape[1]:
+            raise ValueError("member rows need at least one column")
+        if ((index[:, :-1] != 0) & (index[:, 1:] == 0)).any():
+            raise ValueError("member rows must be right-aligned: a 0 "
+                             "right of a member")
+        self.table, self.index = table, index
 
     def width(self) -> int:
-        return self.index.shape[1] * (1 + self.table.shape[1]) + 2
+        return self.index.shape[1] * (1 + self.table.shape[1]) + 1
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per table row: its text and a comma, nothing for 0; its text
+        and the closing bracket, the bracket alone for 0."""
+        texts = self.table.shape[1]
+        comma = np.zeros((len(self.table), texts + 1), np.uint8)
+        comma[1:, :texts] = self.table[1:]
+        comma[1:, texts] = ord(",")
+        close = comma.copy()
+        close[:, texts] = ord("]")
+        return comma, close
 
     def fill(self, out: np.ndarray, start: int, stop: int) -> None:
-        """A member is a comma and its text: the first one's comma turns
-        into the opening bracket; a list with no member is "[]"."""
-        cell = np.hstack([np.full((len(self.table), 1), ord(","), np.uint8),
-                          self.table])
-        cell[0] = 0
+        """"[", a comma after every member but the last, then "]": the
+        last column, a member or (an empty list) 0, closes the list."""
+        comma, close = self._cells
         index = self.index[start:stop]
-        rows, k = index.shape
-        cells = out[:, :k * cell.shape[1]].reshape(rows, k, -1)
-        cells[:] = cell.take(index, axis=0)
-        listed = index != 0
-        first = listed.argmax(axis=1)
-        some = listed[np.arange(rows), first]
-        cells[some, first[some], 0] = ord("[")
-        out[:, cells[0].size:] = table(["[]", "]"]).take(
-            some.view(np.uint8), axis=0)
+        out[:, 0] = ord("[")
+        out[:, 1:-close.shape[1]].reshape(len(index), -1, comma.shape[1])[:] \
+            = comma.take(index[:, :-1], axis=0)
+        out[:, -close.shape[1]:] = close.take(index[:, -1], axis=0)
 
     def values(self, parsed: list) -> list:
         """Each row's list, ``parsed`` holding the values of the table."""
@@ -169,10 +186,10 @@ def binary_texts(n: int, labels: np.ndarray | None = None) -> Tokens:
 
 
 def rendered(segments: Sequence[str], leaves: Sequence, first: str,
-             sep: str) -> Iterator[bytes]:
+             sep: str) -> Iterator[np.ndarray]:
     """Each row as ``sep`` (``first``, as long, on the first row),
     segments[0], leaf 0, segments[1], ..., segments[-1], ``CHUNK`` rows a
-    piece."""
+    piece, each piece a new uint8 array of its bytes."""
     parts = [_ascii(sep + segments[0])]
     for leaf, text in zip(leaves, segments[1:]):
         parts += [np.zeros(leaf.width(), np.uint8), _ascii(text)]
@@ -187,7 +204,7 @@ def rendered(segments: Sequence[str], leaves: Sequence, first: str,
             leaf.fill(rows[:, ends[2 * i + 1]:ends[2 * i + 2]], start,
                       start + len(rows))
         rows[0, :len(sep)] = _ascii(sep if start else first)
-        yield rows[rows != 0].tobytes()
+        yield rows[rows != 0]
 
 
 class Rows(NamedTuple):
@@ -198,8 +215,8 @@ class Rows(NamedTuple):
     skeleton: object
     blocks: Sequence[dict]
 
-    def text(self) -> Iterator[bytes]:
-        """The list in pieces, compact with sorted keys."""
+    def text(self) -> Iterator[bytes | np.ndarray]:
+        """The list in bytes-like pieces, compact with sorted keys."""
         template = canonical_dumps(self.skeleton)
         names = _MARKER.findall(template)
         segments = _MARKER.split(template)[0::2]
@@ -243,9 +260,10 @@ def _filled(skeleton, leaf) -> list:
     return leaf(skeleton[1:-1])
 
 
-def dumps(obj) -> Iterator[bytes]:
-    """``canonical_dumps`` of ``obj`` as bytes in pieces, each ``Rows``
-    spliced in as its list."""
+def dumps(obj) -> Iterator[bytes | np.ndarray]:
+    """``canonical_dumps`` of ``obj`` in bytes-like pieces, each ``Rows``
+    spliced in as its list: the text around the lists as bytes, the rows
+    as the uint8 arrays ``rendered`` yields."""
     tables: list[Rows] = []
 
     def marked(value):

@@ -28,6 +28,14 @@ ending in one transfer decision per row (``pst._decide_rows``):
     reach: per block the indicator matrix and the Walsh-Hadamard
     butterfly along its rows.
 
+A sample is drawn from ``random.Random(seed)``.  Where its masks fit one
+int64 (n ≤ ``INT64_CAP`` = 6) and no degree window is set, the draws are
+taken in bulk (``_bulk_draws``): the 32-bit words of ``DRAW_BATCH`` draws
+in one ``getrandbits`` call, read as the masks ``randrange`` would make
+of them, with the u-toggle, the degree check and the duplicates done by
+numpy passes.  The sample is the one drawn mask by mask, and comes as a
+sorted int64 array at n ≤ 6 on both paths.
+
 The sets that transfer stay in per-block numpy columns (``_Findings``),
 and the summary counters are read off them.  A block's token columns are
 built once and index one table of label texts, so the digest and the
@@ -94,6 +102,11 @@ EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP;
 # the antipodality audit, which takes no window, stops there
 FILTERED_CAP = 5
 MASK_CAP = 1 << 24
+INT64_CAP = 6  # largest n whose masks, 2ⁿ − 1 bits, fit one int64
+# Draws per batch of the bulk sampler: its words, masks and scratch take
+# a few MB at most, however large the sample.  The sample itself is one
+# int64 array, merged in place.
+DRAW_BATCH = 1 << 16
 # Indicator entries per block of the indicator path: 128 sets at n = 6,
 # one set from n = 13 on.  Each int64 array of a block then takes 64 KB
 # below n = 14; blocks 16 times larger ran no faster and raised peak memory.
@@ -144,18 +157,27 @@ def _window_count(n: int, lo: int, hi: int, u_zero: bool,
 
 
 def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
-                   sample: int, seed: int) -> list[int]:
-    """Distinct masks matching the filters, ascending, seed-deterministic.
+                   sample: int, seed: int) -> np.ndarray | list[int]:
+    """Distinct masks matching the filters, ascending, seed-deterministic:
+    an int64 array at n ≤ ``INT64_CAP``, where every mask fits one, else a
+    list of ints.
 
-    With no degree filter the draw is uniform over the filtered space (the
-    xor-sum-zero case uses an exact toggle bijection rather than straight
-    rejection).  With a degree filter the draw is stratified: a degree d
+    With no degree filter the draw is uniform over the filtered space.
+    The xor-sum-zero case toggles label u, the xor-sum of the drawn mask,
+    which zeroes it: every nonempty xor-sum-zero set S is reached from S
+    itself and from S ⊕ {v} for each of the 2ⁿ − 1 labels v, 2ⁿ draws
+    each, and ∅, reached from each single label, is drawn again by the
+    degree check.  With a degree filter the draw is stratified: a degree d
     first, then a uniform set of that size.  A xor-sum-zero set of size d
     is drawn closed: d − 1 labels, then their xor-sum u as the last label,
     drawn again when u is 0 or already drawn.  Each such set comes from
     exactly d draws of d − 1 labels, so the draw is uniform within its
     degree.  A request the window cannot hold is refused before the first
     draw.
+
+    Unwindowed draws at n ≤ ``INT64_CAP`` are taken in bulk
+    (``_bulk_draws``), from the same stream and with the same result; the
+    rest are drawn one at a time (``_draws``).
     """
     if sample < 1:
         raise ValueError(f"sample size must be positive, got {sample}")
@@ -164,12 +186,31 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
         raise ValueError(
             f"cannot draw {sample} distinct sets from the {room} {kind} in "
             f"the degree window [{lo}, {hi}] at n = {n}")
-    width = (1 << n) - 1
     rng = random.Random(seed)
+    cap = 10_000 * sample
+    if not windowed and n <= INT64_CAP:
+        chosen = _bulk_draws(rng, n, u_zero, sample, cap)
+    else:
+        chosen = _draws(rng, n, lo, hi, windowed, u_zero, sample, cap)
+    if len(chosen) < sample:
+        raise ValueError(
+            f"could not collect {sample} sets matching the filters at "
+            f"n = {n} (got {len(chosen)})")
+    if isinstance(chosen, np.ndarray):
+        return chosen
+    if n <= INT64_CAP:
+        return np.sort(np.fromiter(chosen, np.int64, len(chosen)))
+    return sorted(chosen)
+
+
+def _draws(rng: random.Random, n: int, lo: int, hi: int, windowed: bool,
+           u_zero: bool, sample: int, cap: int) -> set[int]:
+    """The draws of ``_sampled_masks`` one at a time, at most ``cap`` of
+    them: the distinct masks drawn."""
+    width = (1 << n) - 1
     xors, odd = _byte_xors()
     chosen: set[int] = set()
     attempts = 0
-    cap = 10_000 * max(1, sample)
     while len(chosen) < sample and attempts < cap:
         attempts += 1
         if windowed:
@@ -200,18 +241,89 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
                 if not lo <= mask.bit_count() <= hi:
                     continue
         chosen.add(mask)
-    if len(chosen) < sample:
-        raise ValueError(
-            f"could not collect {sample} sets matching the filters at "
-            f"n = {n} (got {len(chosen)})")
-    return sorted(chosen)
+    return chosen
+
+
+def _bulk_draws(rng: random.Random, n: int, u_zero: bool, sample: int,
+                cap: int) -> np.ndarray:
+    """The unwindowed draws of ``_sampled_masks`` at n ≤ ``INT64_CAP``,
+    ``DRAW_BATCH`` at most at a time, and at most ``cap`` of them: the
+    distinct masks drawn, ascending.
+
+    ``randrange(1, 2ʷ)`` over the w = 2ⁿ − 1 label bits is
+    ``getrandbits(w) + 1``, with ``getrandbits(w)`` called again when the
+    bits are all ones.  ``getrandbits(w)`` takes c = ⌈w/32⌉ 32-bit words
+    of the stream, low word first, and shifts the top one right by
+    32c − w; one ``getrandbits(32·c·N)`` takes the words of N calls, in
+    order.  So the draws are the c-word chunks of the stream with the
+    all-ones chunks dropped.  The u-toggle, the degree check (with no
+    window, it drops only ∅) and the first occurrence of each mask are
+    numpy passes over a batch, which stops counting at the mask that
+    fills the sample.
+    """
+    width = (1 << n) - 1
+    words = -(-width // 32)
+    ones = np.uint64((1 << width) - 1)
+    top = np.uint64(32 * words - width)
+    # out[:held] holds the masks so far, in sorted runs of distinct masks
+    # that begin at starts, each more than twice as long as the next: a
+    # mask is merged O(log sample) times, by timsort, in place
+    out = np.empty(sample, np.int64)
+    starts: list[int] = []
+    held = drawn = 0
+    while held < sample and drawn < cap:
+        need = sample - held
+        count = min(DRAW_BATCH, need + need // 8 + 32)
+        raw = np.frombuffer(rng.getrandbits(32 * words * count).to_bytes(
+            4 * words * count, "little"), "<u4").reshape(count, words)
+        bits = raw[:, -1].astype(np.uint64) >> top
+        if words == 2:
+            bits = bits << np.uint64(32) | raw[:, 0]
+        bits = bits[bits != ones][:cap - drawn]
+        drawn += len(bits)
+        masks = bits + np.uint64(1)
+        if u_zero:
+            masks = _xor_toggled(n, masks)
+            masks = masks[masks != 0]
+        fresh, first = np.unique(masks.view(np.int64), return_index=True)
+        for begin, end in zip(starts, starts[1:] + [held]):
+            run = out[begin:end]
+            at = np.minimum(np.searchsorted(run, fresh), len(run) - 1)
+            new = run[at] != fresh
+            fresh, first = fresh[new], first[new]
+        if len(fresh) > need:  # the need masks drawn first
+            fresh = fresh[first <= np.partition(first, need - 1)[need - 1]]
+        if len(fresh):
+            starts.append(held)
+            out[held:held + len(fresh)] = fresh
+            held += len(fresh)
+        while (len(starts) > 1
+               and starts[-1] - starts[-2] <= 2 * (held - starts[-1])):
+            del starts[-1]
+            out[starts[-1]:held].sort(kind="stable")
+    out[:held].sort(kind="stable")
+    return out[:held]
+
+
+def _xor_toggled(n: int, masks: np.ndarray) -> np.ndarray:
+    """Each uint64 mask at n ≤ ``INT64_CAP`` with label u toggled, u its
+    xor-sum (none when u = 0), so that every xor-sum is 0."""
+    width = (1 << n) - 1
+    u = np.zeros_like(masks)
+    for b in range(n):
+        # bit b of u is the parity of the members with bit b set
+        lane = sum(1 << (label - 1) for label in range(1, width + 1)
+                   if label >> b & 1)
+        u |= (np.bitwise_count(masks & np.uint64(lane)) & 1).astype(
+            np.uint64) << np.uint64(b)
+    return masks ^ (np.uint64(1) << u) >> np.uint64(1)
 
 
 def _mask_blocks(n: int, *, d_min: int | None, d_max: int | None,
                  u_zero: bool, sample: int | None,
                  seed: int) -> Iterator[np.ndarray | list[int]]:
     """The masks a survey walks, ascending, in blocks of its path's rows,
-    after every argument is checked: int64 arrays at n ≤ ``FILTERED_CAP``,
+    after every argument is checked: int64 arrays at n ≤ ``INT64_CAP``,
     lists of ints above.
 
     An exhaustive survey walks the sets its filters admit (``_walk``); a
@@ -239,8 +351,6 @@ def _mask_blocks(n: int, *, d_min: int | None, d_max: int | None,
         return _walk(n, lo, hi, u_zero)
     windowed = d_min is not None or d_max is not None
     masks = _sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
-    if n <= FILTERED_CAP:
-        masks = np.array(masks, dtype=np.int64)
     rows = WORD_ROWS if n <= FILTERED_CAP else max(1, BLOCK_CELLS >> n)
     return (masks[at:at + rows] for at in range(0, len(masks), rows))
 
@@ -439,20 +549,25 @@ def _word_findings(n: int, words: np.ndarray,
 
 # ── the indicator path: sampled surveys at n > FILTERED_CAP ──────────────
 
-def _indicators(masks: list[int], n: int) -> np.ndarray:
-    """The (rows × 2ⁿ) 0/1 indicator matrix of a list of masks."""
+def _indicators(masks: np.ndarray | list[int], n: int) -> np.ndarray:
+    """The (rows × 2ⁿ) 0/1 indicator matrix of an int64 array of masks
+    (n ≤ ``INT64_CAP``) or a list of them."""
     width = (1 << n) - 1
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
-                                 for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
-                         count=width, bitorder="little")
+    if isinstance(masks, np.ndarray):
+        raw = masks.astype("<i8").view(np.uint8).reshape(len(masks), 8)
+    else:
+        nbytes = (width + 7) // 8
+        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
+                                     for m in masks), dtype=np.uint8
+                            ).reshape(len(masks), nbytes)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
     ind = np.zeros((len(masks), width + 1), dtype=np.int64)
     ind[:, 1:] = bits
     return ind
 
 
-def _indicator_findings(n: int, masks: list[int]) -> _Findings | None:
+def _indicator_findings(n: int, masks: np.ndarray | list[int]
+                        ) -> _Findings | None:
     """The sets of one block of masks that transfer, from the WHT of their
     indicator rows."""
     ind = _indicators(masks, n)

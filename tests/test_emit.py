@@ -312,6 +312,13 @@ VALUES = [None, True, False, 0, 7, -1, -123456, 2 ** 40, -0.0, 0.5, 5e-324,
           1e22, -2.5e-308, 1 / 3, "", "a", "0101", "x" * 28]
 
 
+def _right_aligned(index):
+    """Each row of ``index`` with its 0s moved to the left, the members
+    in their order: the layout ``Members`` takes."""
+    return np.take_along_axis(
+        index, np.argsort(index != 0, axis=1, kind="stable"), axis=1)
+
+
 def _random_block(rng, rows):
     """Token columns of ``rows`` rows and the same rows as dicts."""
     def _sample(k):
@@ -326,8 +333,9 @@ def _random_block(rng, rows):
     def members():
         pool = ["skipped"] + _sample(5)
         k = int(rng.integers(1, 4))
-        index = rng.integers(0, len(pool), (rows, k)) \
-            * (rng.random((rows, k)) < 0.6)  # some lists empty, some one
+        # some lists empty, some one
+        index = _right_aligned(rng.integers(0, len(pool), (rows, k))
+                               * (rng.random((rows, k)) < 0.6))
         texts = jsontext.table([json.dumps(v) for v in pool])
         return jsontext.Members(texts, index), \
             [[pool[i] for i in row if i] for row in index.tolist()]
@@ -365,7 +373,9 @@ def test_kernel_renders_random_token_columns_as_json(monkeypatch):
             want = {"rows": [d for _, ds in blocks for d in ds],
                     "after": [1, {"x": None}]}
             pieces = list(jsontext.dumps(doc))
-            assert all(b"\0" not in piece for piece in pieces)
+            # a piece may be a uint8 array, where ``in`` looks for a
+            # number: the bytes are searched for a NUL
+            assert all(b"\0" not in bytes(piece) for piece in pieces)
             assert b"".join(pieces).decode() == canonical_dumps(want), chunk
             assert jsontext.digest(doc) == hashlib.sha256(
                 canonical_dumps(want).encode()).hexdigest()
@@ -376,7 +386,8 @@ def _column_kinds(rng, rows):
     labels = jsontext.binary_texts(6).table
     ints = rng.integers(-5, 1 << 40, rows)
     floats = np.array([0.0, -0.0, 1.5, -2.5e-308, 1e22, 1 / 3, 5e-324])
-    members = rng.integers(0, 64, (rows, 4)) * (rng.random((rows, 4)) < 0.5)
+    members = _right_aligned(rng.integers(0, 64, (rows, 4))
+                             * (rng.random((rows, 4)) < 0.5))
     return {
         "text": jsontext.binary_texts(6, rng.integers(0, 64, rows)),
         "label": jsontext.Tokens(labels, rng.integers(0, 64, rows)),
@@ -393,7 +404,7 @@ def _column_kinds(rng, rows):
 
 
 def test_rows_values_are_json_loads_of_their_text():
-    # every column kind read back: members with 0 in any position and
+    # every column kind read back: members with 0s on the left and
     # empty lists, -0.0 with its sign, null where missing; json.dumps
     # without sort_keys also tells true from 1 and checks the key order
     rng = np.random.default_rng(13)
@@ -423,6 +434,22 @@ def test_a_shared_table_gives_one_object_per_text():
         for text in (*row["m"], row["x"], row["y"]):
             assert texts.setdefault(text, text) is text
     assert sorted(texts) == ["000", "001", "010", "011"]
+
+
+def test_members_refuse_a_zero_right_of_a_member():
+    # a row renders as "[", a text and comma per member but the last, then
+    # the last column's text and "]": a 0 there would close the list after
+    # a comma, ["a",]
+    labels = jsontext.binary_texts(2).table
+    for index in ([[1, 0]], [[0, 2], [3, 0]], [[1, 0, 2]]):
+        with pytest.raises(ValueError, match="right-aligned"):
+            jsontext.Members(labels, np.array(index))
+    with pytest.raises(ValueError, match="one column"):
+        jsontext.Members(labels, np.zeros((2, 0), np.int64))
+    members = jsontext.Members(labels, np.array([[0, 0], [0, 3], [1, 2]]))
+    rows = jsontext.Rows({"m": jsontext.slot("m")}, [{"m": members}])
+    assert b"".join(rows.text()) == b'[{"m":[]},{"m":["11"]},' \
+        b'{"m":["01","10"]}]'
 
 
 def test_a_nul_in_a_table_text_is_refused():

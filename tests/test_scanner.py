@@ -294,10 +294,104 @@ def test_u_zero_draws_match_the_label_by_label_xor():
               (12, 1, 4095, False, 30, 0), (12, 1, 4095, False, 30, 5),
               (12, 10, 2000, True, 20, 3)]
     for n, lo, hi, windowed, sample, seed in cases:
-        got = scanner._sampled_masks(n, lo, hi, windowed, True, sample, seed)
+        got = _masks(n, lo, hi, windowed, True, sample, seed)
         assert got == _reference_u_zero_draw(n, lo, hi, windowed, sample,
                                               seed), (n, seed)
         assert all(_xor_of_mask(mask) == 0 for mask in got)
+
+
+def _masks(n, lo, hi, windowed, u_zero, sample, seed):
+    """``_sampled_masks`` as a list of ints, checking that it comes as an
+    int64 array exactly where every mask fits one."""
+    got = scanner._sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
+    if n <= scanner.INT64_CAP:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        return got.tolist()
+    assert isinstance(got, list)
+    return got
+
+
+def _plain_draw(n, sample, seed):
+    """The unwindowed sample with no u filter, one randrange a draw."""
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < sample:
+        chosen.add(rng.randrange(1, 1 << ((1 << n) - 1)))
+    return sorted(chosen)
+
+
+def test_bulk_draws_match_the_draw_by_draw_replay(monkeypatch):
+    # every unwindowed case at n <= 6, where a draw takes one 32-bit word
+    # of the stream up to n = 5 and two at n = 6, u = 0 or any: small
+    # samples, samples that draw a mask twice and whole populations.  At
+    # n <= 3 a batch almost surely holds the all-ones value that randrange
+    # draws again; with 64 draws a batch the samples of 2000 take many
+    # batches
+    for batch in (scanner.DRAW_BATCH, 64):
+        monkeypatch.setattr(scanner, "DRAW_BATCH", batch)
+        for n in range(1, scanner.INT64_CAP + 1):
+            width = (1 << n) - 1
+            for u_zero in (False, True):
+                population, _ = scanner._window_count(n, 1, width, u_zero)
+                whole = population if population <= 2047 else 1
+                for sample in sorted({1, 40, 2000, whole}):
+                    if not 0 < sample <= population:
+                        continue
+                    for seed in (0, 1, 2):
+                        want = (_reference_u_zero_draw(
+                            n, 1, width, False, sample, seed) if u_zero
+                            else _plain_draw(n, sample, seed))
+                        assert _masks(n, 1, width, False, u_zero, sample,
+                                      seed) == want, (n, u_zero, sample)
+    # 2000 draws from the 32767 sets at n = 4 repeat some
+    rng = random.Random(0)
+    assert len({rng.randrange(1, 1 << 15) for _ in range(2000)}) < 2000
+
+
+class _AllOnesOnce(random.Random):
+    """random.Random whose first getrandbits call comes back with its
+    lowest ``bits`` bits set: the first draw of a bulk batch is then the
+    all-ones value that randrange draws again."""
+
+    def __init__(self, seed, bits):
+        self.calls, self.bits = 0, bits
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls += 1
+        got = super().getrandbits(k)
+        return got | (1 << self.bits) - 1 if self.calls == 1 else got
+
+
+def test_bulk_draw_drops_the_redraw_value(monkeypatch):
+    # randrange draws again on the all-ones value, so the bulk draw drops
+    # it and reads the next draw from the following words of the stream
+    for n, words in ((5, 1), (6, 2)):
+        width = (1 << n) - 1
+        for u_zero in (False, True):
+            monkeypatch.setattr(scanner, "random", types.SimpleNamespace(
+                Random=lambda seed: _AllOnesOnce(seed, 32 * words)))
+            got = _masks(n, 1, width, False, u_zero, 50, 3)
+            monkeypatch.setattr(random, "Random", functools.partial(
+                _AllOnesOnce, bits=width))
+            want = (_reference_u_zero_draw(n, 1, width, False, 50, 3)
+                    if u_zero else _plain_draw(n, 50, 3))
+            monkeypatch.undo()
+            assert got == want, (n, u_zero)
+            assert got != (_reference_u_zero_draw(n, 1, width, False, 50, 3)
+                           if u_zero else _plain_draw(n, 50, 3)), (n, u_zero)
+
+
+def test_xor_toggle_reaches_each_xor_sum_zero_set_2n_times():
+    # the toggle is 2^n-to-one: a nonempty xor-sum-zero set S is reached
+    # from S itself and from S with each of the 2^n - 1 labels toggled,
+    # and the empty set, which the degree check draws again, from each
+    # single label
+    counts = Counter(scanner._xor_toggled(
+        3, np.arange(1, 128, dtype=np.uint64)).tolist())
+    zero = [mask for mask in range(128) if _xor_of_mask(mask) == 0]
+    assert len(zero) == 16
+    assert counts == {mask: 8 if mask else 7 for mask in zero}
 
 
 def test_windowed_u_zero_sample_fills_a_one_degree_window():
@@ -316,8 +410,7 @@ def test_windowed_u_zero_sample_fills_a_one_degree_window():
                     for labels in itertools.combinations(range(1, 32), 4)
                     if xor(labels) == 0)
     assert len(window) == scanner._xor_sum_zero_count(5, 4)
-    assert scanner._sampled_masks(5, 4, 4, True, True, len(window),
-                                  1) == window
+    assert _masks(5, 4, 4, True, True, len(window), 1) == window
 
 
 # ── per-set records ───────────────────────────────────────────────────────
