@@ -19,11 +19,13 @@ come in blocks, from one walk (``_walk``) or from the sorted sample, and
 go through the survey on one of two paths (``ScanReport.path``), each
 ending in one transfer decision per row (``pst._decide_rows``):
 
-  * "word-table" serves every survey at n ≤ 5 (``FILTERED_CAP``), where
-    a mask's 2ⁿ − 1 bits fit one int64.  Read-only subset tables, built
-    once per n by doubling over the labels (``_WordTables``), give each
-    mask's spectrum, xor-sum, members and, for the audit, distances from
-    0, in place of the indicator matrix, the WHT and the BFS.
+  * "word-table" serves every survey at n ≤ 5 (``FILTERED_CAP``).
+    Read-only subset tables, built once per n by doubling over the labels
+    (``_WordTables``), give each mask's spectrum, xor-sum, members and,
+    for the audit, distances from 0, in place of the indicator matrix,
+    the WHT and the BFS.  The walk and the tables split a mask into a low
+    16-bit chunk and one high chunk, so they stop at 31 bits, though a
+    mask fits one int64 through n = 6 (``INT64_CAP``).
   * "indicator-wht" serves the sampled surveys at n ≥ 6, past the audit's
     reach: per block the indicator matrix and the Walsh-Hadamard
     butterfly along its rows.
@@ -34,7 +36,9 @@ taken in bulk (``_bulk_draws``): the 32-bit words of ``DRAW_BATCH`` draws
 in one ``getrandbits`` call, read as the masks ``randrange`` would make
 of them, with the u-toggle, the degree check and the duplicates done by
 numpy passes.  The sample is the one drawn mask by mask, and comes as a
-sorted int64 array at n ≤ 6 on both paths.
+sorted int64 array at n ≤ 6 on both paths.  Both draws find a mask's
+xor-sum by one rule, the parities of its members in the label lanes
+(``_lanes``).
 
 The sets that transfer stay in per-block numpy columns (``_Findings``),
 and the summary counters are read off them.  A block's token columns are
@@ -119,15 +123,21 @@ class EnumerationCapError(ValueError):
 
 # ── enumeration ───────────────────────────────────────────────────────────
 
-@cache
-def _byte_xors() -> tuple[list[int], list[int]]:
-    """Per byte b: the xor of its set bits' positions, 8 if they are odd."""
-    xors, odd = [0] * 256, [0] * 256
-    for b in range(1, 256):
-        rest = b & (b - 1)  # b without its lowest set bit
-        xors[b] = xors[rest] ^ (b ^ rest).bit_length() - 1
-        odd[b] = odd[rest] ^ 8
-    return xors, odd
+def _lanes(n: int) -> list[int]:
+    """The n lanes of the masks at n: lane b is the mask of the labels
+    with bit b set, and bit b of a mask's xor-sum is the parity of its
+    members in lane b.
+
+    Built by doubling: from k to k + 1 bits, label 2ᵏ + l sits 2ᵏ bits
+    above label l, and lane k holds the 2ᵏ labels from 2ᵏ on.  At n = 24
+    the lanes take 48 MB, so none is kept past the call.
+    """
+    lanes: list[int] = []
+    for k in range(n):
+        half = 1 << k
+        lanes = [lane | lane << half for lane in lanes]
+        lanes.append(((1 << half) - 1) << (half - 1))
+    return lanes
 
 
 def _xor_sum_zero_count(n: int, d: int) -> int:
@@ -166,14 +176,16 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
     The xor-sum-zero case toggles label u, the xor-sum of the drawn mask,
     which zeroes it: every nonempty xor-sum-zero set S is reached from S
     itself and from S ⊕ {v} for each of the 2ⁿ − 1 labels v, 2ⁿ draws
-    each, and ∅, reached from each single label, is drawn again by the
-    degree check.  With a degree filter the draw is stratified: a degree d
-    first, then a uniform set of that size.  A xor-sum-zero set of size d
-    is drawn closed: d − 1 labels, then their xor-sum u as the last label,
-    drawn again when u is 0 or already drawn.  Each such set comes from
-    exactly d draws of d − 1 labels, so the draw is uniform within its
-    degree.  A request the window cannot hold is refused before the first
-    draw.
+    each, and ∅, reached from each single label, is drawn again.  One
+    rule finds u, in bulk and draw by draw: bit b of u is the parity of
+    the mask's members in lane b (``_lanes``), and the mask is toggled
+    by ``1 << u >> 1``, which is 0 when u is.  With a degree filter the
+    draw is stratified: a degree d first, then a uniform set of that size.
+    A xor-sum-zero set of size d is drawn closed: d − 1 labels, then their
+    xor-sum u as the last label, drawn again when u is 0 or already drawn.
+    Each such set comes from exactly d draws of d − 1 labels, so the draw
+    is uniform within its degree.  A request the window cannot hold is
+    refused before the first draw.
 
     Unwindowed draws at n ≤ ``INT64_CAP`` are taken in bulk
     (``_bulk_draws``), from the same stream and with the same result; the
@@ -196,19 +208,15 @@ def _sampled_masks(n: int, lo: int, hi: int, windowed: bool, u_zero: bool,
         raise ValueError(
             f"could not collect {sample} sets matching the filters at "
             f"n = {n} (got {len(chosen)})")
-    if isinstance(chosen, np.ndarray):
-        return chosen
-    if n <= INT64_CAP:
-        return np.sort(np.fromiter(chosen, np.int64, len(chosen)))
-    return sorted(chosen)
+    return np.asarray(chosen, np.int64) if n <= INT64_CAP else chosen
 
 
 def _draws(rng: random.Random, n: int, lo: int, hi: int, windowed: bool,
-           u_zero: bool, sample: int, cap: int) -> set[int]:
+           u_zero: bool, sample: int, cap: int) -> list[int]:
     """The draws of ``_sampled_masks`` one at a time, at most ``cap`` of
-    them: the distinct masks drawn."""
+    them: the distinct masks drawn, ascending."""
     width = (1 << n) - 1
-    xors, odd = _byte_xors()
+    lanes = _lanes(n) if u_zero and not windowed else []
     chosen: set[int] = set()
     attempts = 0
     while len(chosen) < sample and attempts < cap:
@@ -229,19 +237,14 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int, windowed: bool,
         else:
             mask = rng.randrange(1, 1 << width)
             if u_zero:
-                # shifted left by one, bit p is label p: byte c holds
-                # labels 8c + j, which xor to the xor of the j, and 8c if
-                # they are odd
                 u = 0
-                for c, b in enumerate((mask << 1).to_bytes(width // 8 + 1,
-                                                           "little")):
-                    u ^= xors[b] ^ odd[b] * c
-                if u:
-                    mask ^= 1 << (u - 1)  # toggling label u zeroes the xor-sum
-                if not lo <= mask.bit_count() <= hi:
+                for lane in reversed(lanes):  # bit b: the parity in lane b
+                    u = u << 1 | (mask & lane).bit_count() & 1
+                mask ^= 1 << u >> 1  # toggling label u zeroes the xor-sum
+                if not mask:
                     continue
         chosen.add(mask)
-    return chosen
+    return sorted(chosen)
 
 
 def _bulk_draws(rng: random.Random, n: int, u_zero: bool, sample: int,
@@ -308,12 +311,8 @@ def _bulk_draws(rng: random.Random, n: int, u_zero: bool, sample: int,
 def _xor_toggled(n: int, masks: np.ndarray) -> np.ndarray:
     """Each uint64 mask at n ≤ ``INT64_CAP`` with label u toggled, u its
     xor-sum (none when u = 0), so that every xor-sum is 0."""
-    width = (1 << n) - 1
     u = np.zeros_like(masks)
-    for b in range(n):
-        # bit b of u is the parity of the members with bit b set
-        lane = sum(1 << (label - 1) for label in range(1, width + 1)
-                   if label >> b & 1)
+    for b, lane in enumerate(_lanes(n)):
         u |= (np.bitwise_count(masks & np.uint64(lane)) & 1).astype(
             np.uint64) << np.uint64(b)
     return masks ^ (np.uint64(1) << u) >> np.uint64(1)

@@ -287,12 +287,14 @@ def _reference_u_zero_draw(n, lo, hi, windowed, sample, seed):
 
 
 def test_u_zero_draws_match_the_label_by_label_xor():
-    # the byte-table xor-sum leaves every sampled mask where it was
+    # the xor-sum read off the label lanes, in bulk at n <= 6 and draw by
+    # draw above, leaves every sampled mask where it was
     cases = [(5, 1, 31, False, 2000, seed) for seed in range(16)]
     cases += [(5, 3, 9, True, 300, 4), (8, 1, 255, False, 300, 0),
               (8, 1, 255, False, 300, 1), (8, 4, 40, True, 100, 2),
               (12, 1, 4095, False, 30, 0), (12, 1, 4095, False, 30, 5),
-              (12, 10, 2000, True, 20, 3)]
+              (12, 10, 2000, True, 20, 3), (16, 1, 65535, False, 4, 1),
+              (16, 1, 65535, False, 3, 6)]
     for n, lo, hi, windowed, sample, seed in cases:
         got = _masks(n, lo, hi, windowed, True, sample, seed)
         assert got == _reference_u_zero_draw(n, lo, hi, windowed, sample,
@@ -380,6 +382,29 @@ def test_bulk_draw_drops_the_redraw_value(monkeypatch):
             assert got == want, (n, u_zero)
             assert got != (_reference_u_zero_draw(n, 1, width, False, 50, 3)
                            if u_zero else _plain_draw(n, 50, 3)), (n, u_zero)
+
+
+def test_lanes_hold_the_labels_with_each_bit():
+    for n in range(1, 13):
+        assert scanner._lanes(n) == [
+            sum(1 << (label - 1) for label in range(1, 2 ** n)
+                if label >> b & 1)
+            for b in range(n)], n
+
+
+def test_lane_parities_give_the_xor_of_the_labels():
+    # past the reach of the label-by-label oracle: a few hundred random
+    # labels at n = 20 and 24, each mask's lane parities against the xor
+    # of the labels that built it
+    rng = random.Random(24)
+    for n in (20, 24):
+        lanes = scanner._lanes(n)
+        for count in (1, 2, 300, 301):
+            labels = rng.sample(range(1, 1 << n), count)
+            mask = sum(1 << (label - 1) for label in labels)
+            u = sum((mask & lane).bit_count() % 2 << b
+                    for b, lane in enumerate(lanes))
+            assert u == xor(labels), (n, count)
 
 
 def test_xor_toggle_reaches_each_xor_sum_zero_set_2n_times():
@@ -640,6 +665,12 @@ PINNED_SURVEYS = [
     # a windowed sample: a degree drawn first, then that many labels
     (scan_sets, 9, {"d_min": 3, "d_max": 200, "sample": 40, "seed": 8},
      "77bb01567acfe5ccaaa0b1ade6107e6367a82ceb19081ca5b11dfc50e9d85ff9"),
+    # unwindowed xor-sum-zero samples drawn one at a time, past the bulk
+    # draw's n <= 6: each mask toggled by its lane parities
+    (conjecture_scan, 8, {"sample": 300, "seed": 0},
+     "803072f8f2467f9799fdbf29975c56ee54afbaadae0f4276c58922ea65ba313c"),
+    (conjecture_scan, 16, {"sample": 4, "seed": 1},
+     "9ba0d8448ebb3eabf2c712b97bcc41555be1662396db7b480a98fc87b879fa98"),
 ]
 
 
