@@ -7,17 +7,35 @@ markers, gives the text between the leaves.  ``dumps`` splices each list
 in at its marker.
 
 A leaf column is a token column, ``Tokens``: a uint8 table of its distinct
-JSON texts, NUL-padded to one width, and a table row per list row; a list
-leaf is ``Members``, a table row per member, right-aligned: 0, no member,
-comes only on the left.  Rows render as bytes, ``CHUNK`` at a time, in one
-(rows × width) uint8 matrix: the skeleton's text is written by broadcast,
-each leaf's table rows are gathered into its columns (a list as "[", one
-gather of its "text," cells and one of its closing "text]" cells), and the
-NULs are dropped.  NUL is safe as padding: JSON text never holds a raw NUL
-(json.dumps writes \\u0000), and ``table`` refuses one.  The uint8 array
-that dropping the NULs leaves is the piece, with no copy to ``bytes``:
+JSON texts, left-aligned and NUL-padded to one width, and a table row per
+list row; a list leaf is ``Members``, a table row per member,
+right-aligned: 0, no member, comes only on the left.  Rows render as bytes,
+``CHUNK`` at a time, in one (rows × width) uint8 matrix: the skeleton's
+text is written by broadcast, each leaf's table rows are gathered into its
+columns (a list as "[", then one gather of its "text," cells, the last
+cell's comma turned into "]"), and the NULs are dropped.  NUL is safe as
+padding: JSON text never holds a raw NUL (json.dumps writes \\u0000), and
+``table`` refuses one.  A piece whose gathered rows all fill their width
+holds no NUL, which each leaf tells from the cells it gathered (a text's
+last byte, a member's index), so it is copied out whole and the drop is
+skipped.  The uint8 array left is the piece, with no copy to ``bytes``:
 ``dumps`` yields bytes-like pieces, which hashlib, ``bytes.join`` and a
 binary file take as they are.
+
+A read-only table is shared (``shared``): it lives as long as the
+process, as a survey's label texts per n do, so tables built from it are
+kept, keyed by its identity.  ``booleans`` and ``numbers`` of small
+non-negative ints index shared tables by value, "0" to str(top) no wider
+than the column's largest value needs.  A run of adjacent leaves over
+shared tables, each a ``Tokens`` with an index or a one-column
+``Members`` (a list of at most one member), renders as one composite
+cell: its table holds every combination of the leaves' texts with the
+skeleton's text between them, NULs moved to each row's end
+(``FUSED_ROWS`` rows at most, so a longer run is cut), built once per
+tuple of tables and reused by every block and survey, and its index is
+the leaves' indices read as the digits of one number.  One gather then
+fills what took one per leaf, and a piece holds one run of NULs per
+composite cell, not one per short text.
 
 ``Rows.values`` reads the same columns back as the list that json.loads
 of the text gives.  Each table is parsed once, in one json.loads call, and
@@ -28,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -39,6 +58,10 @@ import numpy as np
 CHUNK = 1 << 11
 # A marker as json.dumps writes it.
 _MARKER = re.compile(r'"\\u0000(\w+)\\u0000"')
+# Rows of a composite cell's table at most: the audit's run of five leaves
+# at n = 4 takes at most 1,600 rows of 67 bytes, and a table of 2¹² rows
+# of that width stays in a core's L2 cache while every piece gathers it.
+FUSED_ROWS = 1 << 12
 
 
 def slot(name: str) -> str:
@@ -80,9 +103,12 @@ class Tokens(NamedTuple):
     def width(self) -> int:
         return self.table.shape[1]
 
-    def fill(self, out: np.ndarray, start: int, stop: int) -> None:
+    def fill(self, out: np.ndarray, start: int, stop: int) -> bool:
+        """Rows ``start:stop`` into ``out``: whether each fills its width,
+        read off its last byte, as the texts are left-aligned."""
         out[:] = self.table[start:stop] if self.index is None \
             else self.table.take(self.index[start:stop], axis=0)
+        return bool(out[:, -1].all())
 
     def values(self, parsed: list) -> list:
         """Each row's value, ``parsed`` holding the values of the table."""
@@ -108,30 +134,130 @@ class Members:
         return self.index.shape[1] * (1 + self.table.shape[1]) + 1
 
     @cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per table row: its text and a comma, nothing for 0; its text
-        and the closing bracket, the bracket alone for 0."""
+    def _cells(self) -> np.ndarray:
+        """Per table row: its text and a comma, nothing for 0.  The one
+        copy of the table a list takes: at n = 22 a set's 2²¹ labels
+        make it 52 MB."""
         texts = self.table.shape[1]
-        comma = np.zeros((len(self.table), texts + 1), np.uint8)
-        comma[1:, :texts] = self.table[1:]
-        comma[1:, texts] = ord(",")
-        close = comma.copy()
-        close[:, texts] = ord("]")
-        return comma, close
+        cells = np.zeros((len(self.table), texts + 1), np.uint8)
+        cells[1:, :texts] = self.table[1:]
+        cells[1:, texts] = ord(",")
+        return cells
 
-    def fill(self, out: np.ndarray, start: int, stop: int) -> None:
-        """"[", a comma after every member but the last, then "]": the
-        last column, a member or (an empty list) 0, closes the list."""
-        comma, close = self._cells
+    def fill(self, out: np.ndarray, start: int, stop: int) -> bool:
+        """"[", a member's text and a comma per column, then "]" over the
+        last column's comma: that column, a member or (an empty list) 0,
+        closes the list.  Whether the rows fill their width: every column
+        a member, each text as wide as the table."""
+        cells = self._cells
         index = self.index[start:stop]
         out[:, 0] = ord("[")
-        out[:, 1:-close.shape[1]].reshape(len(index), -1, comma.shape[1])[:] \
-            = comma.take(index[:, :-1], axis=0)
-        out[:, -close.shape[1]:] = close.take(index[:, -1], axis=0)
+        out[:, 1:].reshape(len(index), -1, cells.shape[1])[:] = cells.take(
+            index, axis=0)
+        out[:, -1] = ord("]")
+        return bool(index.all()) and self._full
+
+    @cached_property
+    def _full(self) -> bool:
+        return bool(self.table[1:, -1].all())
 
     def values(self, parsed: list) -> list:
         """Each row's list, ``parsed`` holding the values of the table."""
         return [[parsed[i] for i in row if i] for row in self.index.tolist()]
+
+
+# tables built from shared tables, by a key of the tables' identities:
+# the tables, held so that no identity is reused, and the table built
+_built: dict[tuple, tuple] = {}
+
+
+def _kept(key: tuple, tables: tuple, build) -> np.ndarray:
+    """``build()`` of the shared ``tables``, made on first use of ``key``
+    and kept for the process, shared in turn."""
+    if key not in _built:
+        _built[key] = tables, shared(build())
+    return _built[key][1]
+
+
+def _scalar(leaf) -> Tokens | None:
+    """The leaf as a ``Tokens`` with an index over a shared table, if it
+    is one: a one-column ``Members`` is its "[text]" cells, "[]" for 0.
+    None for any other leaf."""
+    table = leaf.table
+    if table.flags.writeable or leaf.index is None:
+        return None
+    if isinstance(leaf, Tokens):
+        return leaf
+    if leaf.index.shape[1] != 1:
+        return None
+
+    def bracketed():
+        cells = np.zeros((len(table), table.shape[1] + 2), np.uint8)
+        cells[:, 0] = ord("[")
+        cells[0, 1] = cells[1:, -1] = ord("]")
+        cells[1:, 1:-1] = table[1:]
+        return cells
+
+    return Tokens(_kept(("[]", id(table)), (table,), bracketed),
+                  leaf.index[:, 0])
+
+
+def _composite(leaves: Sequence[Tokens], between: Sequence[str]) -> Tokens:
+    """Adjacent shared leaves as one, ``between`` holding the skeleton's
+    text between each two.  Its table holds the texts of every combination
+    of the leaves' table rows, the last leaf's changing fastest, each
+    row's NULs moved to its end: a piece then holds one run of NULs per
+    composite cell, not one per short text, and dropping them costs by
+    the run as much as by the byte.  Its index reads the leaves' indices
+    as the digits of one number in those radices."""
+    tables = tuple(leaf.table for leaf in leaves)
+    sizes = [len(table) for table in tables]
+
+    def combined():
+        cells = np.empty((*sizes, sum(t.shape[1] for t in tables)
+                          + sum(map(len, between))), np.uint8)
+        end = 0
+        for axis, table in enumerate(tables):
+            if axis:
+                gap = _ascii(between[axis - 1])
+                cells[..., end:end + len(gap)] = gap
+                end += len(gap)
+            shape = [1] * len(sizes) + [table.shape[1]]
+            shape[axis] = sizes[axis]
+            cells[..., end:end + table.shape[1]] = table.reshape(shape)
+            end += table.shape[1]
+        cells = cells.reshape(-1, end)
+        return np.take_along_axis(cells, np.argsort(
+            cells == 0, axis=1, kind="stable"), axis=1)
+
+    at = np.zeros(len(leaves[0].index), np.int16)  # FUSED_ROWS ≤ 2¹⁵
+    for leaf, size in zip(leaves, sizes):
+        at *= size  # each index is below its size, in any integer dtype
+        np.add(at, leaf.index, out=at, casting="unsafe")
+    return Tokens(_kept((tuple(between), *map(id, tables)), tables,
+                        combined), at)
+
+
+def _fused(segments: Sequence[str], leaves: Sequence
+           ) -> tuple[list[str], list]:
+    """``segments`` and ``leaves`` with each run of adjacent shared leaves
+    as one composite cell, a run cut where its table would pass
+    ``FUSED_ROWS`` rows."""
+    runs: list[list[int]] = []
+    scalars = list(map(_scalar, leaves))
+    rows = math.inf  # of the open run's table; none is open
+    for i, scalar in enumerate(scalars):
+        size = math.inf if scalar is None else len(scalar.table)
+        if rows * size <= FUSED_ROWS:
+            runs[-1].append(i)
+            rows *= size
+        else:
+            runs.append([i])
+            rows = size
+    cells = [_composite([scalars[i] for i in run],
+                        [segments[i] for i in run[1:]]) if len(run) > 1
+             else scalars[run[0]] or leaves[run[0]] for run in runs]
+    return [segments[0]] + [segments[run[-1] + 1] for run in runs], cells
 
 
 def pick(index: np.ndarray, texts: Sequence[str]) -> Tokens:
@@ -139,9 +265,18 @@ def pick(index: np.ndarray, texts: Sequence[str]) -> Tokens:
     return Tokens(table(texts), index)
 
 
+def shared(texts: np.ndarray) -> np.ndarray:
+    """The table ``texts``, made read-only: shared, so the cells built
+    from it are kept for the process (module docstring)."""
+    texts.flags.writeable = False
+    return texts
+
+
+_BOOLEANS = shared(table(["false", "true"]))
+
+
 def booleans(values: np.ndarray) -> Tokens:
-    return pick(np.asarray(values, dtype=bool).view(np.uint8),
-                ["false", "true"])
+    return Tokens(_BOOLEANS, np.asarray(values, dtype=bool).view(np.uint8))
 
 
 def numbers(values: np.ndarray, missing: np.ndarray | None = None
@@ -152,8 +287,7 @@ def numbers(values: np.ndarray, missing: np.ndarray | None = None
     ValueError, as json.dumps(allow_nan=False) does."""
     if values.dtype.kind in "iu" and missing is None and values.size \
             and 0 <= values.min() and values.max() < 256:  # no sort needed
-        return pick(values.astype(np.uint8),
-                    list(map(str, range(values.max() + 1))))
+        return Tokens(_counts(int(values.max())), values)
     floats = values.dtype.kind == "f"
     if floats and not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
@@ -164,6 +298,13 @@ def numbers(values: np.ndarray, missing: np.ndarray | None = None
         index[missing] = len(texts)
         texts.append("null")
     return pick(index, texts)
+
+
+@cache
+def _counts(top: int) -> np.ndarray:
+    """The shared table of "0", "1", ..., str(top): no wider than the
+    texts of a column whose largest value is ``top``."""
+    return shared(table(list(map(str, range(top + 1)))))
 
 
 # The eight binary digits of every byte value in ASCII, on first use.
@@ -189,22 +330,23 @@ def rendered(segments: Sequence[str], leaves: Sequence, first: str,
              sep: str) -> Iterator[np.ndarray]:
     """Each row as ``sep`` (``first``, as long, on the first row),
     segments[0], leaf 0, segments[1], ..., segments[-1], ``CHUNK`` rows a
-    piece, each piece a new uint8 array of its bytes."""
+    piece, each piece a new uint8 array of its bytes: the matrix with its
+    NULs dropped, or copied whole where every leaf filled its width."""
+    size = len(leaves[0].table if leaves[0].index is None
+               else leaves[0].index)
+    segments, leaves = _fused(segments, leaves)
     parts = [_ascii(sep + segments[0])]
     for leaf, text in zip(leaves, segments[1:]):
         parts += [np.zeros(leaf.width(), np.uint8), _ascii(text)]
     ends = np.cumsum([0, *map(len, parts)]).tolist()
-    size = len(leaves[0].table if leaves[0].index is None
-               else leaves[0].index)
     matrix = np.empty((min(CHUNK, size), ends[-1]), dtype=np.uint8)
     matrix[:] = np.concatenate(parts)  # the text between the leaves
     for start in range(0, size, CHUNK):
         rows = matrix[:min(CHUNK, size - start)]
-        for i, leaf in enumerate(leaves):
-            leaf.fill(rows[:, ends[2 * i + 1]:ends[2 * i + 2]], start,
-                      start + len(rows))
+        full = [leaf.fill(rows[:, ends[2 * i + 1]:ends[2 * i + 2]], start,
+                          start + len(rows)) for i, leaf in enumerate(leaves)]
         rows[0, :len(sep)] = _ascii(sep if start else first)
-        yield rows[rows != 0]
+        yield rows.flatten() if all(full) else rows[rows != 0]
 
 
 class Rows(NamedTuple):

@@ -41,11 +41,14 @@ xor-sum by one rule, the parities of its members in the label lanes
 (``_lanes``).
 
 The sets that transfer stay in per-block numpy columns (``_Findings``),
-and the summary counters are read off them.  A block's token columns are
-built once and index one table of label texts, so the digest and the
-CLI's document render the findings as ``jsontext.Rows`` bytes, with no
-per-set dict or string.  The layout of a finding is written once, in
-``_skeleton`` and ``_Findings.columns``: ``ScanReport.findings`` is read
+with each set's degree from the counts its path already has, and the
+summary counters are read off them.  A block's token columns are built
+once and index tables of texts kept for the process (label texts per n
+at n ≤ 5, times, counts, booleans), so the digest and the CLI's document
+render the findings as ``jsontext.Rows`` bytes, adjacent fields through
+composite cells built once, with no per-set dict or string.  The layout
+of a finding is written once, in ``_skeleton`` and
+``_Findings.columns``: ``ScanReport.findings`` is read
 back from those columns on first read (``jsontext.Rows.values``), and
 ``transfer_record`` and ``audit_record`` read one set the same way, from
 a one-row block.  A cubelike graph transfers from 0 to at most one offset
@@ -92,13 +95,14 @@ from operator import xor
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitspace import (ConnectionSet, GroupElement, _check_dimension,
                        _mask_labels)
 from .dynamics import RationalAngle
 from .graphwalk import bfs_profile
 from .jsontext import (Members, Rows, Tokens, binary_texts, booleans,
-                       digest, dumps, numbers, pick, slots)
+                       digest, dumps, numbers, shared, slots, table)
 from .pst import _decide_rows, pst_offsets
 from .spectral import _wht_rows, character_bits
 
@@ -384,9 +388,11 @@ class _WordTables:
     The mask bits are split into chunks of at most ``CHUNK_BITS`` at
     ``shifts``, one at n ≤ 4 and two at n = 5, with one table row per
     subset of a chunk's labels (1 MB at n = 4, 4.6 MB at n = 5).  A mask
-    joins its chunks' rows: spectra add, xor-sums xor, members merge.  The
-    audit's distances, 0.5 MB more at n = 4, are one table: the audit
-    stops at ``EXHAUSTIVE_CAP``, where a mask is one chunk.
+    joins its chunks' rows: spectra add, xor-sums xor, members merge
+    (n = 5 by a shift per row, with no sort).  The audit's distances,
+    0.5 MB more at n = 4, are one table, with each mask's connectivity
+    and diameter read off it once (64 KB): the audit stops at
+    ``EXHAUSTIVE_CAP``, where a mask is one chunk.
     """
 
     n: int
@@ -466,11 +472,26 @@ class _WordTables:
 
     def members_of(self, words: np.ndarray) -> np.ndarray:
         """The labels of each set of ``words``, ascending, padded on the
-        left with 0 to the largest degree among them."""
-        gens = np.hstack(self._gather(self.members, words))
-        if len(self.shifts) > 1:
-            gens.sort(axis=1)
-        return gens[:, gens.shape[1] - int(np.bitwise_count(words).max()):]
+        left with 0 to the largest degree among them.
+
+        At n = 5 the low chunk holds labels 1–16 and the high chunk labels
+        17–31, so a set's low members sit just left of its high ones: its
+        low row, 16 zeros on either side, is read through a window shifted
+        right by its count of high members, and its high row is or-ed in
+        on the right.
+        """
+        degree = int(np.bitwise_count(words).max())
+        low, *high = self._gather(self.members, words)
+        if not high:
+            return low[:, CHUNK_BITS - degree:]
+        rows = np.zeros((len(words), 3 * CHUNK_BITS), np.uint8)
+        rows[:, CHUNK_BITS:2 * CHUNK_BITS] = low
+        gens = sliding_window_view(rows, degree, axis=1)[
+            np.arange(len(words)),
+            2 * CHUNK_BITS - degree + np.bitwise_count(words >> CHUNK_BITS)]
+        tail = min(degree, CHUNK_BITS)
+        gens[:, -tail:] |= high[0][:, -tail:]
+        return gens
 
     def distances_of(self, words: np.ndarray) -> np.ndarray:
         """The (rows × 2ⁿ) distances from 0 of the sets of ``words``, -1
@@ -480,6 +501,17 @@ class _WordTables:
         dists = np.ascontiguousarray(self.distances.take(words, axis=0).T)
         np.copyto(dists, -1, where=dists > self.n)
         return dists.T
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per mask at n ≤ ``EXHAUSTIVE_CAP``: whether its graph is
+        connected, and the eccentricity of 0 in its component, both read
+        once off the distances of every mask, so that a block's geometry
+        is gathered with no reduction per set."""
+        dists = self.distances_of(np.arange(len(self.distances)))
+        connected, diameter = (dists >= 0).all(axis=1), dists.max(axis=1)
+        connected.flags.writeable = diameter.flags.writeable = False
+        return connected, diameter
 
 
 _word_tables = cache(_WordTables)  # one read-only set per n = 1..5
@@ -538,12 +570,12 @@ def _word_findings(n: int, words: np.ndarray,
         return None
     words, delta = words[hits], delta[hits]
     geometry = ()
-    if audit:
-        dists = tables.distances_of(words)
-        geometry = ((dists >= 0).all(axis=1), dists.max(axis=1),
-                    dists[np.arange(delta.size), delta])
+    if audit:  # δ, reached by the walk, is in the component of 0
+        connected, diameter = tables.geometry
+        geometry = (connected[words], diameter[words],
+                    tables.distances[words, delta])
     return _Findings(n, tables.members_of(words), tables.xors_of(words),
-                     delta, g[hits], *geometry)
+                     delta, g[hits], np.bitwise_count(words), *geometry)
 
 
 # ── the indicator path: sampled surveys at n > FILTERED_CAP ──────────────
@@ -574,10 +606,10 @@ def _indicator_findings(n: int, masks: np.ndarray | list[int]
     if not (hits := np.flatnonzero(delta)).size:
         return None
     members = ind[hits] * np.arange(1 << n)  # each label in its column
-    degree = int(np.count_nonzero(members, axis=1).max())
-    gens = np.sort(members, axis=1)[:, members.shape[1] - degree:]
+    degree = np.count_nonzero(members, axis=1)
+    gens = np.sort(members, axis=1)[:, members.shape[1] - degree.max():]
     return _Findings(n, gens, np.bitwise_xor.reduce(gens, axis=1),
-                     delta[hits], g[hits])
+                     delta[hits], g[hits], degree)
 
 
 def enumerate_sets(n: int, *, d_min: int | None = None,
@@ -611,13 +643,30 @@ def _skeleton(audit: bool) -> dict:
     return record
 
 
+@cache
+def _label_texts(n: int) -> np.ndarray:
+    """The texts of every label at n ≤ ``FILTERED_CAP``, shared: built
+    once per n, so every block and survey at n indexes one table."""
+    return shared(binary_texts(n).table)
+
+
+@cache
+def _time_texts(top: int) -> np.ndarray:
+    """The shared table whose row k is π/2ᵏ as JSON text, k ≤ ``top``.  A
+    set transfers at π/g, g the lowest set bit of its gaps, so a time is
+    π/2ᵏ, found from q = 2ᵏ as the popcount of q − 1, with no sort."""
+    return shared(table([json.dumps(str(RationalAngle(1, 1 << k)))
+                         for k in range(top + 1)]))
+
+
 @dataclass(frozen=True, eq=False)
 class _Findings:
     """The sets of one survey block at dimension ``n`` that transfer.
 
     ``labels`` holds each set's members ascending, padded on the left with
-    0 to the block's largest degree; the set transfers 0 → ``delta`` at
-    π/``q``.  The audit adds ``connected``, ``diameter`` and ``distance``.
+    0 to the block's largest degree, and ``degree`` counts them; the set
+    transfers 0 → ``delta`` at π/``q``.  The audit adds ``connected``,
+    ``diameter`` and ``distance``.
     """
 
     n: int
@@ -625,6 +674,7 @@ class _Findings:
     u: np.ndarray
     delta: np.ndarray
     q: np.ndarray
+    degree: np.ndarray
     connected: np.ndarray | None = None
     diameter: np.ndarray | None = None
     distance: np.ndarray | None = None
@@ -633,28 +683,38 @@ class _Findings:
     def columns(self) -> dict:
         """The token column of every field, by name, built once.
 
-        Labels, u and δ index one table of label texts, 0 standing for
-        label 0: of every label when 2ⁿ is no more than the labels held,
-        else of the distinct ones and 0.  Times index the texts of the
-        block's few distinct times.
+        Every scalar field indexes a shared table (``jsontext.shared``)
+        by its values, with no sort: times by k (``_time_texts``), counts
+        below 256 by value (``jsontext.numbers``), booleans by bit, and at
+        n ≤ ``FILTERED_CAP`` labels, u and δ by label (``_label_texts``),
+        so adjacent fields render through one composite cell.  Each
+        table is as wide as the block's widest text needs, so a block
+        whose texts fill their columns renders with no NUL.  Above
+        ``FILTERED_CAP`` labels, u and δ index a table of the block's
+        label texts, 0 standing for label 0: of every label when 2ⁿ is no
+        more than the labels held, else of the distinct ones and 0.
         """
         labels, u, delta = self.labels, self.u, self.delta
-        distinct = None
-        rows, k = labels.shape
-        if 1 << self.n > labels.size + 2 * rows:
-            distinct, index = np.unique(np.column_stack(
-                [np.zeros_like(u), labels, u, delta]), return_inverse=True)
-            index = index.reshape(rows, k + 3)
-            labels, u, delta = index[:, 1:k + 1], index[:, -2], index[:, -1]
-        texts = binary_texts(self.n, distinct).table
-        times, at = np.unique(self.q, return_inverse=True)
+        if self.n <= FILTERED_CAP:
+            label_texts = _label_texts(self.n)
+        else:
+            distinct = None
+            rows, k = labels.shape
+            if 1 << self.n > labels.size + 2 * rows:
+                distinct, index = np.unique(np.column_stack(
+                    [np.zeros_like(u), labels, u, delta]),
+                    return_inverse=True)
+                index = index.reshape(rows, k + 3)
+                labels, u, delta = (index[:, 1:k + 1], index[:, -2],
+                                    index[:, -1])
+            label_texts = binary_texts(self.n, distinct).table
+        twos = np.bitwise_count(self.q - 1)  # q = 2 ** twos
         columns = {
-            "omega": Members(texts, labels),
-            "d": numbers(np.count_nonzero(labels, axis=1)),
-            "u": Tokens(texts, u),
-            "delta": Tokens(texts, delta),
-            "time": pick(at.astype(np.uint8), [  # a few distinct times
-                json.dumps(str(RationalAngle(1, q))) for q in times.tolist()]),
+            "omega": Members(label_texts, labels),
+            "d": numbers(self.degree),
+            "u": Tokens(label_texts, u),
+            "delta": Tokens(label_texts, delta),
+            "time": Tokens(_time_texts(int(twos.max())), twos),
         }
         if self.connected is not None:
             xor_sum = self.delta == self.u
@@ -664,7 +724,7 @@ class _Findings:
                 distance=numbers(self.distance),
                 antipodal=booleans(self.distance == self.diameter),
                 is_xor_sum=booleans(xor_sum),
-                violations=Members(texts, np.where(
+                violations=Members(label_texts, np.where(
                     xor_sum, 0, delta).astype(labels.dtype)[:, None]))
         return columns
 
@@ -689,7 +749,7 @@ def _set_record(omega: ConnectionSet, audit: bool) -> dict:
                     int(profile.dist[delta]))
     block = _Findings(omega.n, np.array([omega.elements]),
                       *(np.array([x]) for x in (omega.u.bits, delta, time.q,
-                                                *geometry)))
+                                                len(omega), *geometry)))
     (record,) = Rows(_skeleton(audit), [block.columns]).values()
     return record
 

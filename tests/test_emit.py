@@ -319,54 +319,101 @@ def _right_aligned(index):
         index, np.argsort(index != 0, axis=1, kind="stable"), axis=1)
 
 
-def _random_block(rng, rows):
-    """Token columns of ``rows`` rows and the same rows as dicts."""
+# JSON values whose texts are four characters wide: a block drawn from
+# these alone fills every column it gathers
+FOUR_WIDE = [None, True, -0.0]
+
+
+def _random_block(rng, rows, one_width=False):
+    """Token columns of ``rows`` rows and the same rows as dicts.
+
+    Most tables are shared (read-only), so runs of adjacent leaves render
+    as composite cells: ``o`` and, one time in three, ``m`` are one-column
+    lists, and ``r0``..``r5`` with ``t`` and ``a`` make a run whose
+    combined table passes ``FUSED_ROWS``, so it is cut.  Under
+    ``one_width`` every text is as wide as its table and no list is
+    short, so every leaf fills its width and no piece holds a NUL.
+    """
+    values = FOUR_WIDE if one_width else VALUES
+
     def _sample(k):
-        return [VALUES[i] for i in rng.integers(0, len(VALUES), k)]
+        return [values[i] for i in rng.integers(0, len(values), k)]
+
+    def _table(pool):
+        texts = jsontext.table([json.dumps(v) for v in pool])
+        return jsontext.shared(texts) if rng.random() < 0.8 else texts
 
     def tokens(pool):
-        texts = [json.dumps(v) for v in pool]
         index = rng.integers(0, len(pool), rows)
-        return jsontext.Tokens(jsontext.table(texts), index), \
+        return jsontext.Tokens(_table(pool), index), \
             [pool[i] for i in index.tolist()]
 
-    def members():
-        pool = ["skipped"] + _sample(5)
-        k = int(rng.integers(1, 4))
-        # some lists empty, some one
-        index = _right_aligned(rng.integers(0, len(pool), (rows, k))
-                               * (rng.random((rows, k)) < 0.6))
-        texts = jsontext.table([json.dumps(v) for v in pool])
-        return jsontext.Members(texts, index), \
+    def members(k):
+        # row 0 stands for no member: some lists empty, some one
+        pool = (_sample(1) if one_width else ["skipped"]) + _sample(5)
+        listed = rng.random((rows, k)) < (1.0 if one_width else 0.6)
+        index = _right_aligned(rng.integers(1, len(pool), (rows, k))
+                               * listed)
+        return jsontext.Members(_table(pool), index), \
             [[pool[i] for i in row if i] for row in index.tolist()]
 
-    a, a_values = tokens(VALUES)
+    a, a_values = tokens(values)
     b, b_values = tokens(_sample(3))
-    m, m_values = members()
+    m, m_values = members(int(rng.integers(1, 4)))
+    o, o_values = members(1)
+    run = [tokens(_sample(8)) for _ in range(6)]
     labels = jsontext.binary_texts(5, rng.integers(0, 32, rows))
     label_values = [t.strip('"') for t in _texts(labels)]
-    bools = rng.random(rows) < 0.5
-    columns = {"a": a, "b": b, "m": m, "v": labels,
-               "t": jsontext.booleans(bools)}
-    dicts = [{"z": av, "nested": {"m": mv, "v": lv, "deep": [{"b": bv}]},
-              "t": tv}
-             for av, bv, mv, lv, tv in zip(a_values, b_values, m_values,
-                                           label_values, bools.tolist())]
+    bools = (rng.random(rows) < 0.5) & (not one_width)  # "true" is short
+    columns = {"a": a, "b": b, "m": m, "o": o, "v": labels,
+               "t": jsontext.booleans(bools),
+               **{f"r{i}": column for i, (column, _) in enumerate(run)}}
+    dicts = [{"z": av, "nested": {"m": mv, "o": ov, "v": lv,
+                                  "deep": [{"b": bv}]},
+              "t": tv, "run": list(rv)}
+             for av, bv, mv, ov, lv, tv, *rv in zip(
+                 a_values, b_values, m_values, o_values, label_values,
+                 bools.tolist(), *(values for _, values in run))]
     return columns, dicts
 
 
 SKELETON = {"z": jsontext.slot("a"),
-            "nested": {"m": jsontext.slot("m"), "v": jsontext.slot("v"),
+            "nested": {"m": jsontext.slot("m"), "o": jsontext.slot("o"),
+                       "v": jsontext.slot("v"),
                        "deep": [jsontext.slots("b")]},
-            "t": jsontext.slot("t")}
+            "t": jsontext.slot("t"),
+            "run": [jsontext.slot(f"r{i}") for i in range(6)]}
+
+
+def _fused_fills(rows):
+    """Whether each cell of each block, the leaves fused as the kernel
+    fuses them, reports that its rows fill its width; and how many of
+    those cells are composite."""
+    template = canonical_dumps(rows.skeleton)
+    names = jsontext._MARKER.findall(template)
+    segments = jsontext._MARKER.split(template)[0::2]
+    full, composites = [], 0
+    for columns in rows.blocks:
+        leaves = [columns[name] for name in names]
+        _, cells = jsontext._fused(segments, leaves)
+        size = len(leaves[0].table if leaves[0].index is None
+                   else leaves[0].index)
+        for cell in cells:
+            composites += not any(cell is leaf for leaf in leaves)
+            full.append(cell.fill(np.empty((size, cell.width()), np.uint8),
+                                  0, size))
+    return full, composites
 
 
 def test_kernel_renders_random_token_columns_as_json(monkeypatch):
     rng = np.random.default_rng(11)
+    composites = 0
     for chunk in (1, 7, jsontext.CHUNK):
         monkeypatch.setattr(jsontext, "CHUNK", chunk)
         for _ in range(12):
-            blocks = [_random_block(rng, int(rng.integers(1, 40)))
+            one_width = rng.random() < 0.3
+            blocks = [_random_block(rng, int(rng.integers(1, 40)),
+                                    one_width)
                       for _ in range(int(rng.integers(0, 4)))]
             rows = jsontext.Rows(SKELETON, [c for c, _ in blocks])
             doc = {"rows": rows, "after": [1, {"x": None}]}
@@ -379,10 +426,25 @@ def test_kernel_renders_random_token_columns_as_json(monkeypatch):
             assert b"".join(pieces).decode() == canonical_dumps(want), chunk
             assert jsontext.digest(doc) == hashlib.sha256(
                 canonical_dumps(want).encode()).hexdigest()
+            # the records read the leaves, not the composite cells
+            assert canonical_dumps(rows.values()) == canonical_dumps(
+                want["rows"])
+            full, fused = _fused_fills(rows)
+            composites += fused
+            # a one-width block's pieces are copied whole, with no drop
+            assert all(full) or not one_width
+    assert composites > 100
+
+
+# every 6-bit label, shared: leaves over it render as composite cells
+SHARED_LABELS = jsontext.shared(jsontext.binary_texts(6).table)
 
 
 def _column_kinds(rng, rows):
-    """One column of every kind, ``rows`` rows each."""
+    """One column of every kind, ``rows`` rows each.  The last five are
+    shared: three label columns, a flag and a one-column list make a run
+    cut in three where a composite table would pass ``FUSED_ROWS`` rows,
+    into two labels (64 × 64 rows), a label and the flag, and the list."""
     labels = jsontext.binary_texts(6).table
     ints = rng.integers(-5, 1 << 40, rows)
     floats = np.array([0.0, -0.0, 1.5, -2.5e-308, 1e22, 1 / 3, 5e-324])
@@ -400,13 +462,19 @@ def _column_kinds(rng, rows):
                               ['"a"', "null", "2.5"]),
         "members": jsontext.Members(labels, members),
         "none": jsontext.Members(labels, np.zeros((rows, 2), np.int64)),
+        **{name: jsontext.Tokens(SHARED_LABELS, rng.integers(0, 64, rows))
+           for name in ("l1", "l2", "l3")},
+        "flag2": jsontext.booleans(rng.random(rows) < 0.5),
+        "one": jsontext.Members(SHARED_LABELS, members[:, -1:]),
     }
 
 
 def test_rows_values_are_json_loads_of_their_text():
     # every column kind read back: members with 0s on the left and
     # empty lists, -0.0 with its sign, null where missing; json.dumps
-    # without sort_keys also tells true from 1 and checks the key order
+    # without sort_keys also tells true from 1 and checks the key order.
+    # The shared kinds render through three composite cells a block,
+    # while the records read their leaves
     rng = np.random.default_rng(13)
     names = list(_column_kinds(rng, 1))
     skeleton = {"first": jsontext.slots(*names[:5]),
@@ -418,6 +486,7 @@ def test_rows_values_are_json_loads_of_their_text():
         want = json.loads(b"".join(rows.text()))
         assert got == want
         assert json.dumps(got) == json.dumps(want)
+        assert _fused_fills(rows)[1] == 3 * len(sizes)
 
 
 def test_a_shared_table_gives_one_object_per_text():
@@ -450,6 +519,11 @@ def test_members_refuse_a_zero_right_of_a_member():
     rows = jsontext.Rows({"m": jsontext.slot("m")}, [{"m": members}])
     assert b"".join(rows.text()) == b'[{"m":[]},{"m":["11"]},' \
         b'{"m":["01","10"]}]'
+    # every list full, but "1" is narrower than its table: still dropped
+    members = jsontext.Members(jsontext.table(["0", "1", "22"]),
+                               np.array([[1, 2], [2, 2]]))
+    rows = jsontext.Rows({"m": jsontext.slot("m")}, [{"m": members}])
+    assert b"".join(rows.text()) == b'[{"m":[1,22]},{"m":[22,22]}]'
 
 
 def test_a_nul_in_a_table_text_is_refused():

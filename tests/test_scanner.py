@@ -775,7 +775,7 @@ def test_audit_columns_render_a_violation():
     profile = graphwalk.bfs_profile(omega, GroupElement.zero(5))
     block = scanner._Findings(
         5, np.array([omega.elements]), np.array([0]), np.array([1]),
-        np.array([4]), np.array([profile.connected]),
+        np.array([4]), np.array([len(omega)]), np.array([profile.connected]),
         np.array([profile.diameter]), np.array([profile.dist[1]]))
     records = jsontext.Rows(scanner._skeleton(True), [block.columns]).values()
     assert records == [audit_record(omega)]
@@ -815,6 +815,48 @@ def test_each_block_builds_its_columns_once(monkeypatch, capsys):
     report = antipodality_audit(4)
     assert report.canonical_json() and report.digest() == PINNED_SURVEYS[4][3]
     assert len(built) == len(report.blocks)
+
+
+def test_degree_column_counts_the_members():
+    # the degree each block carries, from the walk's popcounts at n <= 5
+    # and from the indicator rows' counts above, is the count of its
+    # nonzero members, and renders as the records' d
+    reports = [antipodality_audit(3), scan_sets(5, d_min=2, d_max=4),
+               conjecture_scan(5, sample=2000, seed=3),
+               scan_sets(7, sample=300, seed=7),
+               scan_sets(10, d_max=12, sample=60, seed=10)]
+    assert [r.path for r in reports] == ["word-table"] * 3 + [
+        "indicator-wht"] * 2
+    for report in reports:
+        assert report.blocks
+        for block in report.blocks:
+            assert np.array_equal(block.degree,
+                                  np.count_nonzero(block.labels, axis=1))
+        assert [f["d"] for f in report.findings] == [
+            len(f["omega"]) for f in report.findings]
+    # and the one-set records, on both sides of FILTERED_CAP
+    rng = random.Random(9)
+    for n in (3, 5, 6, 9):
+        for _ in range(20):
+            labels = rng.sample(range(1, 1 << n), rng.randint(1, 2 * n))
+            omega = ConnectionSet(n, tuple(sorted(labels)))
+            for record in (transfer_record(omega), audit_record(omega)):
+                assert record["d"] == len(omega) == len(record["omega"])
+
+
+def test_second_survey_reuses_the_cell_tables():
+    # the tables of an n and the composite cells built from them are made
+    # once: a second survey at n renders from the same objects
+    first = antipodality_audit(3)
+    first.digest()
+    held = len(jsontext._built)
+    second = antipodality_audit(3)
+    assert second.digest() == first.digest()
+    assert len(jsontext._built) == held
+    for name in ("omega", "u", "delta", "time", "d", "connected"):
+        assert second.blocks[0].columns[name].table is \
+            first.blocks[0].columns[name].table, name
+    assert not second.blocks[0].columns["u"].table.flags.writeable
 
 
 def test_survey_builds_no_record_until_read(monkeypatch):
