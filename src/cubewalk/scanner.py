@@ -19,15 +19,16 @@ come in blocks, from one walk (``_walk``) or from the sorted sample, and
 go through the survey on one of two paths (``ScanReport.path``), each
 ending in one transfer decision per row (``pst._decide_rows``):
 
-  * "word-table" serves every survey at n ≤ 5 (``FILTERED_CAP``).
-    Read-only subset tables, built once per n by doubling over the labels
-    (``_WordTables``), give each mask's spectrum, xor-sum, members and,
-    for the audit, distances from 0, in place of the indicator matrix,
-    the WHT and the BFS.  The walk and the tables split a mask into a low
-    16-bit chunk and one high chunk, so they stop at 31 bits, though a
-    mask fits one int64 through n = 6 (``INT64_CAP``).
-  * "indicator-wht" serves the sampled surveys at n ≥ 6, past the audit's
-    reach: per block the indicator matrix and the Walsh-Hadamard
+  * "word-table" serves every survey whose masks fit one int64, at
+    n ≤ 6 (``INT64_CAP``).  Read-only subset tables, built once per n by
+    doubling over the labels (``_WordTables``), give each mask's
+    spectrum, xor-sum, members and, for the audit, distances from 0, in
+    place of the indicator matrix, the WHT and the BFS.  The tables split
+    a mask into 16-bit chunks, four at n = 6; the walk splits it into a
+    low chunk and one high chunk, so it stops at 31 bits
+    (``FILTERED_CAP``), and n = 6 is sampled only.
+  * "indicator-wht" serves the sampled surveys at n ≥ 7, whose masks are
+    Python ints: per block the indicator matrix and the Walsh-Hadamard
     butterfly along its rows.
 
 A sample is drawn from ``random.Random(seed)``.  Where its masks fit one
@@ -36,7 +37,7 @@ taken in bulk (``_bulk_draws``): the 32-bit words of ``DRAW_BATCH`` draws
 in one ``getrandbits`` call, read as the masks ``randrange`` would make
 of them, with the u-toggle, the degree check and the duplicates done by
 numpy passes.  The sample is the one drawn mask by mask, and comes as a
-sorted int64 array at n ≤ 6 on both paths.  Both draws find a mask's
+sorted int64 array at n ≤ 6 from either loop.  Both draws find a mask's
 xor-sum by one rule, the parities of its members in the label lanes
 (``_lanes``).
 
@@ -44,7 +45,7 @@ The sets that transfer stay in per-block numpy columns (``_Findings``),
 with each set's degree from the counts its path already has, and the
 summary counters are read off them.  A block's token columns are built
 once and index tables of texts kept for the process (label texts per n
-at n ≤ 5, times, counts, booleans), so the digest and the CLI's document
+at n ≤ 6, times, counts, booleans), so the digest and the CLI's document
 render the findings as ``jsontext.Rows`` bytes, adjacent fields through
 composite cells built once, with no per-set dict or string.  The layout
 of a finding is written once, in ``_skeleton`` and
@@ -108,14 +109,14 @@ from .spectral import _wht_rows, character_bits
 
 EXHAUSTIVE_CAP = 4  # largest n whose whole space fits under MASK_CAP;
 # the antipodality audit, which takes no window, stops there
-FILTERED_CAP = 5
+FILTERED_CAP = 5  # largest n the exhaustive walk reaches: two chunks
 MASK_CAP = 1 << 24
 INT64_CAP = 6  # largest n whose masks, 2ⁿ − 1 bits, fit one int64
 # Draws per batch of the bulk sampler: its words, masks and scratch take
 # a few MB at most, however large the sample.  The sample itself is one
 # int64 array, merged in place.
 DRAW_BATCH = 1 << 16
-# Indicator entries per block of the indicator path: 128 sets at n = 6,
+# Indicator entries per block of the indicator path: 64 sets at n = 7,
 # one set from n = 13 on.  Each int64 array of a block then takes 64 KB
 # below n = 14; blocks 16 times larger ran no faster and raised peak memory.
 BLOCK_CELLS = 1 << 13
@@ -354,18 +355,20 @@ def _mask_blocks(n: int, *, d_min: int | None, d_max: int | None,
         return _walk(n, lo, hi, u_zero)
     windowed = d_min is not None or d_max is not None
     masks = _sampled_masks(n, lo, hi, windowed, u_zero, sample, seed)
-    rows = WORD_ROWS if n <= FILTERED_CAP else max(1, BLOCK_CELLS >> n)
+    rows = WORD_ROWS if n <= INT64_CAP else max(1, BLOCK_CELLS >> n)
     return (masks[at:at + rows] for at in range(0, len(masks), rows))
 
 
-# ── the word path: subset tables at n ≤ FILTERED_CAP ─────────────────────
-# Every mask an exhaustive walk reaches fits one int64.
+# ── the word path: subset tables at n ≤ INT64_CAP ────────────────────────
+# Every mask an exhaustive walk reaches, and every sampled one to n = 6,
+# fits one int64.
 
 CHUNK_BITS = 16  # mask bits per subset table, 2¹⁶ rows at most
-# Masks per word-path block: an int8 spectrum block takes 128 KB at n = 4
-# and 256 KB at n = 5.  A block's findings render through one uint8 matrix
-# of at most ``jsontext.CHUNK`` rows, whatever the block size, so larger
-# blocks cost no rendering memory and cut the per-block numpy calls.
+# Masks per word-path block: an int8 spectrum block takes 128 KB at n = 4,
+# 256 KB at n = 5 and 512 KB at n = 6.  A block's findings render through
+# one uint8 matrix of at most ``jsontext.CHUNK`` rows, whatever the block
+# size, so larger blocks cost no rendering memory and cut the per-block
+# numpy calls.
 WORD_ROWS = 1 << 13
 
 
@@ -383,16 +386,17 @@ def _subset_table(first: np.ndarray, labels: list[int], extend) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _WordTables:
-    """Read-only subset tables of the masks at one dimension n ≤ FILTERED_CAP.
+    """Read-only subset tables of the masks at one dimension n ≤ INT64_CAP.
 
     The mask bits are split into chunks of at most ``CHUNK_BITS`` at
-    ``shifts``, one at n ≤ 4 and two at n = 5, with one table row per
-    subset of a chunk's labels (1 MB at n = 4, 4.6 MB at n = 5).  A mask
-    joins its chunks' rows: spectra add, xor-sums xor, members merge
-    (n = 5 by a shift per row, with no sort).  The audit's distances,
-    0.5 MB more at n = 4, are one table, with each mask's connectivity
-    and diameter read off it once (64 KB): the audit stops at
-    ``EXHAUSTIVE_CAP``, where a mask is one chunk.
+    ``shifts``, one at n ≤ 4, two at n = 5 and four at n = 6, with one
+    table row per subset of a chunk's labels (1 MB at n = 4, 4.6 MB at
+    n = 5, 18.6 MB at n = 6).  A mask joins its chunks' rows: spectra
+    add, xor-sums xor, members merge (by a shift per row and chunk, with
+    no sort).  The audit's distances, 0.5 MB more at n = 4, are one
+    table, with each mask's connectivity and diameter read off it once
+    (64 KB): the audit stops at ``EXHAUSTIVE_CAP``, where a mask is one
+    chunk.
     """
 
     n: int
@@ -411,8 +415,8 @@ class _WordTables:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, ...]:
         """int8 spectra: adding label w adds the character row χ_w.  At
-        n ≤ 5, |λ_v| ≤ d ≤ 31 and every gap d − λ_v ≤ 62, so int8 holds
-        the sum of two chunks and the decision's gaps."""
+        n ≤ 6, |λ_v| ≤ d ≤ 63 and every gap d − λ_v ≤ 126, so int8 holds
+        the sum of the chunks and the decision's gaps."""
         size = 1 << self.n
         chi = np.array([np.where(character_bits(self.n, w), -1, 1)
                         for w in range(size)], dtype=np.int8)
@@ -474,24 +478,23 @@ class _WordTables:
         """The labels of each set of ``words``, ascending, padded on the
         left with 0 to the largest degree among them.
 
-        At n = 5 the low chunk holds labels 1–16 and the high chunk labels
-        17–31, so a set's low members sit just left of its high ones: its
-        low row, 16 zeros on either side, is read through a window shifted
-        right by its count of high members, and its high row is or-ed in
-        on the right.
+        Each chunk's labels lie above those of the chunks below it, so
+        the rows fold from the low chunk up: the held row, ``CHUNK_BITS``
+        zeros on either side, is read through a window shifted left by
+        the next chunk's count of members, and that chunk's row is or-ed
+        in on the right.
         """
         degree = int(np.bitwise_count(words).max())
-        low, *high = self._gather(self.members, words)
-        if not high:
-            return low[:, CHUNK_BITS - degree:]
-        rows = np.zeros((len(words), 3 * CHUNK_BITS), np.uint8)
-        rows[:, CHUNK_BITS:2 * CHUNK_BITS] = low
-        gens = sliding_window_view(rows, degree, axis=1)[
-            np.arange(len(words)),
-            2 * CHUNK_BITS - degree + np.bitwise_count(words >> CHUNK_BITS)]
-        tail = min(degree, CHUNK_BITS)
-        gens[:, -tail:] |= high[0][:, -tail:]
-        return gens
+        gens, *chunks = self._gather(self.members, words)
+        rows = np.arange(len(words))
+        pad = np.zeros((len(words), CHUNK_BITS), np.uint8)
+        for shift, chunk in zip(self.shifts[1:], chunks):
+            gens = sliding_window_view(
+                np.hstack([pad, gens, pad]), gens.shape[1] + CHUNK_BITS,
+                axis=1)[rows, np.bitwise_count(
+                    words >> shift & (1 << CHUNK_BITS) - 1)]
+            gens[:, -CHUNK_BITS:] |= chunk
+        return gens[:, gens.shape[1] - degree:]
 
     def distances_of(self, words: np.ndarray) -> np.ndarray:
         """The (rows × 2ⁿ) distances from 0 of the sets of ``words``, -1
@@ -514,7 +517,7 @@ class _WordTables:
         return connected, diameter
 
 
-_word_tables = cache(_WordTables)  # one read-only set per n = 1..5
+_word_tables = cache(_WordTables)  # one read-only set per n = 1..6
 
 
 def _walk(n: int, lo: int, hi: int, u_zero: bool) -> Iterator[np.ndarray]:
@@ -578,27 +581,22 @@ def _word_findings(n: int, words: np.ndarray,
                      delta, g[hits], np.bitwise_count(words), *geometry)
 
 
-# ── the indicator path: sampled surveys at n > FILTERED_CAP ──────────────
+# ── the indicator path: sampled surveys at n > INT64_CAP ─────────────────
 
-def _indicators(masks: np.ndarray | list[int], n: int) -> np.ndarray:
-    """The (rows × 2ⁿ) 0/1 indicator matrix of an int64 array of masks
-    (n ≤ ``INT64_CAP``) or a list of them."""
+def _indicators(masks: list[int], n: int) -> np.ndarray:
+    """The (rows × 2ⁿ) 0/1 indicator matrix of a list of masks."""
     width = (1 << n) - 1
-    if isinstance(masks, np.ndarray):
-        raw = masks.astype("<i8").view(np.uint8).reshape(len(masks), 8)
-    else:
-        nbytes = (width + 7) // 8
-        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
-                                     for m in masks), dtype=np.uint8
-                            ).reshape(len(masks), nbytes)
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
+                                 for m in masks), dtype=np.uint8
+                        ).reshape(len(masks), nbytes)
     bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
     ind = np.zeros((len(masks), width + 1), dtype=np.int64)
     ind[:, 1:] = bits
     return ind
 
 
-def _indicator_findings(n: int, masks: np.ndarray | list[int]
-                        ) -> _Findings | None:
+def _indicator_findings(n: int, masks: list[int]) -> _Findings | None:
     """The sets of one block of masks that transfer, from the WHT of their
     indicator rows."""
     ind = _indicators(masks, n)
@@ -645,7 +643,7 @@ def _skeleton(audit: bool) -> dict:
 
 @cache
 def _label_texts(n: int) -> np.ndarray:
-    """The texts of every label at n ≤ ``FILTERED_CAP``, shared: built
+    """The texts of every label at n ≤ ``INT64_CAP``, shared: built
     once per n, so every block and survey at n indexes one table."""
     return shared(binary_texts(n).table)
 
@@ -686,16 +684,16 @@ class _Findings:
         Every scalar field indexes a shared table (``jsontext.shared``)
         by its values, with no sort: times by k (``_time_texts``), counts
         below 256 by value (``jsontext.numbers``), booleans by bit, and at
-        n ≤ ``FILTERED_CAP`` labels, u and δ by label (``_label_texts``),
+        n ≤ ``INT64_CAP`` labels, u and δ by label (``_label_texts``),
         so adjacent fields render through one composite cell.  Each
         table is as wide as the block's widest text needs, so a block
         whose texts fill their columns renders with no NUL.  Above
-        ``FILTERED_CAP`` labels, u and δ index a table of the block's
+        ``INT64_CAP`` labels, u and δ index a table of the block's
         label texts, 0 standing for label 0: of every label when 2ⁿ is no
         more than the labels held, else of the distinct ones and 0.
         """
         labels, u, delta = self.labels, self.u, self.delta
-        if self.n <= FILTERED_CAP:
+        if self.n <= INT64_CAP:
             label_texts = _label_texts(self.n)
         else:
             distinct = None
@@ -859,7 +857,7 @@ def _survey(kind: str, n: int, *, d_min: int | None = None,
     masks = _mask_blocks(n, d_min=d_min, d_max=d_max, u_zero=u_zero,
                          sample=sample, seed=seed)
     path, find = (("word-table", partial(_word_findings, n, audit=audit))
-                  if n <= FILTERED_CAP else
+                  if n <= INT64_CAP else
                   ("indicator-wht", partial(_indicator_findings, n)))
     steps = [(len(block), find(block)) for block in masks]
     scanned = sum(count for count, _ in steps)

@@ -365,9 +365,9 @@ def test_survey_violation_exit_code(capsys, monkeypatch):
 
 def test_scan_window_errors_exit_2(capsys, monkeypatch):
     # the window is checked before the walk, so no block of sets is ever
-    # built: every exhaustive block of the word path (n <= 5) comes from
-    # _walk, and every block of the indicator path passes through
-    # _indicators
+    # built: every exhaustive block of the word path (n <= 5, as far as
+    # the walk reaches) comes from _walk, and every block of the indicator
+    # path (n >= 7) passes through _indicators
     def walked(*args):
         raise AssertionError("a block of sets was built")
 
@@ -414,10 +414,11 @@ def test_scan_manifest_records_wall_time_not_payload(capsys):
 
 
 def test_survey_manifest_reports_throughput_and_path(capsys):
-    # the path names the engine: subset tables of mask words up to n = 5,
+    # the path names the engine: subset tables of mask words up to n = 6,
     # indicator rows and their WHT above
     for argv, path in ((["scan", "--n", "3"], "word-table"),
                        (["audit-antipodal", "--n", "3"], "word-table"),
+                       (["scan", "--n", "6", "--sample", "5"], "word-table"),
                        (["scan", "--n", "7", "--sample", "5"],
                         "indicator-wht")):
         code, out, err = _run(capsys, argv)

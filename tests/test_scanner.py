@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cubewalk import cli, graphwalk, jsontext, scanner, spectral
+from cubewalk import cli, graphwalk, jsontext, pst, scanner, spectral
 from cubewalk.bitspace import ConnectionSet, GroupElement, _mask_labels
 from cubewalk.scanner import (EXHAUSTIVE_CAP, FILTERED_CAP, MASK_CAP,
                               EnumerationCapError, antipodality_audit,
@@ -567,10 +567,11 @@ def test_survey_records_equal_single_set_records():
 
 def test_sampled_block_records_equal_single_set_records():
     # every record of a sampled scan against the one-set builder: at n = 5
-    # on the word tables, at n = 6 on the indicator path with a text for
-    # every label, and at n = 10 with texts for the distinct labels only
+    # and 6 on the word tables, at n = 7 on the indicator path with a text
+    # for every label, and at n = 10 with texts for the distinct labels only
     for n, kwargs, path in ((5, {"sample": 3000, "seed": 4}, "word-table"),
-                            (6, {"sample": 400, "seed": 6}, "indicator-wht"),
+                            (6, {"sample": 400, "seed": 6}, "word-table"),
+                            (7, {"sample": 200, "seed": 7}, "indicator-wht"),
                             (10, {"d_max": 12, "sample": 60, "seed": 10},
                              "indicator-wht")):
         report = scan_sets(n, **kwargs)
@@ -671,6 +672,13 @@ PINNED_SURVEYS = [
      "803072f8f2467f9799fdbf29975c56ee54afbaadae0f4276c58922ea65ba313c"),
     (conjecture_scan, 16, {"sample": 4, "seed": 1},
      "9ba0d8448ebb3eabf2c712b97bcc41555be1662396db7b480a98fc87b879fa98"),
+    # n = 6 samples, their digests taken on the indicator path, which the
+    # word tables now replace: a bulk draw, and a windowed one drawn a
+    # mask at a time
+    (conjecture_scan, 6, {"sample": 20000, "seed": 7},
+     "2aa0ef714bfef63c5a9a092d1a366066be346b28d931bb295b4a6f05a8630e35"),
+    (scan_sets, 6, {"d_min": 3, "d_max": 20, "sample": 500, "seed": 2},
+     "8e0f7baefe9dcb07c1728beec574ff439c8a2e055e9ba7f738a87347333f13b3"),
 ]
 
 
@@ -682,24 +690,35 @@ def test_pinned_survey_digests(survey, n, kwargs, want):
 
 
 def test_word_tables_match_the_indicator_path():
-    # the subset tables against the transform path they replace at n <= 5,
+    # the subset tables against the transform path they replace at n <= 6,
     # which stays the engine above it: spectra against _wht_rows of the
     # indicator rows, xor-sums against their xor-reduce, members against
-    # the sorted indicator columns, and, where the audit reaches (n <= 4),
-    # distances against the one-set BFS; every mask at n <= 4 (every fifth
-    # for the distances at n = 4) and 20,000 random masks at n = 5
+    # the sorted indicator columns, the decision's delta and g row by row
+    # (at n = 6 the int8 gaps reach 126), and, where the audit reaches
+    # (n <= 4), distances against the one-set BFS; every mask at n <= 4
+    # (every fifth for the distances at n = 4) and 20,000 random masks at
+    # n = 5 and 6, at n = 6 with the full set, the full set without label
+    # 1, the 32 odd labels, their complement and the labels 1 and 63
     rng = np.random.default_rng(16)
-    for n in range(1, 6):
+    odd = sum(1 << (label - 1) for label in range(1, 64, 2))
+    edges = [(1 << 63) - 1, (1 << 63) - 2, odd, odd ^ (1 << 63) - 1, 1,
+             1 << 62]
+    for n in range(1, 7):
         width = (1 << n) - 1
         words = (np.arange(1, 1 << width, dtype=np.int64) if n <= 4 else
                  rng.integers(1, 1 << width, 20_000, dtype=np.int64))
+        if n == 6:
+            words = np.concatenate([words, np.array(edges, np.int64)])
         tables = scanner._word_tables(n)
         ind = scanner._indicators(words.tolist(), n)
         members = ind * np.arange(1 << n)
         degree = int(np.count_nonzero(members, axis=1).max())
         gens = np.sort(members, axis=1)[:, (1 << n) - degree:]
-        assert np.array_equal(tables.spectra_of(words),
-                              scanner._wht_rows(ind)), n
+        spectra, values = tables.spectra_of(words), scanner._wht_rows(ind)
+        assert np.array_equal(spectra, values), n
+        for got, want in zip(pst._decide_rows(spectra),
+                             pst._decide_rows(values)):
+            assert np.array_equal(got, want), n
         assert np.array_equal(tables.xors_of(words),
                               np.bitwise_xor.reduce(members, axis=1)), n
         assert np.array_equal(tables.members_of(words), gens), n
@@ -708,14 +727,16 @@ def test_word_tables_match_the_indicator_path():
             want = [graphwalk._bfs(_mask_labels(mask), n)
                     for mask in some.tolist()]
             assert np.array_equal(tables.distances_of(some), want), n
-    # n = 5 splits the 31 mask bits over two tables of at most 2^16 rows
-    assert [len(t) for t in tables.spectra] == [1 << 16, 1 << 15]
-    assert all(not t.flags.writeable for t in tables.spectra)
+    # n = 6 splits the 63 mask bits over four tables of at most 2^16 rows
+    assert [len(t) for t in tables.spectra] == [1 << 16] * 3 + [1 << 15]
+    assert all(not t.flags.writeable
+               for t in tables.spectra + tables.xors + tables.members)
 
 
-def test_surveys_up_to_n5_never_build_indicator_rows(monkeypatch):
-    # at n <= 5 every survey runs on the word tables: no indicator
-    # matrix, no WHT and no BFS, and the pinned digests still hold
+def test_surveys_up_to_n6_never_build_indicator_rows(monkeypatch):
+    # at n <= 6, where a mask fits one int64, every survey runs on the
+    # word tables: no indicator matrix, no WHT and no BFS, and the pinned
+    # digests still hold
     def banned(*args):
         raise AssertionError("the indicator path ran")
 
@@ -723,19 +744,20 @@ def test_surveys_up_to_n5_never_build_indicator_rows(monkeypatch):
                          (spectral, "_wht_rows"), (graphwalk, "_bfs")):
         monkeypatch.setattr(module, name, banned)
     for survey, n, kwargs, want in PINNED_SURVEYS:
-        if n <= FILTERED_CAP:
+        if n <= scanner.INT64_CAP:
             report = survey(n, **kwargs)
             assert report.path == "word-table"
             assert report.digest() == want
     assert len(list(enumerate_sets(5, d_max=3, u_zero=True))) == 155
-    # above n = 5 the same hooks fire: the indicator path is the engine
+    # above n = 6 the same hooks fire: the indicator path is the engine
     with pytest.raises(AssertionError, match="indicator path"):
-        scan_sets(6, sample=3, seed=1)
+        scan_sets(7, sample=3, seed=1)
 
 
 def _larger_surveys():
-    # sampled, windowed and u = 0 surveys past the exhaustive caps, where
-    # labels outgrow a mask word and blocks shrink to a few sets
+    # sampled, windowed and u = 0 surveys past the exhaustive caps: at
+    # n = 6 on the word tables, and above, where labels outgrow a mask
+    # word, on the indicator path, whose blocks shrink to a few sets
     for n in range(6, 11):
         yield scan_sets(n, sample=24, seed=n)
         yield scan_sets(n, d_min=2, d_max=n + 1, sample=24, seed=n)
@@ -818,14 +840,15 @@ def test_each_block_builds_its_columns_once(monkeypatch, capsys):
 
 
 def test_degree_column_counts_the_members():
-    # the degree each block carries, from the walk's popcounts at n <= 5
+    # the degree each block carries, from the masks' popcounts at n <= 6
     # and from the indicator rows' counts above, is the count of its
     # nonzero members, and renders as the records' d
     reports = [antipodality_audit(3), scan_sets(5, d_min=2, d_max=4),
                conjecture_scan(5, sample=2000, seed=3),
+               scan_sets(6, sample=300, seed=6),
                scan_sets(7, sample=300, seed=7),
                scan_sets(10, d_max=12, sample=60, seed=10)]
-    assert [r.path for r in reports] == ["word-table"] * 3 + [
+    assert [r.path for r in reports] == ["word-table"] * 4 + [
         "indicator-wht"] * 2
     for report in reports:
         assert report.blocks
@@ -834,7 +857,7 @@ def test_degree_column_counts_the_members():
                                   np.count_nonzero(block.labels, axis=1))
         assert [f["d"] for f in report.findings] == [
             len(f["omega"]) for f in report.findings]
-    # and the one-set records, on both sides of FILTERED_CAP
+    # and the one-set records, on both sides of INT64_CAP
     rng = random.Random(9)
     for n in (3, 5, 6, 9):
         for _ in range(20):
